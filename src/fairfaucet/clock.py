@@ -6,6 +6,7 @@ so the functions are safe to call from anywhere.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,7 @@ class ClockParams:
         return self.epoch_span // self.round_span
 
 
-@dataclass(frozen=True)
-class ClockPosition:
+class ClockPosition(NamedTuple):
     epoch: int
     round: int
     parity: int  # epoch mod 2
@@ -52,4 +52,4 @@ def locate(params: ClockParams, block: int) -> ClockPosition:
     since = block - params.offset
     epoch = since // params.epoch_span
     rnd = (since % params.epoch_span) // params.round_span
-    return ClockPosition(epoch=epoch, round=rnd, parity=epoch % 2)
+    return ClockPosition(epoch, rnd, epoch % 2)

@@ -11,13 +11,13 @@ unserved at that point is discarded; leftover capacity carries over.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .costs import CostMeter
 from .heap import HeapNode, MinHeap
 
 
-@dataclass(frozen=True)
-class GrantRow:
+class GrantRow(NamedTuple):
     iteration: int  # 1-based within one distribution
     user: int
     granted: int

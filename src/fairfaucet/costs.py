@@ -9,6 +9,7 @@ transaction may cost before it is flagged infeasible.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,7 @@ class CostMeter:
                 + self.bases * model.tx_base)
 
 
-@dataclass(frozen=True)
-class TxReceipt:
+class TxReceipt(NamedTuple):
     block: int
     epoch: int
     round: int

@@ -12,10 +12,16 @@ Weights are fixed-point reciprocals of each user's cumulative demand
 is registered is stored with the slot and used for all additions to and
 subtractions from the running weight totals, keeping those totals exact
 even when the user's live weight changes in between.
+
+The faucet keeps no history of its own.  ``demand`` and ``claim`` return
+a ``DemandResult`` or ``ClaimResult`` describing the outcome (including
+the reason for a rejection or no-op); the simulator turns those into its
+trace rows and receipts.
 """
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .clock import ClockParams, locate
 from .costs import CostMeter
@@ -75,15 +81,13 @@ class UserAccount:
     cumulative_demand: int = 0
 
 
-@dataclass(frozen=True)
-class DemandResult:
+class DemandResult(NamedTuple):
     accepted: bool
     reason: str = ""
     weight: int = 0
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     granted: int = 0
     reason: str = ""
     share: int = 0
@@ -93,17 +97,6 @@ class ClaimResult:
     @property
     def ok(self) -> bool:
         return self.granted > 0
-
-
-@dataclass(frozen=True)
-class FaucetEvent:
-    epoch: int
-    round: int
-    user: int
-    action: str  # demand | claim | no-op
-    amount: int
-    share: int
-    capacity: int
 
 
 class AutonomousFaucet:
@@ -124,7 +117,6 @@ class AutonomousFaucet:
         self.weight_total = [0, 0]
         self.reset_epoch = -1
         self.users: dict = {}
-        self.events: list = []
         self.injections = 0  # epoch boundaries that topped up the pool
         self._meter = meter if meter is not None else CostMeter()
         self._last_block = clock.offset
@@ -154,19 +146,6 @@ class AutonomousFaucet:
         window = max(epochs)
         return sum(a.slot_weight[parity] for a in self.users.values()
                    if a.demand_epoch[parity] == window and a.pending[parity] > 0)
-
-    def _event(self, user, action, amount, share):
-        self.events.append(FaucetEvent(self.epoch, self.round, user, action,
-                                       amount, share, self.capacity))
-
-    def trace_csv(self) -> str:
-        """Event history as CSV (epoch,round,user,action,amount,share,
-        capacity), one row per demand/claim/no-op."""
-        lines = ["epoch,round,user,action,amount,share,capacity"]
-        for e in self.events:
-            lines.append(f"{e.epoch},{e.round},{e.user},{e.action},"
-                         f"{e.amount},{e.share},{e.capacity}")
-        return "\n".join(lines) + "\n"
 
     # -- the three contract functions -------------------------------------
 
@@ -221,7 +200,6 @@ class AutonomousFaucet:
             return DemandResult(False, "empty demand")
         m.read()
         if acct.demand_epoch[i] == self.epoch:
-            self._event(user, "no-op", 0, 0)
             return DemandResult(False, "already demanded this epoch")
 
         m.read()
@@ -242,7 +220,6 @@ class AutonomousFaucet:
             self.weight_total[i] += weight
             m.read()
             m.write()
-        self._event(user, "demand", amount, 0)
         return DemandResult(True, weight=weight)
 
     def claim(self, user: int, block: int) -> ClaimResult:
@@ -263,18 +240,14 @@ class AutonomousFaucet:
             return ClaimResult(reason="unregistered user")
         m.read(3)
         if acct.demand_epoch[i] != self.epoch - 1:
-            self._event(user, "no-op", 0, 0)
             return ClaimResult(reason="no demand from previous epoch")
         if self.capacity == 0:
-            self._event(user, "no-op", 0, 0)
             return ClaimResult(reason="capacity depleted")
         if acct.pending[i] == 0:
-            self._event(user, "no-op", 0, 0)
             return ClaimResult(reason="demand already satisfied")
         m.read(2)
         if (acct.last_claim_epoch == self.epoch
                 and acct.last_claim_round == self.round):
-            self._event(user, "no-op", 0, 0)
             return ClaimResult(reason="already claimed this round")
         acct.last_claim_epoch = self.epoch
         acct.last_claim_round = self.round
@@ -299,6 +272,5 @@ class AutonomousFaucet:
             m.read()
             self.weight_total[i] -= acct.slot_weight[i]
             m.write()
-        self._event(user, "claim", granted, share)
         return ClaimResult(granted=granted, share=share, floored=floored,
                            satisfied=satisfied)

@@ -5,21 +5,21 @@ ordered by demand with the user id as tie-break, so drain order is fully
 deterministic.  The array layout is a complete binary tree, which keeps
 every sift path logarithmic regardless of insertion order.
 
-Every node move and comparison can be reported to a pluggable meter (any
-object with ``heap_move()`` and ``arith()`` methods); the simulator uses
-this to charge abstract per-operation costs.
+A node is a ``(demand, user)`` tuple, so it is its own sort key.  Every
+node move and comparison is charged to a meter (a ``CostMeter`` unless
+the caller passes another object with ``heap_move()`` and ``arith()``
+methods); the simulator shares one meter across a transaction to charge
+abstract per-operation costs.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .costs import CostMeter
 
 
-@dataclass(frozen=True)
-class HeapNode:
+class HeapNode(NamedTuple):
     demand: int
     user: int
-
-    def key(self):
-        return (self.demand, self.user)
 
 
 class MinHeap:
@@ -27,16 +27,11 @@ class MinHeap:
 
     def __init__(self, meter=None):
         self._nodes: list[HeapNode] = []
-        self._meter = meter
-        self.moves = 0
-        self.compares = 0
+        self._meter = meter if meter is not None else CostMeter()
         # levels traversed by the most recent insert/del_min sift
         self.last_sift_depth = 0
 
     def __len__(self) -> int:
-        return len(self._nodes)
-
-    def size(self) -> int:
         return len(self._nodes)
 
     def peek(self) -> HeapNode:
@@ -44,36 +39,27 @@ class MinHeap:
             raise IndexError("underflow")
         return self._nodes[0]
 
-    def _moved(self, n=1):
-        self.moves += n
-        if self._meter is not None:
-            self._meter.heap_move(n)
-
-    def _compared(self, n=1):
-        self.compares += n
-        if self._meter is not None:
-            self._meter.arith(n)
-
     def insert(self, node: HeapNode) -> None:
         """Sift-up insert; zero demands are never stored."""
         if node.demand < 1:
             raise ValueError("empty demand")
         nodes = self._nodes
         nodes.append(node)
-        self._moved()
         k = len(nodes) - 1
         depth = 0
         while k > 0:
             parent = (k - 1) // 2
-            self._compared()
-            if nodes[parent].key() <= node.key():
+            if nodes[parent] <= node:
                 break
             nodes[k] = nodes[parent]
-            self._moved()
             k = parent
             depth += 1
         nodes[k] = node
         self.last_sift_depth = depth
+        # one compare per level climbed, plus the one that stopped the
+        # climb below the root; one move for the append and one per level
+        self._meter.arith(depth + (k > 0))
+        self._meter.heap_move(depth + 1)
 
     def del_min(self) -> HeapNode:
         """Pop the minimum node, restoring heap order by sift-down."""
@@ -82,8 +68,8 @@ class MinHeap:
             raise IndexError("underflow")
         top = nodes[0]
         last = nodes.pop()
-        self._moved()
         depth = 0
+        compares = 0
         if nodes:
             k = 0
             size = len(nodes)
@@ -92,16 +78,18 @@ class MinHeap:
                 if child >= size:
                     break
                 if child + 1 < size:
-                    self._compared()
-                    if nodes[child + 1].key() < nodes[child].key():
+                    compares += 1
+                    if nodes[child + 1] < nodes[child]:
                         child += 1
-                self._compared()
-                if last.key() <= nodes[child].key():
+                compares += 1
+                if last <= nodes[child]:
                     break
                 nodes[k] = nodes[child]
-                self._moved()
                 k = child
                 depth += 1
             nodes[k] = last
         self.last_sift_depth = depth
+        # one move for the pop and one per level descended
+        self._meter.arith(compares)
+        self._meter.heap_move(depth + 1)
         return top

@@ -18,6 +18,7 @@ Identical scenarios produce bit-identical traces and receipts.
 
 import json
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .clock import ClockParams, locate
 from .cmf import CmfDistributor
@@ -205,8 +206,7 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(data)
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     block: int
     epoch: int
     round: int
@@ -295,21 +295,22 @@ class _Runner:
         self.findings = []
         self.plan = _demand_plan(sc)
 
-    def _close_tx(self, block, actor, action, amount, share, capacity,
+    def _close_tx(self, block, pos, actor, action, amount, share, capacity,
                   summary=""):
+        """Record the transaction in ``block``; ``pos`` is the block's
+        clock position, which the schedule looks up once per round."""
         cost = self.meter.total(self.sc.cost_model)
         over = cost > self.sc.cost_model.block_budget
-        pos = locate(self.clock, block)
-        self.receipts.append(TxReceipt(block, pos.epoch, pos.round, action,
-                                       actor, cost, over, summary))
-        self.trace.append(TraceRow(block, pos.epoch, pos.round, actor,
-                                   action, amount, share, capacity, cost,
-                                   over))
+        epoch, rnd, _ = pos
+        self.receipts.append(TxReceipt(block, epoch, rnd, action, actor,
+                                       cost, over, summary))
+        self.trace.append(TraceRow(block, epoch, rnd, actor, action, amount,
+                                   share, capacity, cost, over))
 
-    def _noop(self, block, capacity, share=0):
+    def _noop(self, block, pos, capacity, share=0):
         self.meter.reset()
         self.meter.base()
-        self._close_tx(block, AUTHORITY, "noop", 0, share, capacity)
+        self._close_tx(block, pos, AUTHORITY, "noop", 0, share, capacity)
 
 
 def run_scenario(sc: Scenario) -> RunResult:
@@ -338,6 +339,7 @@ def _run_amf(sc: Scenario) -> RunResult:
         epoch_start = epoch * sc.epoch_span
         for rnd in range(rounds):
             round_start = epoch_start + rnd * sc.round_span
+            pos = locate(runner.clock, round_start)
             for offset in range(sc.round_span):
                 block = round_start + offset
                 user = offset + 1
@@ -345,12 +347,12 @@ def _run_amf(sc: Scenario) -> RunResult:
                     runner.meter.reset()
                     runner.meter.base()
                     uid = faucet.register()
-                    runner._close_tx(block, uid, "register", 0, 0,
+                    runner._close_tx(block, pos, uid, "register", 0, 0,
                                      faucet.capacity, f"user={uid}")
                 elif rnd == rounds - 1 and offset < sc.n:
                     amount = runner.plan[epoch][offset]
                     if amount is None:
-                        runner._noop(block, faucet.capacity,
+                        runner._noop(block, pos, faucet.capacity,
                                      faucet.unit_share)
                         continue
                     runner.meter.reset()
@@ -362,7 +364,7 @@ def _run_amf(sc: Scenario) -> RunResult:
                         summary = f"amount={amount} weight={res.weight}"
                     else:
                         summary = f"rejected: {res.reason}"
-                    runner._close_tx(block, user, "demand",
+                    runner._close_tx(block, pos, user, "demand",
                                      amount if res.accepted else 0,
                                      0, faucet.capacity, summary)
                 elif epoch >= 1 and rnd < rounds - 1 and offset < sc.n:
@@ -377,10 +379,11 @@ def _run_amf(sc: Scenario) -> RunResult:
                             summary += " floor1"
                     else:
                         summary = f"no-op: {res.reason}"
-                    runner._close_tx(block, user, "claim", res.granted,
+                    runner._close_tx(block, pos, user, "claim", res.granted,
                                      res.share, faucet.capacity, summary)
                 else:
-                    runner._noop(block, faucet.capacity, faucet.unit_share)
+                    runner._noop(block, pos, faucet.capacity,
+                                 faucet.unit_share)
         if epoch >= 1 and sc.n > 0:
             capacity_start = prev_capacity_end + sc.epoch_capacity
             summary = EpochSummary(epoch=epoch,
@@ -415,6 +418,7 @@ def _run_cmf(sc: Scenario) -> RunResult:
         epoch_start = epoch * sc.epoch_span
         for rnd in range(rounds):
             round_start = epoch_start + rnd * sc.round_span
+            pos = locate(runner.clock, round_start)
             for offset in range(sc.round_span):
                 block = round_start + offset
                 user = offset + 1
@@ -422,7 +426,7 @@ def _run_cmf(sc: Scenario) -> RunResult:
                     runner.meter.reset()
                     runner.meter.base()
                     runner.meter.write(2)  # account bookkeeping
-                    runner._close_tx(block, user, "register", 0, 0,
+                    runner._close_tx(block, pos, user, "register", 0, 0,
                                      dist.capacity, f"user={user}")
                 elif epoch >= 1 and rnd == 0 and offset == 0:
                     runner.meter.reset()
@@ -430,8 +434,8 @@ def _run_cmf(sc: Scenario) -> RunResult:
                     report = dist.distribute(epoch=epoch)
                     runner.reports.append(report)
                     total = report.total_granted()
-                    runner._close_tx(block, AUTHORITY, "distribute", total,
-                                     0, dist.capacity,
+                    runner._close_tx(block, pos, AUTHORITY, "distribute",
+                                     total, 0, dist.capacity,
                                      f"granted={total} "
                                      f"iterations={report.iterations}")
                     summaries.append(EpochSummary(
@@ -444,16 +448,16 @@ def _run_cmf(sc: Scenario) -> RunResult:
                 elif rnd == rounds - 1 and offset < sc.n:
                     amount = runner.plan[epoch][offset]
                     if amount is None:
-                        runner._noop(block, dist.capacity)
+                        runner._noop(block, pos, dist.capacity)
                         continue
                     runner.meter.reset()
                     runner.meter.base()
                     dist.submit_demand(user, amount)
                     demands_made[epoch][user] = amount
-                    runner._close_tx(block, user, "demand", amount, 0,
+                    runner._close_tx(block, pos, user, "demand", amount, 0,
                                      dist.capacity, f"amount={amount}")
                 else:
-                    runner._noop(block, dist.capacity)
+                    runner._noop(block, pos, dist.capacity)
 
     balances = {u: dist.balances.get(u, 0) for u in range(1, sc.n + 1)}
     return RunResult(scenario=sc, trace=runner.trace,
@@ -482,21 +486,21 @@ def worked_example_scenarios() -> dict:
 
 TRACE_HEADER = "block,epoch,round,actor,action,amount,share,capacity,cost,over_budget"
 
+# Rows are tuples whose fields are in column order, so each renders with
+# one format; %d writes the over_budget flag as 0 or 1.
+_TRACE_ROW = "%d,%d,%d,%d,%s,%d,%d,%d,%d,%d"
+_RECEIPT_ROW = "%d,%d,%d,%s,%d,%d,%d,%s"
+
 
 def trace_csv(result: RunResult) -> str:
     lines = [TRACE_HEADER]
-    for r in result.trace:
-        lines.append(f"{r.block},{r.epoch},{r.round},{r.actor},{r.action},"
-                     f"{r.amount},{r.share},{r.capacity},{r.cost},"
-                     f"{1 if r.over_budget else 0}")
+    lines.extend(_TRACE_ROW % r for r in result.trace)
     return "\n".join(lines) + "\n"
 
 
 def receipts_csv(result: RunResult) -> str:
     lines = ["block,epoch,round,action,actor,cost,over_budget,summary"]
-    for r in result.receipts:
-        lines.append(f"{r.block},{r.epoch},{r.round},{r.kind},{r.actor},"
-                     f"{r.cost},{1 if r.over_budget else 0},{r.summary}")
+    lines.extend(_RECEIPT_ROW % r for r in result.receipts)
     return "\n".join(lines) + "\n"
 
 

@@ -203,20 +203,20 @@ def test_criterion_7_heap_oracle():
         if len(heap) and rng.random() < 0.45:
             before = len(heap)
             node = heap.del_min()
-            assert node.key() == heapq.heappop(oracle)
+            assert node == heapq.heappop(oracle)
             assert heap.last_sift_depth <= math.ceil(math.log2(before + 1))
             removed += 1
         else:
             node = HeapNode(rng.randrange(1, 1_000_000),
                             rng.randrange(0, 500))
             heap.insert(node)
-            heapq.heappush(oracle, node.key())
+            heapq.heappush(oracle, (node.demand, node.user))
             assert heap.last_sift_depth <= math.ceil(math.log2(len(heap) + 1))
             inserted += 1
     drained = []
     while len(heap):
         before = len(heap)
-        drained.append(heap.del_min().key())
+        drained.append(heap.del_min())
         assert heap.last_sift_depth <= math.ceil(math.log2(before + 1))
     assert drained == sorted(oracle)  # final drain is fully sorted
     assert inserted == removed + len(drained)

@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from fairfaucet.costs import (ActionStats, CostMeter, CostModel, TxReceipt,
                               cost_report)
-from fairfaucet.sim import Scenario, run_scenario
+from fairfaucet.sim import Scenario, load_scenario, run_scenario
 
 
 def test_model_validation():
@@ -100,3 +102,43 @@ def test_first_transaction_of_an_epoch_carries_the_update_cost():
     later_round_zero = [r for r in claims
                         if r.round == 0 and r is not first_of_round[0]]
     assert first_of_round[0].cost > max(r.cost for r in later_round_zero)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# cost_report(...).by_action as kind -> (count, total units), and the
+# over-budget count, for every committed scenario plus one CMF run at the
+# benchmark geometry with 200 users, so heap charges are pinned at a size
+# where sift paths run several levels deep
+METERING = {
+    "amf_n10": ({"claim": (90, 3708890), "demand": (40, 2128440),
+                 "noop": (20, 420000), "register": (10, 310000)}, 0),
+    "amf_worked_example": ({"claim": (36, 1705390), "demand": (12, 682800),
+                            "noop": (9, 189000), "register": (3, 93000)}, 0),
+    "cmf_n10": ({"demand": (40, 1124275), "distribute": (3, 368810),
+                 "noop": (107, 2247000), "register": (10, 310000)}, 0),
+    "cmf_worked_example": ({"demand": (3, 82810), "distribute": (1, 76305),
+                            "noop": (17, 357000), "register": (3, 93000)},
+                           0),
+    "depletion_fcfs": ({"claim": (6, 293210), "demand": (2, 119070),
+                        "noop": (6, 126000), "register": (2, 62000)}, 0),
+    "wamf_n10": ({"claim": (90, 3831330), "demand": (40, 2128440),
+                  "noop": (20, 420000), "register": (10, 310000)}, 0),
+    "cmf_benchmark_n200_seed5": (
+        {"demand": (800, 22748020), "distribute": (3, 11129185),
+         "noop": (2197, 46137000), "register": (200, 6200000)}, 0),
+}
+
+
+@pytest.mark.parametrize("name",
+                         sorted(p.stem for p in SCENARIOS.glob("*.json"))
+                         + ["cmf_benchmark_n200_seed5"])
+def test_metering_is_pinned(name):
+    if name == "cmf_benchmark_n200_seed5":
+        sc = Scenario.benchmark_defaults("CMF", 200, seed=5)
+    else:
+        sc = load_scenario(SCENARIOS / f"{name}.json")
+    summary = cost_report(run_scenario(sc).receipts)
+    by_action = {kind: (st.count, st.total)
+                 for kind, st in summary.by_action.items()}
+    assert (by_action, summary.over_budget) == METERING[name]

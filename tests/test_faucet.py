@@ -3,8 +3,8 @@ import random
 import pytest
 
 from fairfaucet.clock import ClockParams
-from fairfaucet.faucet import (AutonomousFaucet, WeightPolicy,
-                               reciprocal_weight)
+from fairfaucet.faucet import (AutonomousFaucet, ClaimResult, DemandResult,
+                               WeightPolicy, reciprocal_weight)
 
 CLOCK = ClockParams(offset=0, epoch_span=12, round_span=3)
 
@@ -159,19 +159,25 @@ def test_worked_example_replay():
     assert faucet.injections == 4
 
 
-def test_trace_csv_records_demands_claims_and_noops():
+def test_results_report_demands_claims_and_noops():
     faucet = three_user_faucet()
-    submit_epoch_demands(faucet, 0, (4, 11, 15))
-    faucet.demand(1, 5, 11)  # rejected repeat
-    claim_round(faucet, 1, 0)
-    faucet.claim(1, 14)      # no-op, demand already satisfied
-    text = faucet.trace_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "epoch,round,user,action,amount,share,capacity"
-    assert "0,3,1,demand,4,0,0" in lines
-    assert "0,3,1,no-op,0,0,0" in lines
-    assert "1,0,1,claim,4,10,26" in lines
-    assert lines[-1] == "1,0,1,no-op,0,0,6"
+    assert faucet.demand(1, 4, 9) == DemandResult(True, weight=1)
+    assert (faucet.epoch, faucet.round, faucet.capacity) == (0, 3, 0)
+    assert faucet.users[1].pending[1] == 4
+    assert faucet.demand(2, 11, 10).accepted
+    assert faucet.demand(3, 15, 11).accepted
+    assert faucet.demand(1, 5, 11) == DemandResult(
+        False, "already demanded this epoch")
+    assert faucet.users[1].pending[1] == 4
+    assert faucet.claim(1, 12) == ClaimResult(granted=4, share=10,
+                                              satisfied=True)
+    assert (faucet.epoch, faucet.round, faucet.capacity) == (1, 0, 26)
+    faucet.claim(2, 13)
+    faucet.claim(3, 14)
+    assert faucet.claim(1, 14) == ClaimResult(
+        reason="demand already satisfied")
+    assert (faucet.epoch, faucet.round, faucet.capacity) == (1, 0, 6)
+    assert faucet.final_balances()[1] == 4
 
 
 def test_fresh_state_balances_are_zero_and_stay_zero_without_claims():

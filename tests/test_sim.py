@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from fairfaucet.clock import locate
 from fairfaucet.costs import CostModel
 from fairfaucet.sim import (MASK64, Scenario, ScenarioError, balances_csv,
                             load_scenario, next_demand,
@@ -124,6 +125,28 @@ def test_one_tx_per_block_and_consecutive_numbering():
     blocks = [r.block for r in result.trace]
     assert blocks == list(range(sc.epochs * sc.epoch_span))
     assert [r.block for r in result.receipts] == blocks
+
+
+@pytest.mark.parametrize("variant", ["AMF", "WAMF", "CMF"])
+def test_trace_positions_match_the_clock(variant):
+    # round_span > n leaves filler blocks in every round, and the None
+    # entries turn scripted demand blocks into no-ops
+    sc = Scenario(variant=variant, n=3, epoch_capacity=30, epoch_span=20,
+                  round_span=5, epochs=3,
+                  scripted_demands=((4, None, 15), (None, 3, 8)))
+    result = run_scenario(sc)
+    for row, receipt in zip(result.trace, result.receipts, strict=True):
+        pos = locate(sc.clock, row.block)
+        assert (row.epoch, row.round) == (pos.epoch, pos.round), row
+        assert (receipt.epoch, receipt.round) == (pos.epoch, pos.round)
+    actions = {r.block: r.action for r in result.trace}
+    # users 2 and 1 demand None in epochs 0 and 1; offsets 3 and 4 of
+    # every round are filler
+    assert actions[16] == actions[35] == "noop"
+    assert actions[18] == actions[59] == "noop"
+    if variant == "CMF":
+        assert [r.block for r in result.trace
+                if r.action == "distribute"] == [20, 40]
 
 
 def test_zero_epochs_is_an_empty_run():
