@@ -95,6 +95,8 @@ class Scenario:
             raise ScenarioError("n must be >= 0")
         if self.epochs < 0:
             raise ScenarioError("epochs must be >= 0")
+        if self.epoch_capacity < 1:
+            raise ScenarioError("epoch_capacity must be positive")
         try:
             clock = ClockParams(0, self.epoch_span, self.round_span)
         except ValueError as exc:
@@ -118,7 +120,8 @@ class Scenario:
                 if len(row) > self.n:
                     raise ScenarioError("scripted demand row longer than n")
                 for a in row:
-                    if a is not None and (not isinstance(a, int) or a < 1):
+                    if a is not None and (isinstance(a, bool)
+                                          or not isinstance(a, int) or a < 1):
                         raise ScenarioError("scripted demands must be "
                                             "positive integers or null")
         if self.variant == "WAMF" and self.precision <= self._worst_cumulative():
@@ -171,12 +174,27 @@ _SCENARIO_KEYS = {"variant", "n", "epoch_capacity", "epoch_span",
                   "precision", "cost_model", "scripted_demands"}
 
 
+_INT_KEYS = ("n", "epoch_capacity", "epoch_span", "round_span", "demand_lo",
+             "demand_hi", "epochs", "seed", "precision")
+
+
+def _require_int(name, value):
+    # bool is an int subclass, but JSON true is not a count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+
+
 def scenario_from_dict(data: dict) -> Scenario:
+    if not isinstance(data, dict):
+        raise ScenarioError("a scenario must be a JSON object")
     unknown = set(data) - _SCENARIO_KEYS
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
     if "variant" not in data or "n" not in data:
         raise ScenarioError("scenario requires 'variant' and 'n'")
+    for key in _INT_KEYS:
+        if key in data:
+            _require_int(key, data[key])
     kwargs = dict(data)
     n = kwargs["n"]
     kwargs.setdefault("epoch_capacity", 20 * n)
@@ -184,12 +202,19 @@ def scenario_from_dict(data: dict) -> Scenario:
     kwargs.setdefault("round_span", n)
     model = kwargs.pop("cost_model", None)
     if model is not None:
+        if not isinstance(model, dict):
+            raise ScenarioError("cost_model must be a JSON object")
+        for key, value in model.items():
+            _require_int(f"cost_model.{key}", value)
         try:
             kwargs["cost_model"] = CostModel(**model)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad cost_model: {exc}") from exc
     scripted = kwargs.get("scripted_demands")
     if scripted is not None:
+        if (not isinstance(scripted, (list, tuple))
+                or not all(isinstance(row, (list, tuple)) for row in scripted)):
+            raise ScenarioError("scripted_demands must be a list of rows")
         kwargs["scripted_demands"] = tuple(tuple(row) for row in scripted)
     try:
         return Scenario(**kwargs)
@@ -198,11 +223,13 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid scenario JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"invalid scenario JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     return scenario_from_dict(data)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +39,37 @@ def test_run_invalid_scenario_exits_two(tmp_path, capsys):
     rc = main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+BAD_SCENARIOS = {
+    "top_level_not_an_object": b"7",
+    "scripted_row_not_a_list":
+        b'{"variant": "AMF", "n": 3, "scripted_demands": [[1, 2], 3]}',
+    "float_seed": b'{"variant": "AMF", "n": 3, "seed": 1.5}',
+    "non_utf8_bytes": b'{"variant": "AMF", "n": 3\xff\xfe}',
+    "directory": None,
+    "boolean_n": b'{"variant": "AMF", "n": true}',
+    "zero_epoch_capacity": b'{"variant": "CMF", "n": 3, "epoch_capacity": 0}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+def test_verify_bad_scenario_exits_two_without_traceback(tmp_path, case):
+    path = tmp_path / "scenario.json"
+    if BAD_SCENARIOS[case] is None:
+        path.mkdir()
+    else:
+        path.write_bytes(BAD_SCENARIOS[case])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairfaucet.cli", "verify",
+         "--scenario", str(path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_run_twice_produces_identical_files(tmp_path):

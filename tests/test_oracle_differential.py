@@ -1,0 +1,199 @@
+"""Differential tests: the oracle against its earlier, slower form.
+
+``reference_weighted_waterfill`` and ``reference_is_maxmin_fair`` are the
+pre-rewrite implementations, kept verbatim (one unit of remainder at a
+time; every recipient against every donor) as the behaviour the faster
+oracle must reproduce.
+"""
+
+import random
+from fractions import Fraction
+
+from fairfaucet.oracle import AllocationProblem, is_maxmin_fair, waterfill
+
+
+def reference_weighted_waterfill(problem: AllocationProblem) -> dict:
+    demands = dict(problem.demands)
+    users = sorted(demands)
+    weight = {u: problem.weight_of(u) for u in users}
+    c = problem.capacity
+    if c >= sum(demands.values()):
+        return dict(demands)
+
+    # continuous solve: users cap out in order of demand/weight while the
+    # common level rises until the capacity is exactly consumed
+    order = sorted(users, key=lambda u: (Fraction(demands[u], weight[u]), u))
+    active_weight = sum(weight.values())
+    level = Fraction(0)
+    budget = Fraction(c)
+    for u in order:
+        cap_level = Fraction(demands[u], weight[u])
+        needed = (cap_level - level) * active_weight
+        if needed > budget:
+            break
+        budget -= needed
+        level = cap_level
+        active_weight -= weight[u]
+    level += Fraction(budget, active_weight)
+
+    alloc = {u: min(demands[u],
+                    (weight[u] * level.numerator) // level.denominator)
+             for u in users}
+    leftover = c - sum(alloc.values())
+    while leftover > 0:
+        needy = [u for u in users if alloc[u] < demands[u]]
+        if not needy:
+            break
+        lowest = min(needy, key=lambda v: (Fraction(alloc[v], weight[v]), v))
+        alloc[lowest] += 1
+        leftover -= 1
+    return alloc
+
+
+def reference_is_maxmin_fair(problem: AllocationProblem, alloc: dict):
+    demands = dict(problem.demands)
+    for u, a in alloc.items():
+        if u not in demands:
+            raise ValueError(f"allocation for unknown user {u}")
+        if a < 0:
+            raise ValueError(f"negative allocation for user {u}")
+        if a > demands[u]:
+            raise ValueError(f"allocation exceeds demand for user {u}")
+    total = sum(alloc.values())
+    if total > problem.capacity:
+        raise ValueError("allocation exceeds capacity")
+
+    unsatisfied = [u for u in demands if alloc.get(u, 0) < demands[u]]
+    if problem.capacity - total >= 1 and unsatisfied:
+        return False, (min(unsatisfied), None)
+    for u in unsatisfied:
+        wu = problem.weight_of(u)
+        for v in demands:
+            if v == u or alloc.get(v, 0) < 1:
+                continue
+            wv = problem.weight_of(v)
+            # donor still at or above the recipient after moving one unit
+            if (alloc[v] - 1) * wu >= (alloc.get(u, 0) + 1) * wv:
+                return False, (u, v)
+    return True, None
+
+
+def random_problem(rng: random.Random, weighted: bool) -> AllocationProblem:
+    """One instance drawn from a mix of shapes: small or large demands,
+    tied levels (demands that are multiples of their weights), WAMF-sized
+    fixed-point weights, and capacities from empty through surplus."""
+    n = rng.randrange(1, 25)
+    shape = rng.choice(("small", "wide", "tied", "wamf"))
+    if shape == "small":
+        demands = [rng.randrange(1, 6) for _ in range(n)]
+        weights = [rng.randrange(1, 4) for _ in range(n)]
+    elif shape == "wide":
+        demands = [rng.randrange(1, 200) for _ in range(n)]
+        weights = [rng.randrange(1, 50) for _ in range(n)]
+    elif shape == "tied":
+        weights = [rng.choice((1, 2, 4)) for _ in range(n)]
+        demands = [w * rng.randrange(1, 6) for w in weights]
+    else:
+        demands = [rng.randrange(10, 30) for _ in range(n)]
+        lifetime = [d + rng.randrange(0, 90) for d in demands]
+        weights = [10 ** 9 // t for t in lifetime]
+    total = sum(demands)
+    capacity = rng.choice((rng.randrange(0, total + 1),
+                           rng.randrange(total // 2, total + 1),
+                           total - 1, total, total + rng.randrange(1, 10)))
+    return AllocationProblem(demands=tuple(enumerate(demands, 1)),
+                             capacity=max(capacity, 0),
+                             weights=tuple(weights) if weighted else None)
+
+
+def one_unit_moves(rng: random.Random, problem, alloc, count):
+    """Allocations that differ from ``alloc`` by one unit moved from one
+    user to another, keeping every user within its demand."""
+    demands = dict(problem.demands)
+    donors = [v for v in demands if alloc[v] >= 1]
+    takers = [u for u in demands if alloc[u] < demands[u]]
+    moves = []
+    for _ in range(count):
+        if not donors or not takers:
+            break
+        v, u = rng.choice(donors), rng.choice(takers)
+        if u == v:
+            continue
+        moved = dict(alloc)
+        moved[v] -= 1
+        moved[u] += 1
+        moves.append(moved)
+    return moves
+
+
+def test_weighted_waterfill_matches_the_reference():
+    rng = random.Random(31)
+    for _ in range(600):
+        p = random_problem(rng, weighted=True)
+        assert waterfill(p) == reference_weighted_waterfill(p), p
+
+
+def test_waterfill_matches_the_reference_on_wamf_sized_depleted_problems():
+    rng = random.Random(32)
+    for _ in range(200):
+        n = rng.randrange(20, 100)
+        demands = [rng.randrange(10, 30) for _ in range(n)]
+        weights = [10 ** 9 // (d + rng.randrange(0, 60)) for d in demands]
+        p = AllocationProblem(demands=tuple(enumerate(demands, 1)),
+                              capacity=rng.randrange(1, sum(demands)),
+                              weights=tuple(weights))
+        assert waterfill(p) == reference_weighted_waterfill(p)
+
+
+def test_maxmin_verdict_matches_the_reference():
+    rng = random.Random(33)
+    checked = 0
+    for _ in range(500):
+        p = random_problem(rng, weighted=rng.random() < 0.5)
+        alloc = waterfill(p)
+        for candidate in [alloc] + one_unit_moves(rng, p, alloc, 4):
+            ok, witness = is_maxmin_fair(p, candidate)
+            want_ok, want_witness = reference_is_maxmin_fair(p, candidate)
+            assert ok == want_ok, (p, candidate)
+            if ok:
+                assert witness is None
+            elif want_witness[1] is None:
+                assert witness == want_witness
+            else:
+                u, v = witness
+                wu, wv = p.weight_of(u), p.weight_of(v)
+                assert u != v and candidate[u] < dict(p.demands)[u]
+                assert (candidate[v] - 1) * wu >= (candidate[u] + 1) * wv
+            checked += 1
+    assert checked > 1000
+
+
+def test_witness_is_lowest_recipient_and_highest_donor():
+    p = AllocationProblem(demands=((1, 10), (2, 10), (3, 10), (4, 10)),
+                          capacity=20)
+    alloc = {1: 5, 2: 1, 3: 9, 4: 5}
+    # the all-pairs scan stops at the first recipient it tries
+    assert reference_is_maxmin_fair(p, alloc) == (False, (1, 3))
+    assert is_maxmin_fair(p, alloc) == (False, (2, 3))
+    # ties on both sides go to the lowest id
+    assert is_maxmin_fair(p, {1: 1, 2: 1, 3: 9, 4: 9}) == (False, (1, 3))
+    weighted = AllocationProblem(demands=((1, 10), (2, 10), (3, 10)),
+                                 capacity=7, weights=(1, 2, 4))
+    # recipient levels 5/1, 3/2, 2/4; donor levels 3/1, 1/2, 0/4
+    assert is_maxmin_fair(weighted, {1: 4, 2: 2, 3: 1}) == (False, (3, 1))
+
+
+def test_weighted_depleted_oracle_scales_to_5000_users():
+    # No timing assertion: a per-call weight scan or a per-unit remainder
+    # loop takes minutes at this size, so a quadratic oracle shows up as
+    # a hang rather than a flaky failure.
+    rng = random.Random(34)
+    n = 5000
+    demands = [rng.randrange(10, 30) for _ in range(n)]
+    weights = [10 ** 9 // (d + rng.randrange(0, 90)) for d in demands]
+    capacity = sum(demands) // 2
+    p = AllocationProblem(demands=tuple(enumerate(demands, 1)),
+                          capacity=capacity, weights=tuple(weights))
+    alloc = waterfill(p)
+    assert sum(alloc.values()) == capacity
+    assert is_maxmin_fair(p, alloc) == (True, None)
