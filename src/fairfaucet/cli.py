@@ -2,8 +2,8 @@
 oracle, summarize costs and regenerate golden fixtures.
 
 Exit codes are a stable contract: 0 success, 1 verification mismatch,
-2 usage or input error.  All outputs are pure functions of the scenario
-file; CSV files contain integers only.
+2 usage, input or output error.  All outputs are pure functions of the
+scenario file.
 """
 
 import argparse
@@ -225,7 +225,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
+        # scenario input errors arrive as ScenarioError, so an OSError here
+        # comes from creating or writing an output file or directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,7 +4,7 @@ Every transaction occupies its own block, so the block number doubles as
 a transaction counter.  A scenario describes one experiment: the
 algorithm variant, the user count, the epoch geometry, the demand stream
 (seeded PRNG or scripted amounts) and the cost model.  Running a scenario
-replays the canonical block schedule:
+replays the canonical block schedule, which all three variants share:
 
   epoch 0:   one registration block per user, filler blocks, then one
              demand block per user in the last round;
@@ -13,7 +13,10 @@ replays the canonical block schedule:
              epoch boundary), then one demand block per user in the last
              round.
 
-Identical scenarios produce bit-identical traces and receipts.
+``run_scenario`` walks that schedule once; a small adapter per design
+(autonomous for AMF/WAMF, central for CMF) runs each slot's transaction,
+and the loop records it as one trace row and one receipt.  Identical
+scenarios produce bit-identical traces and receipts.
 """
 
 import json
@@ -59,6 +62,12 @@ def next_demand(state: int, lo: int, hi: int):
     return state, lo + (z % (hi - lo))
 
 
+def _geometry(n: int) -> dict:
+    """The n-coupled part of the benchmark parameterization: capacity 20n,
+    epoch span 4n, round span n."""
+    return dict(epoch_capacity=20 * n, epoch_span=4 * n, round_span=n)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Declarative experiment description.  ``scripted_demands`` (one row
@@ -81,10 +90,9 @@ class Scenario:
 
     @classmethod
     def benchmark_defaults(cls, variant: str, n: int, **overrides):
-        """The benchmark parameterization: capacity 20n, epoch span 4n,
-        round span n, demands from [10, 30)."""
-        params = dict(variant=variant, n=n, epoch_capacity=20 * n,
-                      epoch_span=4 * n, round_span=n)
+        """The benchmark parameterization: the n-coupled geometry of
+        ``_geometry`` and demands from [10, 30)."""
+        params = dict(variant=variant, n=n, **_geometry(n))
         params.update(overrides)
         return cls(**params)
 
@@ -143,9 +151,8 @@ class Scenario:
 
     def with_n(self, n: int):
         """Rescale to a different user count, rederiving the n-coupled
-        defaults (capacity 20n, spans 4n/n)."""
-        return replace(self, n=n, epoch_capacity=20 * n, epoch_span=4 * n,
-                       round_span=n)
+        geometry."""
+        return replace(self, n=n, **_geometry(n))
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -195,11 +202,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     for key in _INT_KEYS:
         if key in data:
             _require_int(key, data[key])
-    kwargs = dict(data)
-    n = kwargs["n"]
-    kwargs.setdefault("epoch_capacity", 20 * n)
-    kwargs.setdefault("epoch_span", 4 * n)
-    kwargs.setdefault("round_span", n)
+    kwargs = {**_geometry(data["n"]), **data}
     model = kwargs.pop("cost_model", None)
     if model is not None:
         if not isinstance(model, dict):
@@ -311,188 +314,178 @@ def _demand_plan(sc: Scenario):
     return plan
 
 
-class _Runner:
-    def __init__(self, sc: Scenario):
-        self.sc = sc
-        self.clock = sc.clock
-        self.meter = CostMeter()
-        self.trace = []
-        self.receipts = []
+# A variant adapter runs one transaction on its state machine (``pool``,
+# which has a ``capacity``) and returns (actor, action, amount, share,
+# summary).  It records accepted demands, their weights and the grants in
+# the schedule's per-epoch dicts, and counts the pool's top-ups.
+
+class _Autonomous:
+    """AMF/WAMF over ``AutonomousFaucet``: users claim their share
+    themselves in every round of an epoch but the last."""
+
+    central = False
+
+    def __init__(self, sc, meter, demands, weights, grants):
+        policy = (WeightPolicy.reciprocal(sc.precision)
+                  if sc.variant == "WAMF" else WeightPolicy.unweighted())
+        self.pool = AutonomousFaucet(sc.clock, sc.epoch_capacity, policy,
+                                     meter)
+        self.demands, self.weights, self.grants = demands, weights, grants
         self.reports = []
-        self.findings = []
-        self.plan = _demand_plan(sc)
 
-    def _close_tx(self, block, pos, actor, action, amount, share, capacity,
-                  summary=""):
-        """Record the transaction in ``block``; ``pos`` is the block's
-        clock position, which the schedule looks up once per round."""
-        cost = self.meter.total(self.sc.cost_model)
-        over = cost > self.sc.cost_model.block_budget
-        epoch, rnd, _ = pos
-        self.receipts.append(TxReceipt(block, epoch, rnd, action, actor,
-                                       cost, over, summary))
-        self.trace.append(TraceRow(block, epoch, rnd, actor, action, amount,
-                                   share, capacity, cost, over))
+    @property
+    def injections(self) -> int:
+        return self.pool.injections
 
-    def _noop(self, block, pos, capacity, share=0):
-        self.meter.reset()
-        self.meter.base()
-        self._close_tx(block, pos, AUTHORITY, "noop", 0, share, capacity)
+    def balances(self) -> dict:
+        return self.pool.final_balances()
+
+    def register(self, user):
+        uid = self.pool.register()
+        return uid, "register", 0, 0, f"user={uid}"
+
+    def demand(self, epoch, block, user, amount):
+        res = self.pool.demand(user, amount, block)
+        if not res.accepted:
+            return user, "demand", 0, 0, f"rejected: {res.reason}"
+        self.demands[epoch][user] = amount
+        self.weights[epoch][user] = res.weight
+        return (user, "demand", amount, 0,
+                f"amount={amount} weight={res.weight}")
+
+    def claim(self, epoch, block, user):
+        res = self.pool.claim(user, block)
+        if res.granted:
+            grants = self.grants[epoch]
+            grants[user] = grants.get(user, 0) + res.granted
+            summary = f"granted={res.granted}"
+            if res.floored:
+                summary += " floor1"
+        else:
+            summary = f"no-op: {res.reason}"
+        return user, "claim", res.granted, res.share, summary
+
+    def noop(self):
+        return AUTHORITY, "noop", 0, self.pool.unit_share, ""
+
+
+class _Central:
+    """CMF over ``CmfDistributor``: the authority distributes in the first
+    block of every epoch after the first; users never claim."""
+
+    central = True
+
+    def __init__(self, sc, meter, demands, weights, grants):
+        self.pool = CmfDistributor(sc.epoch_capacity, meter)
+        self.meter = meter
+        self.n = sc.n
+        self.demands, self.weights, self.grants = demands, weights, grants
+        self.reports = []
+
+    @property
+    def injections(self) -> int:
+        return len(self.reports)
+
+    def balances(self) -> dict:
+        return {u: self.pool.balances.get(u, 0) for u in range(1, self.n + 1)}
+
+    def register(self, user):
+        self.meter.write(2)  # account bookkeeping
+        return user, "register", 0, 0, f"user={user}"
+
+    def demand(self, epoch, block, user, amount):
+        self.pool.submit_demand(user, amount)
+        self.demands[epoch][user] = amount
+        self.weights[epoch][user] = 1
+        return user, "demand", amount, 0, f"amount={amount}"
+
+    def distribute(self, epoch):
+        report = self.pool.distribute(epoch=epoch)
+        self.reports.append(report)
+        self.grants[epoch].update(report.allocations)
+        total = report.total_granted()
+        return (AUTHORITY, "distribute", total, 0,
+                f"granted={total} iterations={report.iterations}")
+
+    def noop(self):
+        return AUTHORITY, "noop", 0, 0, ""
 
 
 def run_scenario(sc: Scenario) -> RunResult:
     """Execute a scenario block by block.  Returns the full trace, the
     per-transaction receipts, the final balances and per-epoch summaries
     suitable for oracle verification."""
-    if sc.variant == "CMF":
-        return _run_cmf(sc)
-    return _run_amf(sc)
-
-
-def _run_amf(sc: Scenario) -> RunResult:
-    runner = _Runner(sc)
-    policy = (WeightPolicy.reciprocal(sc.precision) if sc.variant == "WAMF"
-              else WeightPolicy.unweighted())
-    faucet = AutonomousFaucet(runner.clock, sc.epoch_capacity, policy,
-                              runner.meter)
-    rounds = runner.clock.rounds_per_epoch
-    demands_made = [dict() for _ in range(sc.epochs)]   # epoch -> user -> amount
-    weights_made = [dict() for _ in range(sc.epochs)]
-    grants = [dict() for _ in range(sc.epochs)]
-    prev_capacity_end = 0
+    clock = sc.clock
+    model = sc.cost_model
+    budget = model.block_budget
+    meter = CostMeter()
+    demands = [{} for _ in range(sc.epochs)]  # epoch -> user -> amount
+    weights = [{} for _ in range(sc.epochs)]
+    grants = [{} for _ in range(sc.epochs)]
+    variant = _Central if sc.variant == "CMF" else _Autonomous
+    adapter = variant(sc, meter, demands, weights, grants)
+    pool = adapter.pool
+    central = adapter.central
+    plan = _demand_plan(sc)
+    n = sc.n
+    rounds = clock.rounds_per_epoch
+    trace = []
+    receipts = []
     summaries = []
+    findings = []
+    injections = capacity_end = 0
 
     for epoch in range(sc.epochs):
-        epoch_start = epoch * sc.epoch_span
+        amounts = plan[epoch]
         for rnd in range(rounds):
-            round_start = epoch_start + rnd * sc.round_span
-            pos = locate(runner.clock, round_start)
+            round_start = epoch * sc.epoch_span + rnd * sc.round_span
+            pos_epoch, pos_round, _ = locate(clock, round_start)
+            last = rnd == rounds - 1
             for offset in range(sc.round_span):
                 block = round_start + offset
-                user = offset + 1
-                if epoch == 0 and rnd == 0 and offset < sc.n:
-                    runner.meter.reset()
-                    runner.meter.base()
-                    uid = faucet.register()
-                    runner._close_tx(block, pos, uid, "register", 0, 0,
-                                     faucet.capacity, f"user={uid}")
-                elif rnd == rounds - 1 and offset < sc.n:
-                    amount = runner.plan[epoch][offset]
-                    if amount is None:
-                        runner._noop(block, pos, faucet.capacity,
-                                     faucet.unit_share)
-                        continue
-                    runner.meter.reset()
-                    runner.meter.base()
-                    res = faucet.demand(user, amount, block)
-                    if res.accepted:
-                        demands_made[epoch][user] = amount
-                        weights_made[epoch][user] = res.weight
-                        summary = f"amount={amount} weight={res.weight}"
-                    else:
-                        summary = f"rejected: {res.reason}"
-                    runner._close_tx(block, pos, user, "demand",
-                                     amount if res.accepted else 0,
-                                     0, faucet.capacity, summary)
-                elif epoch >= 1 and rnd < rounds - 1 and offset < sc.n:
-                    runner.meter.reset()
-                    runner.meter.base()
-                    res = faucet.claim(user, block)
-                    if res.granted:
-                        grants[epoch][user] = (grants[epoch].get(user, 0)
-                                               + res.granted)
-                        summary = f"granted={res.granted}"
-                        if res.floored:
-                            summary += " floor1"
-                    else:
-                        summary = f"no-op: {res.reason}"
-                    runner._close_tx(block, pos, user, "claim", res.granted,
-                                     res.share, faucet.capacity, summary)
+                meter.reset()
+                meter.base()
+                if epoch == 0 and rnd == 0 and offset < n:
+                    tx = adapter.register(offset + 1)
+                elif central and epoch and rnd == 0 and offset == 0:
+                    tx = adapter.distribute(epoch)
+                elif last and offset < n and amounts[offset] is not None:
+                    tx = adapter.demand(epoch, block, offset + 1,
+                                        amounts[offset])
+                elif not central and epoch and not last and offset < n:
+                    tx = adapter.claim(epoch, block, offset + 1)
                 else:
-                    runner._noop(block, pos, faucet.capacity,
-                                 faucet.unit_share)
-        if epoch >= 1 and sc.n > 0:
-            capacity_start = prev_capacity_end + sc.epoch_capacity
-            summary = EpochSummary(epoch=epoch,
-                                   demands=dict(demands_made[epoch - 1]),
-                                   weights=dict(weights_made[epoch - 1]),
-                                   capacity_start=capacity_start,
-                                   granted=dict(grants[epoch]),
-                                   capacity_end=faucet.capacity)
-            summaries.append(summary)
-            if summary.incomplete:
-                runner.findings.append(
+                    tx = adapter.noop()
+                actor, action, amount, share, summary = tx
+                cost = meter.total(model)
+                over = cost > budget
+                trace.append(TraceRow(block, pos_epoch, pos_round, actor,
+                                      action, amount, share, pool.capacity,
+                                      cost, over))
+                receipts.append(TxReceipt(block, pos_epoch, pos_round, action,
+                                          actor, cost, over, summary))
+        # an epoch with a top-up is a claim epoch: CMF tops up in its
+        # distribute block even without users, AMF only on a transaction
+        if adapter.injections > injections:
+            closed = EpochSummary(epoch=epoch, demands=demands[epoch - 1],
+                                  weights=weights[epoch - 1],
+                                  capacity_start=(capacity_end
+                                                  + sc.epoch_capacity),
+                                  granted=grants[epoch],
+                                  capacity_end=pool.capacity)
+            summaries.append(closed)
+            if closed.incomplete:
+                findings.append(
                     f"epoch {epoch}: distribution incomplete after "
                     f"{rounds - 1} claim rounds (a further round was needed)")
-        prev_capacity_end = faucet.capacity
+        injections = adapter.injections
+        capacity_end = pool.capacity
 
-    return RunResult(scenario=sc, trace=runner.trace,
-                     receipts=runner.receipts,
-                     balances=faucet.final_balances(), reports=[],
-                     epoch_summaries=summaries, findings=runner.findings,
-                     final_capacity=faucet.capacity,
-                     injected=faucet.injections * sc.epoch_capacity)
-
-
-def _run_cmf(sc: Scenario) -> RunResult:
-    runner = _Runner(sc)
-    dist = CmfDistributor(sc.epoch_capacity, runner.meter)
-    rounds = runner.clock.rounds_per_epoch
-    demands_made = [dict() for _ in range(sc.epochs)]
-    summaries = []
-
-    for epoch in range(sc.epochs):
-        epoch_start = epoch * sc.epoch_span
-        for rnd in range(rounds):
-            round_start = epoch_start + rnd * sc.round_span
-            pos = locate(runner.clock, round_start)
-            for offset in range(sc.round_span):
-                block = round_start + offset
-                user = offset + 1
-                if epoch == 0 and rnd == 0 and offset < sc.n:
-                    runner.meter.reset()
-                    runner.meter.base()
-                    runner.meter.write(2)  # account bookkeeping
-                    runner._close_tx(block, pos, user, "register", 0, 0,
-                                     dist.capacity, f"user={user}")
-                elif epoch >= 1 and rnd == 0 and offset == 0:
-                    runner.meter.reset()
-                    runner.meter.base()
-                    report = dist.distribute(epoch=epoch)
-                    runner.reports.append(report)
-                    total = report.total_granted()
-                    runner._close_tx(block, pos, AUTHORITY, "distribute",
-                                     total, 0, dist.capacity,
-                                     f"granted={total} "
-                                     f"iterations={report.iterations}")
-                    summaries.append(EpochSummary(
-                        epoch=epoch,
-                        demands=dict(demands_made[epoch - 1]),
-                        weights={u: 1 for u in demands_made[epoch - 1]},
-                        capacity_start=report.capacity_before,
-                        granted=dict(report.allocations),
-                        capacity_end=report.capacity_after))
-                elif rnd == rounds - 1 and offset < sc.n:
-                    amount = runner.plan[epoch][offset]
-                    if amount is None:
-                        runner._noop(block, pos, dist.capacity)
-                        continue
-                    runner.meter.reset()
-                    runner.meter.base()
-                    dist.submit_demand(user, amount)
-                    demands_made[epoch][user] = amount
-                    runner._close_tx(block, pos, user, "demand", amount, 0,
-                                     dist.capacity, f"amount={amount}")
-                else:
-                    runner._noop(block, pos, dist.capacity)
-
-    balances = {u: dist.balances.get(u, 0) for u in range(1, sc.n + 1)}
-    return RunResult(scenario=sc, trace=runner.trace,
-                     receipts=runner.receipts, balances=balances,
-                     reports=runner.reports, epoch_summaries=summaries,
-                     findings=runner.findings,
-                     final_capacity=dist.capacity,
-                     injected=len(runner.reports) * sc.epoch_capacity)
+    return RunResult(scenario=sc, trace=trace, receipts=receipts,
+                     balances=adapter.balances(),
+                     reports=adapter.reports, epoch_summaries=summaries,
+                     findings=findings, final_capacity=pool.capacity,
+                     injected=injections * sc.epoch_capacity)
 
 
 def worked_example_scenarios() -> dict:

@@ -53,6 +53,17 @@ BAD_SCENARIOS = {
 }
 
 
+def assert_cli_exits_two_without_traceback(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "fairfaucet.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
 def test_verify_bad_scenario_exits_two_without_traceback(tmp_path, case):
     path = tmp_path / "scenario.json"
@@ -60,16 +71,19 @@ def test_verify_bad_scenario_exits_two_without_traceback(tmp_path, case):
         path.mkdir()
     else:
         path.write_bytes(BAD_SCENARIOS[case])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "fairfaucet.cli", "verify",
-         "--scenario", str(path)],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert_cli_exits_two_without_traceback("verify", "--scenario", str(path))
+
+
+@pytest.mark.parametrize("command", ["run", "golden"])
+def test_unwritable_output_exits_two_without_traceback(tmp_path, command):
+    # run: --out names an existing file; golden: --out lies under one
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if command == "run":
+        args = ["run", "--scenario", AMF_TABLE, "--out", str(blocker)]
+    else:
+        args = ["golden", "--out", str(blocker / "x")]
+    assert_cli_exits_two_without_traceback(*args)
 
 
 def test_run_twice_produces_identical_files(tmp_path):

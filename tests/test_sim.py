@@ -9,6 +9,7 @@ from fairfaucet.sim import (MASK64, Scenario, ScenarioError, balances_csv,
                             load_scenario, next_demand,
                             worked_example_scenarios, run_scenario,
                             scenario_from_dict, scenario_to_dict, trace_csv)
+from fairfaucet.verify import verify_run
 
 
 # -- demand stream ----------------------------------------------------------
@@ -158,6 +159,26 @@ def test_zero_epochs_is_an_empty_run():
     assert all(v == 0 for v in result.balances.values())
     assert result.injected == 0
     assert result.conservation_ok()
+
+
+@pytest.mark.parametrize("variant, spans, injected", [
+    ("AMF", [], 0),
+    ("WAMF", [], 0),
+    # CMF's distribute block tops the pool up even with nobody to pay
+    ("CMF", [(10, 10), (20, 20)], 20),
+])
+def test_runs_without_users(variant, spans, injected):
+    sc = Scenario(variant=variant, n=0, epoch_capacity=10, epoch_span=4,
+                  round_span=2, epochs=3)
+    result = run_scenario(sc)
+    assert [(s.capacity_start, s.capacity_end)
+            for s in result.epoch_summaries] == spans
+    assert result.injected == injected
+    assert result.balances == {}
+    assert result.conservation_ok()
+    report = verify_run(result)
+    assert report.ok
+    assert len(report.checks) == len(spans)
 
 
 def test_registration_then_filler_then_demands_in_epoch_zero():
