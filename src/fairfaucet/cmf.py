@@ -8,6 +8,11 @@ unit share and the user's remaining demand.  Partially served demands are
 reinserted into the other heap, the heaps swap roles, and the loop runs
 until every demand is met or the pool is empty.  Whatever demand is still
 unserved at that point is discarded; leftover capacity carries over.
+
+Each entry point charges its cost meter once per exit path, with that
+path's total of storage reads, writes and arithmetic operations;
+``distribute`` adds its per-grant and per-iteration terms once, after
+the drain loop.  The heaps charge their own node moves and comparisons.
 """
 
 from dataclasses import dataclass, field
@@ -82,21 +87,17 @@ class CmfDistributor:
         once per epoch and zero demands are rejected outright."""
         if amount < 1:
             raise ValueError("empty demand")
-        self._meter.read()
         if user in self._demanded:
+            self._meter.charge(reads=1)
             raise ValueError("already demanded")
         self._demanded.add(user)
-        self._meter.write()
+        self._meter.charge(1, 1)
         self._heaps[0].insert(HeapNode(amount, user))
 
     def distribute(self, epoch: int = 0) -> DistributionReport:
         """Run one full distribution; returns the report.  ``epoch`` only
         labels the report rows."""
-        m = self._meter
-        m.read(2)
-        m.arith()
         self.capacity += self.epoch_capacity
-        m.write()
         report = DistributionReport(epoch=epoch,
                                     capacity_before=self.capacity)
 
@@ -104,22 +105,17 @@ class CmfDistributor:
         c = self.capacity
         i = 0
         iteration = 0
-        m.read()
         while len(heaps[i]) > 0 and c > 0:
             iteration += 1
             size = len(heaps[i])
-            m.arith(2)
             share = 1 if c < size else c // size
             report.shares.append(share)
             while len(heaps[i]) > 0 and c > 0:
                 node = heaps[i].del_min()
-                m.arith(2)
                 # clamped by c so the pool can never go negative
                 granted = min(share, node.demand, c)
-                m.read()
                 self.balances[node.user] = (
                     self.balances.get(node.user, 0) + granted)
-                m.write()
                 c -= granted
                 if node.demand > share:
                     heaps[1 - i].insert(
@@ -131,9 +127,13 @@ class CmfDistributor:
             i = 1 - i
 
         # depletion discards whatever is left in either heap
+        m = self._meter
         self._heaps = [MinHeap(m), MinHeap(m)]
         self._demanded.clear()
         self.capacity = c
-        m.write()
         report.capacity_after = c
+        # 3 reads, 2 writes and 1 arith per call, 2 ariths per iteration,
+        # 1 read, 1 write and 2 ariths per grant
+        grants = len(report.rows)
+        m.charge(3 + grants, 2 + grants, 1 + 2 * iteration + 2 * grants)
         return report

@@ -57,6 +57,12 @@ class CostMeter:
     def arith(self, n=1):
         self.ariths += n
 
+    def charge(self, reads=0, writes=0, ariths=0):
+        """Add a code path's read, write and arithmetic totals at once."""
+        self.reads += reads
+        self.writes += writes
+        self.ariths += ariths
+
     def base(self):
         self.bases += 1
 

@@ -7,6 +7,11 @@ claimed.  Every public entry point first refreshes the epoch/round
 counters from the block number; the unit share is recomputed only at
 epoch and round boundaries, exactly as a contract would do it.
 
+Each entry point charges its cost meter once per exit path, with that
+path's total of storage reads, writes and arithmetic operations (the
+README's cost model tables them; ``demand`` and ``claim`` also pay for
+the ``update_state`` they start with).
+
 Weights are fixed-point reciprocals of each user's cumulative demand
 (or constant 1 in unweighted mode).  The weight captured when a demand
 is registered is stored with the slot and used for all additions to and
@@ -120,6 +125,7 @@ class AutonomousFaucet:
         self.injections = 0  # epoch boundaries that topped up the pool
         self._meter = meter if meter is not None else CostMeter()
         self._last_block = clock.offset
+        self._scale = self.policy.scale
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -128,7 +134,7 @@ class AutonomousFaucet:
         order starting at 1."""
         uid = len(self.users) + 1
         self.users[uid] = UserAccount(uid)
-        self._meter.write(2)
+        self._meter.charge(writes=2)
         return uid
 
     def final_balances(self) -> dict:
@@ -157,32 +163,33 @@ class AutonomousFaucet:
         if block < self._last_block:
             raise ValueError("blocks must be non-decreasing")
         self._last_block = block
-        pos = locate(self.clock, block)
-        m = self._meter
-        m.read(2)
-        m.arith(4)
+        clock = self.clock
+        # blocks never go backwards, so epoch and round always equal
+        # locate(clock, last block): a block before the end of the
+        # current round is still in it
+        if block < (clock.offset + self.epoch * clock.epoch_span
+                    + (self.round + 1) * clock.round_span):
+            self._meter.charge(2, 0, 4)
+            return
+        pos = locate(clock, block)
         if self.epoch < pos.epoch:
             self.epoch = pos.epoch
             self.round = pos.round
-            m.read(2)
             self.capacity += self.epoch_capacity
             self.injections += 1
-            self._refresh_share()
-            m.write(4)
-        elif self.round < pos.round:
+            self._meter.charge(4, 4, 4)
+        else:
             self.round = pos.round
-            self._refresh_share()
-            m.write(2)
+            self._meter.charge(2, 2, 4)
+        self._refresh_share()
 
     def _refresh_share(self):
-        i = self.epoch % 2
-        total = self.weight_total[i]
-        self._meter.read(2)
-        self._meter.arith(2)
+        total = self.weight_total[self.epoch % 2]
+        self._meter.charge(2, 0, 2)
         if total == 0:
             self.unit_share = 0
         else:
-            self.unit_share = (self.capacity * self.policy.scale) // total
+            self.unit_share = (self.capacity * self._scale) // total
 
     def demand(self, user: int, amount: int, block: int) -> DemandResult:
         """Register a demand for the next epoch.  One demand per user per
@@ -190,36 +197,31 @@ class AutonomousFaucet:
         without state changes."""
         self.update_state(block)
         m = self._meter
-        m.arith()
         i = (self.epoch + 1) % 2
         acct = self.users.get(user)
-        m.read()
         if acct is None:
+            m.charge(1, 0, 1)
             return DemandResult(False, "unregistered user")
         if amount < 1:
+            m.charge(1, 0, 1)
             return DemandResult(False, "empty demand")
-        m.read()
         if acct.demand_epoch[i] == self.epoch:
+            m.charge(2, 0, 1)
             return DemandResult(False, "already demanded this epoch")
 
-        m.read()
         acct.cumulative_demand += amount
         weight = self.policy.weight_for(acct.cumulative_demand)
-        m.arith()
         acct.pending[i] = amount
         acct.demand_epoch[i] = self.epoch
         acct.slot_weight[i] = weight
-        m.write(4)
-        m.read()
         if self.reset_epoch < self.epoch:
             # first accepted demand of the epoch starts a fresh total
             self.weight_total[i] = weight
             self.reset_epoch = self.epoch
-            m.write(2)
+            m.charge(4, 6, 2)
         else:
             self.weight_total[i] += weight
-            m.read()
-            m.write()
+            m.charge(5, 5, 2)
         return DemandResult(True, weight=weight)
 
     def claim(self, user: int, block: int) -> ClaimResult:
@@ -232,45 +234,42 @@ class AutonomousFaucet:
         floor event is logged)."""
         self.update_state(block)
         m = self._meter
-        m.arith()
         i = self.epoch % 2
         acct = self.users.get(user)
-        m.read()
         if acct is None:
+            m.charge(1, 0, 1)
             return ClaimResult(reason="unregistered user")
-        m.read(3)
         if acct.demand_epoch[i] != self.epoch - 1:
+            m.charge(4, 0, 1)
             return ClaimResult(reason="no demand from previous epoch")
         if self.capacity == 0:
+            m.charge(4, 0, 1)
             return ClaimResult(reason="capacity depleted")
         if acct.pending[i] == 0:
+            m.charge(4, 0, 1)
             return ClaimResult(reason="demand already satisfied")
-        m.read(2)
         if (acct.last_claim_epoch == self.epoch
                 and acct.last_claim_round == self.round):
+            m.charge(6, 0, 1)
             return ClaimResult(reason="already claimed this round")
         acct.last_claim_epoch = self.epoch
         acct.last_claim_round = self.round
-        m.write(2)
 
-        m.read(2)
-        m.arith(2)
-        share = (self.unit_share * acct.slot_weight[i]) // self.policy.scale
+        share = (self.unit_share * acct.slot_weight[i]) // self._scale
         floored = share < 1
         if floored:
             share = 1
             logger.debug("share floored to 1 for user %d (epoch %d round %d)",
                          user, self.epoch, self.round)
         granted = min(acct.pending[i], share, self.capacity)
-        m.read(3)
         acct.balance += granted
         acct.pending[i] -= granted
         self.capacity -= granted
-        m.write(3)
         satisfied = acct.pending[i] == 0
         if satisfied:
-            m.read()
             self.weight_total[i] -= acct.slot_weight[i]
-            m.write()
+            m.charge(12, 6, 3)
+        else:
+            m.charge(11, 5, 3)
         return ClaimResult(granted=granted, share=share, floored=floored,
                            satisfied=satisfied)

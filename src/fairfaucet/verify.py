@@ -2,8 +2,10 @@
 
 Each claim epoch is an allocation problem of its own: the demands
 registered in the previous epoch plus the capacity in force when claims
-began.  The oracle's answer must match the grants the run actually made,
-with two documented exceptions:
+began.  The oracle's answer must match the grants the run actually made
+(a grant to a user who demanded nothing in that problem is always a
+mismatch, even in an epoch without demands), with two documented
+exceptions:
 
 * depletion: when the pool hit zero before every demand was met, the
   remaining units went to claimants in arrival order rather than
@@ -58,6 +60,15 @@ def verify_run(result: RunResult) -> VerifyReport:
     weighted = result.scenario.variant == "WAMF"
     report = VerifyReport(ok=True)
     for summary in result.epoch_summaries:
+        granted = summary.granted
+        if not granted.keys() <= summary.demands.keys():
+            # a grant to a user who demanded nothing: the oracle wants 0
+            user = min(granted.keys() - summary.demands.keys())
+            report.ok = False
+            report.checks.append(EpochCheck(
+                summary.epoch, False, "allocation mismatch",
+                (summary.epoch, user, granted[user], 0)))
+            continue
         if not summary.demands:
             report.checks.append(EpochCheck(summary.epoch, True, "no demands"))
             continue
@@ -69,7 +80,7 @@ def verify_run(result: RunResult) -> VerifyReport:
                 f"left; per-user comparison skipped")
             continue
         want = waterfill(oracle_problem(summary, weighted))
-        got = {u: summary.granted.get(u, 0) for u in want}
+        got = {u: granted.get(u, 0) for u in want}
         if got == want:
             report.checks.append(EpochCheck(summary.epoch, True))
             continue

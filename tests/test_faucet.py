@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+import fairfaucet.faucet as faucet_module
 from fairfaucet.clock import ClockParams
 from fairfaucet.faucet import (AutonomousFaucet, ClaimResult, DemandResult,
                                WeightPolicy, reciprocal_weight)
+from fairfaucet.sim import Scenario, run_scenario
 
 CLOCK = ClockParams(offset=0, epoch_span=12, round_span=3)
 
@@ -238,3 +240,44 @@ def test_unweighted_share_floor_under_starvation():
     assert grants == [1, 1, 0]  # two units, arrival order, then depletion
     assert results[0].floored and results[1].floored
     assert "depleted" in results[2].reason
+
+
+def test_last_block_of_a_round_then_first_block_of_the_next():
+    faucet = three_user_faucet()
+    submit_epoch_demands(faucet, 0, (4, 11, 15))
+    claim_round(faucet, 1, 0)
+    faucet.update_state(14)  # last block of epoch 1, round 0
+    assert (faucet.round, faucet.unit_share) == (0, 10)
+    faucet.update_state(15)
+    assert (faucet.epoch, faucet.round) == (1, 1)
+    assert faucet.unit_share == 3  # 6 units over two live demands
+
+
+def test_multi_epoch_jump_tops_up_once():
+    for jump_to in (24, 36, 47, 120):
+        faucet = three_user_faucet()
+        submit_epoch_demands(faucet, 0, (4, 11, 15))
+        faucet.update_state(jump_to)
+        assert (faucet.epoch, faucet.round) == (jump_to // 12,
+                                                jump_to % 12 // 3)
+        assert (faucet.capacity, faucet.injections) == (30, 1)
+        # the demands of epoch 0 are no longer claimable
+        assert faucet.claim(1, jump_to).reason == (
+            "no demand from previous epoch")
+
+
+@pytest.mark.parametrize("variant", ["AMF", "WAMF"])
+def test_faucet_locates_at_most_once_per_round(monkeypatch, variant):
+    real_locate = faucet_module.locate
+    calls = []
+
+    def counting_locate(clock, block):
+        calls.append(block)
+        return real_locate(clock, block)
+
+    monkeypatch.setattr(faucet_module, "locate", counting_locate)
+    sc = Scenario.benchmark_defaults(variant, 5, seed=3, epochs=4)
+    run_scenario(sc)
+    rounds = sc.epochs * sc.epoch_span // sc.round_span
+    assert 0 < len(calls) <= rounds
+    assert len({block // sc.round_span for block in calls}) == len(calls)

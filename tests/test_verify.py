@@ -71,3 +71,23 @@ def test_wamf_runs_verify_against_the_weighted_oracle():
         assert result.conservation_ok()
         report = verify_run(result)
         assert report.ok, report.first_diff
+
+
+def test_grant_to_a_user_without_demand_fails_verification():
+    sc = Scenario(variant="AMF", n=3, epoch_capacity=30, epoch_span=12,
+                  round_span=3, epochs=3, scripted_demands=((4, None, 15),))
+    result = run_scenario(sc)
+    assert verify_run(result).ok
+    first, second = result.epoch_summaries
+    assert 2 not in first.demands and second.demands == {}
+    first.granted[2] = 7
+    report = verify_run(result)
+    assert not report.ok
+    assert report.first_diff == (1, 2, 7, 0)
+    assert report.checks[0].note == "allocation mismatch"
+    # an epoch without demands is checked for grants too
+    del first.granted[2]
+    second.granted[3] = 1
+    report = verify_run(result)
+    assert not report.ok
+    assert report.first_diff == (2, 3, 1, 0)
