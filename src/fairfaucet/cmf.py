@@ -4,15 +4,16 @@ Demands accumulate in the working heap during an epoch.  At the epoch
 boundary the authority runs :meth:`CmfDistributor.distribute`, which tops
 up the capacity pool and then repeatedly drains the active heap in
 ascending demand order, granting each user the minimum of the iteration's
-unit share and the user's remaining demand.  Partially served demands are
-reinserted into the other heap, the heaps swap roles, and the loop runs
-until every demand is met or the pool is empty.  Whatever demand is still
-unserved at that point is discarded; leftover capacity carries over.
+unit share and the user's remaining demand.  The remainders of partially
+served demands, still in drain order, become the other heap in one step;
+the heaps swap roles until every demand is met or the pool is empty.
+Demand still unserved then is discarded; leftover capacity carries over.
 
 Each entry point charges its cost meter once per exit path, with that
 path's total of storage reads, writes and arithmetic operations;
 ``distribute`` adds its per-grant and per-iteration terms once, after
-the drain loop.  The heaps charge their own node moves and comparisons.
+the drain loop.  The heaps charge their own node moves and comparisons,
+the remainder heap as the inserts it replaces.
 """
 
 from dataclasses import dataclass, field
@@ -82,6 +83,9 @@ class CmfDistributor:
     def pending_demands(self) -> int:
         return len(self._heaps[0])
 
+    def register(self, user: int) -> None:
+        self._meter.charge(writes=2)  # account bookkeeping
+
     def submit_demand(self, user: int, amount: int) -> None:
         """Queue one demand for the next distribution.  A user may demand
         once per epoch and zero demands are rejected outright."""
@@ -101,7 +105,15 @@ class CmfDistributor:
         report = DistributionReport(epoch=epoch,
                                     capacity_before=self.capacity)
 
+        # The drain pops in ascending (demand, user) order; subtracting one
+        # share keeps that order and user ids are distinct, so ``rest`` is
+        # strictly ascending.  The other heap is empty by then (only
+        # submit_demand fills heap 0, each drain empties its heap and a
+        # depletion ends the loop), and an ascending append never climbs, so
+        # ``rest`` is the array its inserts would build, charged as they are.
         heaps = self._heaps
+        rows, allocations = report.rows, report.allocations
+        balances = self.balances
         c = self.capacity
         i = 0
         iteration = 0
@@ -110,20 +122,21 @@ class CmfDistributor:
             size = len(heaps[i])
             share = 1 if c < size else c // size
             report.shares.append(share)
-            while len(heaps[i]) > 0 and c > 0:
-                node = heaps[i].del_min()
+            del_min = heaps[i].del_min
+            rest = []
+            for _ in range(size):
+                demand, user = del_min()
                 # clamped by c so the pool can never go negative
-                granted = min(share, node.demand, c)
-                self.balances[node.user] = (
-                    self.balances.get(node.user, 0) + granted)
+                granted = min(share, demand, c)
+                balances[user] = balances.get(user, 0) + granted
                 c -= granted
-                if node.demand > share:
-                    heaps[1 - i].insert(
-                        HeapNode(node.demand - share, node.user))
-                report.rows.append(GrantRow(iteration, node.user, granted,
-                                            share, c))
-                report.allocations[node.user] = (
-                    report.allocations.get(node.user, 0) + granted)
+                if demand > share:
+                    rest.append(HeapNode(demand - share, user))
+                rows.append(GrantRow(iteration, user, granted, share, c))
+                allocations[user] = allocations.get(user, 0) + granted
+                if c == 0:
+                    break
+            heaps[1 - i] = MinHeap.from_ascending(rest, self._meter)
             i = 1 - i
 
         # depletion discards whatever is left in either heap

@@ -45,23 +45,13 @@ class CostMeter:
         self.ariths = 0
         self.bases = 0
 
-    def read(self, n=1):
-        self.reads += n
-
-    def write(self, n=1):
-        self.writes += n
-
-    def heap_move(self, n=1):
-        self.heap_moves += n
-
-    def arith(self, n=1):
-        self.ariths += n
-
-    def charge(self, reads=0, writes=0, ariths=0):
-        """Add a code path's read, write and arithmetic totals at once."""
+    def charge(self, reads=0, writes=0, ariths=0, heap_moves=0):
+        """Add a code path's read, write, arith and heap-move totals."""
         self.reads += reads
         self.writes += writes
         self.ariths += ariths
+        if heap_moves:  # only the heap moves nodes; spare the faucet paths
+            self.heap_moves += heap_moves
 
     def base(self):
         self.bases += 1

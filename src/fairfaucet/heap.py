@@ -5,11 +5,11 @@ ordered by demand with the user id as tie-break, so drain order is fully
 deterministic.  The array layout is a complete binary tree, which keeps
 every sift path logarithmic regardless of insertion order.
 
-A node is a ``(demand, user)`` tuple, so it is its own sort key.  Every
-node move and comparison is charged to a meter (a ``CostMeter`` unless
-the caller passes another object with ``heap_move()`` and ``arith()``
-methods); the simulator shares one meter across a transaction to charge
-abstract per-operation costs.
+A node is a ``(demand, user)`` tuple, so it is its own sort key.  Each
+heap operation charges its comparisons and node moves to a meter in one
+``charge(reads, writes, ariths, heap_moves)`` call (a ``CostMeter`` unless
+the caller passes another object with that method); the simulator shares
+one meter across a transaction to charge abstract per-operation costs.
 """
 
 from typing import NamedTuple
@@ -30,6 +30,16 @@ class MinHeap:
         self._meter = meter if meter is not None else CostMeter()
         # levels traversed by the most recent insert/del_min sift
         self.last_sift_depth = 0
+
+    @classmethod
+    def from_ascending(cls, nodes: list, meter=None) -> "MinHeap":
+        """The heap of strictly ascending ``nodes`` (the list is adopted),
+        charged as inserting them one by one would be: no insert climbs,
+        so each moves one node and compares once unless at the root."""
+        heap = cls(meter)
+        heap._nodes = nodes
+        heap._meter.charge(0, 0, max(len(nodes) - 1, 0), len(nodes))
+        return heap
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -58,8 +68,7 @@ class MinHeap:
         self.last_sift_depth = depth
         # one compare per level climbed, plus the one that stopped the
         # climb below the root; one move for the append and one per level
-        self._meter.arith(depth + (k > 0))
-        self._meter.heap_move(depth + 1)
+        self._meter.charge(0, 0, depth + (k > 0), depth + 1)
 
     def del_min(self) -> HeapNode:
         """Pop the minimum node, restoring heap order by sift-down."""
@@ -90,6 +99,5 @@ class MinHeap:
             nodes[k] = last
         self.last_sift_depth = depth
         # one move for the pop and one per level descended
-        self._meter.arith(compares)
-        self._meter.heap_move(depth + 1)
+        self._meter.charge(0, 0, compares, depth + 1)
         return top

@@ -377,7 +377,6 @@ class _Central:
 
     def __init__(self, sc, meter, demands, weights, grants):
         self.pool = CmfDistributor(sc.epoch_capacity, meter)
-        self.meter = meter
         self.n = sc.n
         self.demands, self.weights, self.grants = demands, weights, grants
         self.reports = []
@@ -390,7 +389,7 @@ class _Central:
         return {u: self.pool.balances.get(u, 0) for u in range(1, self.n + 1)}
 
     def register(self, user):
-        self.meter.write(2)  # account bookkeeping
+        self.pool.register(user)
         return user, "register", 0, 0, f"user={user}"
 
     def demand(self, epoch, block, user, amount):
@@ -534,6 +533,6 @@ def balances_csv(result: RunResult) -> str:
 def distributions_csv(result: RunResult) -> str:
     lines = ["epoch,iteration,user,allocated,share,remaining_capacity"]
     for report in result.reports:
-        for row in report.csv_rows():
-            lines.append(",".join(str(v) for v in row))
+        row = f"{report.epoch},%d,%d,%d,%d,%d"  # then GrantRow's fields
+        lines.extend(row % r for r in report.rows)
     return "\n".join(lines) + "\n"

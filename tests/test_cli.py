@@ -178,10 +178,16 @@ def test_golden_refuses_overwrite_without_force(tmp_path, capsys):
 
 
 def test_golden_regeneration_matches_committed_fixtures(tmp_path):
-    rc = main(["golden", "--out", str(tmp_path)])
-    assert rc == 0
-    for pinned in GOLDEN.glob("*.csv"):
-        assert (tmp_path / pinned.name).read_bytes() == pinned.read_bytes()
+    # stale files under every fixture name must all be overwritten, and
+    # the command must write exactly the committed set
+    pinned = sorted(p.name for p in GOLDEN.iterdir())
+    for name in pinned:
+        (tmp_path / name).write_text("stale\n")
+    assert main(["golden", "--out", str(tmp_path), "--force"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == pinned
+    for name in pinned:
+        assert ((tmp_path / name).read_bytes()
+                == (GOLDEN / name).read_bytes()), f"golden drift in {name}"
 
 
 def test_seed_override_changes_the_run(tmp_path):

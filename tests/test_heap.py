@@ -118,12 +118,13 @@ def test_meter_hook_sees_moves_and_compares():
         def __init__(self):
             self.moves = 0
             self.ariths = 0
+            self.calls = 0
 
-        def heap_move(self, n=1):
-            self.moves += n
-
-        def arith(self, n=1):
-            self.ariths += n
+        def charge(self, reads=0, writes=0, ariths=0, heap_moves=0):
+            assert (reads, writes) == (0, 0)
+            self.calls += 1
+            self.moves += heap_moves
+            self.ariths += ariths
 
     probe = Probe()
     h = MinHeap(meter=probe)
@@ -134,3 +135,5 @@ def test_meter_hook_sees_moves_and_compares():
     # sift-down moves; seven node comparisons in all
     assert probe.moves == 13
     assert probe.ariths == 7
+    # one meter call per heap operation
+    assert probe.calls == 8

@@ -133,6 +133,12 @@ def test_floored_claim_that_satisfies():
 
 # -- CMF -------------------------------------------------------------------
 
+def test_cmf_register_charges_two_writes():
+    meter = CostMeter()
+    dist = CmfDistributor(30, meter)
+    assert metered(meter, dist.register, 1) == (0, 2, 0, 0, 0)
+
+
 def test_submit_demand_paths():
     meter = CostMeter()
     dist = CmfDistributor(30, meter)
