@@ -1,7 +1,8 @@
 """Byte pins for whole runs: the sha256 of each rendered CSV, plus a digest
 of the epoch summaries and findings, for every committed scenario file, a
-WAMF and a CMF run at the benchmark geometry with 200 users, and one small
-run per variant with filler blocks inside the claim rounds.  The digests
+WAMF and a CMF run at the benchmark geometry with 200 users, one small
+run per variant with filler blocks inside the claim rounds, and one run
+per variant at non-default prices.  The digests
 were recorded from the simulator that kept one schedule loop per variant,
 so any change to the block schedule or the per-transaction records that
 alters a byte fails here.  A pin may be re-recorded only by a change that
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from fairfaucet.costs import CostModel
 from fairfaucet.sim import (Scenario, balances_csv, distributions_csv,
                             load_scenario, receipts_csv, run_scenario,
                             trace_csv)
@@ -24,6 +26,15 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 FILLER = dict(n=3, epoch_capacity=30, epoch_span=20, round_span=5, epochs=3,
               scripted_demands=((4, None, 15), (None, 3, 8)))
 
+# five distinct prices, so a meter that priced one counter as another
+# (at the defaults a read and a heap move both cost 800) changes a cost
+# column; two of the four CMF distributes exceed the budget, no other
+# transaction does
+PRICES = CostModel(storage_read=700, storage_write=4300, heap_move=900,
+                   arithmetic_op=7, tx_base=19000, block_budget=480_000)
+PRICED = dict(n=40, epoch_capacity=800, epoch_span=180, round_span=45,
+              epochs=5, seed=7, cost_model=PRICES)
+
 RUNS = {
     "wamf_benchmark_n200_seed5":
         lambda: Scenario.benchmark_defaults("WAMF", 200, seed=5),
@@ -32,6 +43,9 @@ RUNS = {
     "amf_filler_n3": lambda: Scenario(variant="AMF", **FILLER),
     "wamf_filler_n3": lambda: Scenario(variant="WAMF", **FILLER),
     "cmf_filler_n3": lambda: Scenario(variant="CMF", **FILLER),
+    "amf_priced_n40": lambda: Scenario(variant="AMF", **PRICED),
+    "wamf_priced_n40": lambda: Scenario(variant="WAMF", **PRICED),
+    "cmf_priced_n40": lambda: Scenario(variant="CMF", **PRICED),
 }
 
 # name -> sha256 of trace.csv, receipts.csv, balances.csv,
@@ -103,6 +117,24 @@ DIGESTS = {
         "1425f39fd096093513695e5b85cf468a9635c4edce967f8a17d2ce191a80cdac",
         "6ef19bacccaf50f73a56e85f5d8eb72227aba707f41ec09cdce1f2aa7d95b711",
         "c64f9a181b4d896b3135daff6f9394963cc1d43382e2b903774aba0351e35064"),
+    "amf_priced_n40": (
+        "39a6fd23ec120cd326b287cb2a988b79eac99da8317e2333e33953a8a97e2e25",
+        "adfd1e6df9c1c754c2b4be485d895b9ff1cee3fc03aa19b08964d301eff88d69",
+        "39d7d340644f15e2c91e3d685eebf2389cf89182e471ccf9bf4efacc4ae040ee",
+        "977d15eaccb31ac35b29a96c72873a9227369b49fab662fe98657051dbe442e2",
+        "f730f9adf6e6a7119ed4512ee6f652a96b55d82a176d61f1af3969ec91077664"),
+    "wamf_priced_n40": (
+        "baaddd08d9bd90568ab1c22caf7f5ba89a9ef8260ddfa6ccb032ba69e1f80345",
+        "e33192256b643b66373ccec04b37809b4a853b7fe21d43f283239dc3f9e6ef8b",
+        "39d7d340644f15e2c91e3d685eebf2389cf89182e471ccf9bf4efacc4ae040ee",
+        "977d15eaccb31ac35b29a96c72873a9227369b49fab662fe98657051dbe442e2",
+        "9ba3ae50de91dccabab7ec66b2df4bd867dc39f3b4b7d009c04383608333524b"),
+    "cmf_priced_n40": (
+        "a58a42a2cf5ae5525c27871b00d482431d89e48be412c5c93af83c038bcae5a5",
+        "5c6297fcc0b45a6f495ad591839b969f52e3f777cc792bb32b15dcbe101f23ff",
+        "39d7d340644f15e2c91e3d685eebf2389cf89182e471ccf9bf4efacc4ae040ee",
+        "10b24726e2ba971c91602f0a914013b7ef2f51a82dce2bcf0accd509202c4525",
+        "f730f9adf6e6a7119ed4512ee6f652a96b55d82a176d61f1af3969ec91077664"),
 }
 
 
