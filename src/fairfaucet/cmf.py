@@ -50,12 +50,6 @@ class DistributionReport:
     def total_granted(self) -> int:
         return sum(self.allocations.values())
 
-    def csv_rows(self):
-        """Rows of (epoch, iteration, user, allocated, share,
-        remaining_capacity), one per grant."""
-        return [(self.epoch, r.iteration, r.user, r.granted, r.share,
-                 r.capacity_after) for r in self.rows]
-
     def grant_matrix(self, users):
         """Per-iteration grants for the given user order, zeros filled in;
         mirrors the layout of a distribution table."""

@@ -31,19 +31,16 @@ class CostModel:
 
 
 class CostMeter:
-    """Counts primitive operations; converted to cost units by a model."""
+    """Counts primitive operations; converted to cost units by a model.
+    The flat ``tx_base`` is the caller's to add to each ``total``."""
 
-    __slots__ = ("reads", "writes", "heap_moves", "ariths", "bases")
+    __slots__ = ("reads", "writes", "heap_moves", "ariths")
 
     def __init__(self):
         self.reset()
 
     def reset(self):
-        self.reads = 0
-        self.writes = 0
-        self.heap_moves = 0
-        self.ariths = 0
-        self.bases = 0
+        self.reads = self.writes = self.heap_moves = self.ariths = 0
 
     def charge(self, reads=0, writes=0, ariths=0, heap_moves=0):
         """Add a code path's read, write, arith and heap-move totals."""
@@ -53,15 +50,15 @@ class CostMeter:
         if heap_moves:  # only the heap moves nodes; spare the faucet paths
             self.heap_moves += heap_moves
 
-    def base(self):
-        self.bases += 1
-
     def total(self, model: CostModel) -> int:
-        return (self.reads * model.storage_read
+        """Price what was charged since the last ``total`` or ``reset``
+        and zero the counts for the next transaction."""
+        cost = (self.reads * model.storage_read
                 + self.writes * model.storage_write
                 + self.heap_moves * model.heap_move
-                + self.ariths * model.arithmetic_op
-                + self.bases * model.tx_base)
+                + self.ariths * model.arithmetic_op)
+        self.reads = self.writes = self.heap_moves = self.ariths = 0
+        return cost
 
 
 class TxReceipt(NamedTuple):

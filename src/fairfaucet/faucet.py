@@ -21,7 +21,8 @@ even when the user's live weight changes in between.
 The faucet keeps no history of its own.  ``demand`` and ``claim`` return
 a ``DemandResult`` or ``ClaimResult`` describing the outcome (including
 the reason for a rejection or no-op); the simulator turns those into its
-trace rows and receipts.
+trace rows and receipts.  A rejection or no-op carries no per-call data,
+so each fixed reason is one shared module-level constant.
 """
 
 import logging
@@ -79,7 +80,8 @@ class UserAccount:
     balance: int = 0
     # parity-indexed circular buffers
     pending: list = field(default_factory=lambda: [0, 0])
-    demand_epoch: list = field(default_factory=lambda: [-1, -1])
+    # -2 for never: -1 would pass as a demand from "epoch 0 - 1"
+    demand_epoch: list = field(default_factory=lambda: [-2, -2])
     slot_weight: list = field(default_factory=lambda: [0, 0])
     last_claim_epoch: int = -1
     last_claim_round: int = -1
@@ -104,6 +106,16 @@ class ClaimResult(NamedTuple):
         return self.granted > 0
 
 
+DEMAND_UNREGISTERED = DemandResult(False, "unregistered user")
+DEMAND_EMPTY = DemandResult(False, "empty demand")
+DEMAND_REPEAT = DemandResult(False, "already demanded this epoch")
+CLAIM_UNREGISTERED = ClaimResult(0, "unregistered user")
+CLAIM_NO_DEMAND = ClaimResult(0, "no demand from previous epoch")
+CLAIM_DEPLETED = ClaimResult(0, "capacity depleted")
+CLAIM_SATISFIED = ClaimResult(0, "demand already satisfied")
+CLAIM_REPEAT = ClaimResult(0, "already claimed this round")
+
+
 class AutonomousFaucet:
     """Serial faucet state machine; all mutations happen inside simulated
     transactions applied in block order."""
@@ -125,6 +137,7 @@ class AutonomousFaucet:
         self.injections = 0  # epoch boundaries that topped up the pool
         self._meter = meter if meter is not None else CostMeter()
         self._last_block = clock.offset
+        self._round_end = clock.offset + clock.round_span
         self._scale = self.policy.scale
 
     # -- bookkeeping ------------------------------------------------------
@@ -163,15 +176,16 @@ class AutonomousFaucet:
         if block < self._last_block:
             raise ValueError("blocks must be non-decreasing")
         self._last_block = block
-        clock = self.clock
         # blocks never go backwards, so epoch and round always equal
         # locate(clock, last block): a block before the end of the
         # current round is still in it
-        if block < (clock.offset + self.epoch * clock.epoch_span
-                    + (self.round + 1) * clock.round_span):
+        if block < self._round_end:
             self._meter.charge(2, 0, 4)
             return
+        clock = self.clock
         pos = locate(clock, block)
+        self._round_end = (clock.offset + pos.epoch * clock.epoch_span
+                           + (pos.round + 1) * clock.round_span)
         if self.epoch < pos.epoch:
             self.epoch = pos.epoch
             self.round = pos.round
@@ -201,13 +215,13 @@ class AutonomousFaucet:
         acct = self.users.get(user)
         if acct is None:
             m.charge(1, 0, 1)
-            return DemandResult(False, "unregistered user")
+            return DEMAND_UNREGISTERED
         if amount < 1:
             m.charge(1, 0, 1)
-            return DemandResult(False, "empty demand")
+            return DEMAND_EMPTY
         if acct.demand_epoch[i] == self.epoch:
             m.charge(2, 0, 1)
-            return DemandResult(False, "already demanded this epoch")
+            return DEMAND_REPEAT
 
         acct.cumulative_demand += amount
         weight = self.policy.weight_for(acct.cumulative_demand)
@@ -222,7 +236,7 @@ class AutonomousFaucet:
         else:
             self.weight_total[i] += weight
             m.charge(5, 5, 2)
-        return DemandResult(True, weight=weight)
+        return DemandResult(True, "", weight)
 
     def claim(self, user: int, block: int) -> ClaimResult:
         """Claim this round's share of the demand registered last epoch.
@@ -238,20 +252,20 @@ class AutonomousFaucet:
         acct = self.users.get(user)
         if acct is None:
             m.charge(1, 0, 1)
-            return ClaimResult(reason="unregistered user")
+            return CLAIM_UNREGISTERED
         if acct.demand_epoch[i] != self.epoch - 1:
             m.charge(4, 0, 1)
-            return ClaimResult(reason="no demand from previous epoch")
+            return CLAIM_NO_DEMAND
         if self.capacity == 0:
             m.charge(4, 0, 1)
-            return ClaimResult(reason="capacity depleted")
+            return CLAIM_DEPLETED
         if acct.pending[i] == 0:
             m.charge(4, 0, 1)
-            return ClaimResult(reason="demand already satisfied")
+            return CLAIM_SATISFIED
         if (acct.last_claim_epoch == self.epoch
                 and acct.last_claim_round == self.round):
             m.charge(6, 0, 1)
-            return ClaimResult(reason="already claimed this round")
+            return CLAIM_REPEAT
         acct.last_claim_epoch = self.epoch
         acct.last_claim_round = self.round
 
@@ -271,5 +285,4 @@ class AutonomousFaucet:
             m.charge(12, 6, 3)
         else:
             m.charge(11, 5, 3)
-        return ClaimResult(granted=granted, share=share, floored=floored,
-                           satisfied=satisfied)
+        return ClaimResult(granted, "", share, floored, satisfied)

@@ -28,8 +28,6 @@ class MinHeap:
     def __init__(self, meter=None):
         self._nodes: list[HeapNode] = []
         self._meter = meter if meter is not None else CostMeter()
-        # levels traversed by the most recent insert/del_min sift
-        self.last_sift_depth = 0
 
     @classmethod
     def from_ascending(cls, nodes: list, meter=None) -> "MinHeap":
@@ -65,7 +63,6 @@ class MinHeap:
             k = parent
             depth += 1
         nodes[k] = node
-        self.last_sift_depth = depth
         # one compare per level climbed, plus the one that stopped the
         # climb below the root; one move for the append and one per level
         self._meter.charge(0, 0, depth + (k > 0), depth + 1)
@@ -97,7 +94,6 @@ class MinHeap:
                 k = child
                 depth += 1
             nodes[k] = last
-        self.last_sift_depth = depth
         # one move for the pop and one per level descended
         self._meter.charge(0, 0, compares, depth + 1)
         return top

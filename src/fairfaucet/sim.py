@@ -13,14 +13,18 @@ replays the canonical block schedule, which all three variants share:
              epoch boundary), then one demand block per user in the last
              round.
 
-``run_scenario`` walks that schedule once; a small adapter per design
-(autonomous for AMF/WAMF, central for CMF) runs each slot's transaction,
-and the loop records it as one trace row and one receipt.  Identical
+``run_scenario`` walks that schedule one round at a time: the geometry
+fixes each round's one kind of transaction and how many of its first
+blocks run it; a small adapter per design (autonomous for AMF/WAMF,
+central for CMF) runs those, and the rest of the round is idle.  Every
+block is recorded as one trace row and one receipt; an idle block is a
+no-op that costs ``tx_base`` and leaves the pool as it was.  Identical
 scenarios produce bit-identical traces and receipts.
 """
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import NamedTuple
 
 from .clock import ClockParams, locate
@@ -316,8 +320,10 @@ def _demand_plan(sc: Scenario):
 
 # A variant adapter runs one transaction on its state machine (``pool``,
 # which has a ``capacity``) and returns (actor, action, amount, share,
-# summary).  It records accepted demands, their weights and the grants in
-# the schedule's per-epoch dicts, and counts the pool's top-ups.
+# summary).  Its transaction methods end in (block, offset), the block
+# and its offset in the round; user ``offset + 1`` acts.  It records
+# accepted demands, their weights and the grants in the schedule's
+# per-epoch dicts, and counts the pool's top-ups.
 
 class _Autonomous:
     """AMF/WAMF over ``AutonomousFaucet``: users claim their share
@@ -340,30 +346,34 @@ class _Autonomous:
     def balances(self) -> dict:
         return self.pool.final_balances()
 
-    def register(self, user):
+    def register(self, block, offset):
         uid = self.pool.register()
         return uid, "register", 0, 0, f"user={uid}"
 
-    def demand(self, epoch, block, user, amount):
-        res = self.pool.demand(user, amount, block)
-        if not res.accepted:
-            return user, "demand", 0, 0, f"rejected: {res.reason}"
+    def demand(self, epoch, amounts, block, offset):
+        amount = amounts[offset]
+        if amount is None:
+            return self.noop()
+        user = offset + 1
+        accepted, reason, weight = self.pool.demand(user, amount, block)
+        if not accepted:
+            return user, "demand", 0, 0, f"rejected: {reason}"
         self.demands[epoch][user] = amount
-        self.weights[epoch][user] = res.weight
-        return (user, "demand", amount, 0,
-                f"amount={amount} weight={res.weight}")
+        self.weights[epoch][user] = weight
+        return user, "demand", amount, 0, f"amount={amount} weight={weight}"
 
-    def claim(self, epoch, block, user):
-        res = self.pool.claim(user, block)
-        if res.granted:
+    def claim(self, epoch, block, offset):
+        user = offset + 1
+        granted, reason, share, floored, _ = self.pool.claim(user, block)
+        if granted:
             grants = self.grants[epoch]
-            grants[user] = grants.get(user, 0) + res.granted
-            summary = f"granted={res.granted}"
-            if res.floored:
+            grants[user] = grants.get(user, 0) + granted
+            summary = f"granted={granted}"
+            if floored:
                 summary += " floor1"
         else:
-            summary = f"no-op: {res.reason}"
-        return user, "claim", res.granted, res.share, summary
+            summary = f"no-op: {reason}"
+        return user, "claim", granted, share, summary
 
     def noop(self):
         return AUTHORITY, "noop", 0, self.pool.unit_share, ""
@@ -388,17 +398,22 @@ class _Central:
     def balances(self) -> dict:
         return {u: self.pool.balances.get(u, 0) for u in range(1, self.n + 1)}
 
-    def register(self, user):
+    def register(self, block, offset):
+        user = offset + 1
         self.pool.register(user)
         return user, "register", 0, 0, f"user={user}"
 
-    def demand(self, epoch, block, user, amount):
+    def demand(self, epoch, amounts, block, offset):
+        amount = amounts[offset]
+        if amount is None:
+            return self.noop()
+        user = offset + 1
         self.pool.submit_demand(user, amount)
         self.demands[epoch][user] = amount
         self.weights[epoch][user] = 1
         return user, "demand", amount, 0, f"amount={amount}"
 
-    def distribute(self, epoch):
+    def distribute(self, epoch, block, offset):
         report = self.pool.distribute(epoch=epoch)
         self.reports.append(report)
         self.grants[epoch].update(report.allocations)
@@ -411,13 +426,15 @@ class _Central:
 
 
 def run_scenario(sc: Scenario) -> RunResult:
-    """Execute a scenario block by block.  Returns the full trace, the
+    """Execute a scenario round by round.  Returns the full trace, the
     per-transaction receipts, the final balances and per-epoch summaries
     suitable for oracle verification."""
     clock = sc.clock
     model = sc.cost_model
     budget = model.block_budget
+    tx_base = model.tx_base
     meter = CostMeter()
+    priced = meter.total
     demands = [{} for _ in range(sc.epochs)]  # epoch -> user -> amount
     weights = [{} for _ in range(sc.epochs)]
     grants = [{} for _ in range(sc.epochs)]
@@ -430,39 +447,50 @@ def run_scenario(sc: Scenario) -> RunResult:
     rounds = clock.rounds_per_epoch
     trace = []
     receipts = []
+    add_row = trace.append
+    add_receipt = receipts.append
+    # tuple.__new__ builds a record at half its NamedTuple constructor's cost
+    new_row = partial(tuple.__new__, TraceRow)
+    new_receipt = partial(tuple.__new__, TxReceipt)
     summaries = []
     findings = []
     injections = capacity_end = 0
 
     for epoch in range(sc.epochs):
-        amounts = plan[epoch]
         for rnd in range(rounds):
             round_start = epoch * sc.epoch_span + rnd * sc.round_span
             pos_epoch, pos_round, _ = locate(clock, round_start)
-            last = rnd == rounds - 1
-            for offset in range(sc.round_span):
+            # the round's transaction runs in its first ``busy`` blocks
+            if epoch == 0 and rnd == 0:
+                step, busy = adapter.register, n
+            elif rnd == rounds - 1:
+                step, busy = partial(adapter.demand, epoch, plan[epoch]), n
+            elif epoch == 0 or (central and rnd > 0):
+                step, busy = None, 0
+            elif central:
+                step, busy = partial(adapter.distribute, epoch), 1
+            else:
+                step, busy = partial(adapter.claim, epoch), n
+            for offset in range(busy):
                 block = round_start + offset
-                meter.reset()
-                meter.base()
-                if epoch == 0 and rnd == 0 and offset < n:
-                    tx = adapter.register(offset + 1)
-                elif central and epoch and rnd == 0 and offset == 0:
-                    tx = adapter.distribute(epoch)
-                elif last and offset < n and amounts[offset] is not None:
-                    tx = adapter.demand(epoch, block, offset + 1,
-                                        amounts[offset])
-                elif not central and epoch and not last and offset < n:
-                    tx = adapter.claim(epoch, block, offset + 1)
-                else:
-                    tx = adapter.noop()
-                actor, action, amount, share, summary = tx
-                cost = meter.total(model)
+                actor, action, amount, share, summary = step(block, offset)
+                cost = priced(model) + tx_base
                 over = cost > budget
-                trace.append(TraceRow(block, pos_epoch, pos_round, actor,
-                                      action, amount, share, pool.capacity,
-                                      cost, over))
-                receipts.append(TxReceipt(block, pos_epoch, pos_round, action,
-                                          actor, cost, over, summary))
+                add_row(new_row((block, pos_epoch, pos_round, actor, action,
+                                 amount, share, pool.capacity, cost, over)))
+                add_receipt(new_receipt((block, pos_epoch, pos_round, action,
+                                         actor, cost, over, summary)))
+            # the idle rest of the round leaves the pool as it was; the
+            # model keeps tx_base below the block budget
+            idle = range(round_start + busy, round_start + sc.round_span)
+            actor, action, amount, share, summary = adapter.noop()
+            capacity = pool.capacity
+            trace.extend([new_row((b, pos_epoch, pos_round, actor, action,
+                                   amount, share, capacity, tx_base, False))
+                          for b in idle])
+            receipts.extend([new_receipt((b, pos_epoch, pos_round, action,
+                                          actor, tx_base, False, summary))
+                             for b in idle])
         # an epoch with a top-up is a claim epoch: CMF tops up in its
         # distribute block even without users, AMF only on a transaction
         if adapter.injections > injections:

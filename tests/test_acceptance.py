@@ -11,7 +11,7 @@ import random
 import time
 
 from fairfaucet.cmf import CmfDistributor
-from fairfaucet.costs import cost_report
+from fairfaucet.costs import CostMeter, cost_report
 from fairfaucet.faucet import reciprocal_weight
 from fairfaucet.heap import HeapNode, MinHeap
 from fairfaucet.oracle import AllocationProblem, waterfill
@@ -196,28 +196,36 @@ def test_criterion_7_heap_oracle():
 
     started = time.time()
     rng = random.Random(7777)
-    heap = MinHeap()
+    meter = CostMeter()
+    heap = MinHeap(meter)
     oracle = []  # stdlib heap as the independent sort oracle
     inserted = removed = 0
+
+    def sift_depth():
+        # an operation moves one node, plus one per level it sifts
+        depth = meter.heap_moves - 1
+        meter.reset()
+        return depth
+
     for _ in range(10_000):
         if len(heap) and rng.random() < 0.45:
             before = len(heap)
             node = heap.del_min()
             assert node == heapq.heappop(oracle)
-            assert heap.last_sift_depth <= math.ceil(math.log2(before + 1))
+            assert sift_depth() <= math.ceil(math.log2(before + 1))
             removed += 1
         else:
             node = HeapNode(rng.randrange(1, 1_000_000),
                             rng.randrange(0, 500))
             heap.insert(node)
             heapq.heappush(oracle, (node.demand, node.user))
-            assert heap.last_sift_depth <= math.ceil(math.log2(len(heap) + 1))
+            assert sift_depth() <= math.ceil(math.log2(len(heap) + 1))
             inserted += 1
     drained = []
     while len(heap):
         before = len(heap)
         drained.append(heap.del_min())
-        assert heap.last_sift_depth <= math.ceil(math.log2(before + 1))
+        assert sift_depth() <= math.ceil(math.log2(before + 1))
     assert drained == sorted(oracle)  # final drain is fully sorted
     assert inserted == removed + len(drained)
     elapsed = time.time() - started

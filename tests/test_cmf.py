@@ -1,9 +1,11 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from fairfaucet.cmf import CmfDistributor
 from fairfaucet.oracle import AllocationProblem, waterfill
+from fairfaucet.sim import distributions_csv
 
 
 def distribute(demands, capacity):
@@ -25,7 +27,10 @@ def test_worked_table_is_reproduced_exactly():
 
 def test_worked_table_csv_rows():
     _, report = distribute([4, 11, 15], 30)
-    assert report.csv_rows() == [
+    header, *lines = distributions_csv(
+        SimpleNamespace(reports=[report])).splitlines()
+    assert header == "epoch,iteration,user,allocated,share,remaining_capacity"
+    assert [tuple(map(int, line.split(","))) for line in lines] == [
         (1, 1, 1, 4, 10, 26),
         (1, 1, 2, 10, 10, 16),
         (1, 1, 3, 10, 10, 6),

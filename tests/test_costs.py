@@ -16,11 +16,13 @@ def test_model_validation():
 
 def test_meter_totals_follow_the_model():
     meter = CostMeter()
-    meter.base()
     meter.charge(reads=3, writes=2, ariths=10, heap_moves=4)
     model = CostModel(storage_read=10, storage_write=100, heap_move=7,
                       arithmetic_op=1, tx_base=1000, block_budget=5000)
-    assert meter.total(model) == 1000 + 30 + 200 + 28 + 10
+    # tx_base is the caller's to add; total zeroes what it priced
+    assert meter.total(model) == 30 + 200 + 28 + 10
+    assert meter.total(model) == 0
+    meter.charge(reads=1, heap_moves=1)
     meter.reset()
     assert meter.total(model) == 0
 

@@ -3,7 +3,8 @@ import random
 import pytest
 
 import fairfaucet.faucet as faucet_module
-from fairfaucet.clock import ClockParams
+from fairfaucet.clock import ClockParams, locate
+from fairfaucet.costs import CostMeter
 from fairfaucet.faucet import (AutonomousFaucet, ClaimResult, DemandResult,
                                WeightPolicy, reciprocal_weight)
 from fairfaucet.sim import Scenario, run_scenario
@@ -264,6 +265,36 @@ def test_multi_epoch_jump_tops_up_once():
         # the demands of epoch 0 are no longer claimable
         assert faucet.claim(1, jump_to).reason == (
             "no demand from previous epoch")
+
+
+@pytest.mark.parametrize("clock", [
+    ClockParams(offset=7, epoch_span=12, round_span=3),
+    ClockParams(offset=1000, epoch_span=10, round_span=5),
+    ClockParams(offset=5, epoch_span=4, round_span=1),
+    ClockParams(offset=3, epoch_span=6, round_span=6),
+])
+def test_faucet_clock_follows_locate_with_an_offset(clock):
+    # the charge tells the same-round exit from a round or epoch advance
+    same_round, next_round, next_epoch = (2, 0, 4), (4, 2, 6), (6, 4, 6)
+    span, rs = clock.epoch_span, clock.round_span
+    gaps = (0, 1, rs - 1, rs, span, 2 * span, 3 * span + rs - 1)
+    for seed in range(25):
+        rng = random.Random(seed)
+        meter = CostMeter()
+        faucet = AutonomousFaucet(clock, 30, None, meter)
+        before = (0, 0)
+        block = clock.offset
+        for _ in range(40):
+            faucet.update_state(block)
+            now = (faucet.epoch, faucet.round)
+            assert now == locate(clock, block)[:2], (seed, block)
+            want = (same_round if now == before else
+                    next_round if now[0] == before[0] else next_epoch)
+            assert (meter.reads, meter.writes, meter.ariths) == want, (
+                seed, block)
+            meter.reset()
+            before = now
+            block += rng.choice(gaps)
 
 
 @pytest.mark.parametrize("variant", ["AMF", "WAMF"])

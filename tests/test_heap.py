@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fairfaucet.costs import CostMeter
 from fairfaucet.heap import HeapNode, MinHeap
 
 
@@ -100,17 +101,27 @@ def test_conservation_under_interleaving():
     assert sorted(removed) == sorted(inserted)
 
 
+def sift_depth(meter, op, *args):
+    """Levels one heap operation sifted: it moves one node, plus one per
+    level."""
+    meter.reset()
+    op(*args)
+    return meter.heap_moves - 1
+
+
 def test_sift_depth_stays_logarithmic():
     rng = random.Random(5)
-    h = MinHeap()
+    meter = CostMeter()
+    h = MinHeap(meter)
     for _ in range(3000):
         if len(h) and rng.random() < 0.45:
             before = len(h)
-            h.del_min()
-            assert h.last_sift_depth <= math.ceil(math.log2(before + 1))
+            depth = sift_depth(meter, h.del_min)
+            assert depth <= math.ceil(math.log2(before + 1))
         else:
-            h.insert(HeapNode(rng.randrange(1, 1_000_000), rng.randrange(0, 999)))
-            assert h.last_sift_depth <= math.ceil(math.log2(len(h) + 1))
+            node = HeapNode(rng.randrange(1, 1_000_000), rng.randrange(0, 999))
+            depth = sift_depth(meter, h.insert, node)
+            assert depth <= math.ceil(math.log2(len(h) + 1))
 
 
 def test_meter_hook_sees_moves_and_compares():

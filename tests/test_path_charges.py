@@ -1,7 +1,7 @@
 """Pinned meter charges of every exit path of the contract entry points.
 
 Each case runs one call on a meter reset just before it and pins
-(reads, writes, heap_moves, ariths, bases).  The simulator takes only a
+(reads, writes, heap_moves, ariths).  The simulator takes only a
 few of these paths, so the run-level pins in ``test_costs`` and
 ``test_pins`` leave the others unchecked.  A ``demand`` or ``claim``
 also pays for the ``update_state`` it starts with; every case below sets
@@ -19,8 +19,7 @@ CLOCK = ClockParams(offset=0, epoch_span=12, round_span=3)  # 4 rounds
 
 
 def charges(meter):
-    return (meter.reads, meter.writes, meter.heap_moves, meter.ariths,
-            meter.bases)
+    return (meter.reads, meter.writes, meter.heap_moves, meter.ariths)
 
 
 def metered(meter, call, *args):
@@ -45,18 +44,18 @@ def faucet_with_demands(amounts, epoch_capacity=30, policy=None):
 
 def test_update_state_paths():
     faucet, meter = faucet_with_demands((4, 11, 15))
-    assert metered(meter, faucet.update_state, 10) == (2, 0, 0, 4, 0)
+    assert metered(meter, faucet.update_state, 10) == (2, 0, 0, 4)
     # epoch advance: top-up and share refresh
-    assert metered(meter, faucet.update_state, 12) == (6, 4, 0, 6, 0)
-    assert metered(meter, faucet.update_state, 14) == (2, 0, 0, 4, 0)
+    assert metered(meter, faucet.update_state, 12) == (6, 4, 0, 6)
+    assert metered(meter, faucet.update_state, 14) == (2, 0, 0, 4)
     # round advance: share refresh only
-    assert metered(meter, faucet.update_state, 15) == (4, 2, 0, 6, 0)
+    assert metered(meter, faucet.update_state, 15) == (4, 2, 0, 6)
     assert (faucet.epoch, faucet.round) == (1, 1)
 
 
 def test_update_state_multi_epoch_jump_charges_one_epoch_advance():
     faucet, meter = faucet_with_demands((4, 11, 15))
-    assert metered(meter, faucet.update_state, 40) == (6, 4, 0, 6, 0)
+    assert metered(meter, faucet.update_state, 40) == (6, 4, 0, 6)
     assert (faucet.epoch, faucet.round) == (3, 1)
 
 
@@ -65,7 +64,7 @@ def test_update_state_multi_epoch_jump_charges_one_epoch_advance():
 def test_register_charges_two_writes():
     meter = CostMeter()
     faucet = AutonomousFaucet(CLOCK, 30, None, meter)
-    assert metered(meter, faucet.register) == (0, 2, 0, 0, 0)
+    assert metered(meter, faucet.register) == (0, 2, 0, 0)
 
 
 @pytest.mark.parametrize("policy", [None, WeightPolicy.reciprocal(1000)])
@@ -75,12 +74,12 @@ def test_demand_paths(policy):
     for _ in range(2):
         faucet.register()
     faucet.update_state(9)
-    assert metered(meter, faucet.demand, 7, 5, 9) == (3, 0, 0, 5, 0)
-    assert metered(meter, faucet.demand, 1, 0, 9) == (3, 0, 0, 5, 0)
+    assert metered(meter, faucet.demand, 7, 5, 9) == (3, 0, 0, 5)
+    assert metered(meter, faucet.demand, 1, 0, 9) == (3, 0, 0, 5)
     # the first accepted demand of an epoch starts a fresh weight total
-    assert metered(meter, faucet.demand, 1, 4, 9) == (6, 6, 0, 6, 0)
-    assert metered(meter, faucet.demand, 2, 11, 10) == (7, 5, 0, 6, 0)
-    assert metered(meter, faucet.demand, 1, 7, 10) == (4, 0, 0, 5, 0)
+    assert metered(meter, faucet.demand, 1, 4, 9) == (6, 6, 0, 6)
+    assert metered(meter, faucet.demand, 2, 11, 10) == (7, 5, 0, 6)
+    assert metered(meter, faucet.demand, 1, 7, 10) == (4, 0, 0, 5)
 
 
 # -- claim -----------------------------------------------------------------
@@ -90,12 +89,12 @@ def test_claim_paths(policy):
     faucet, meter = faucet_with_demands((4, 11, 15, None), policy=policy)
     faucet.update_state(12)
     cases = [
-        ((9, 12), (3, 0, 0, 5, 0), "unregistered user"),
-        ((4, 12), (6, 0, 0, 5, 0), "no demand from previous epoch"),
-        ((1, 12), (14, 6, 0, 7, 0), ""),   # granted and satisfied
-        ((2, 12), (13, 5, 0, 7, 0), ""),   # granted, demand left
-        ((2, 13), (8, 0, 0, 5, 0), "already claimed this round"),
-        ((1, 13), (6, 0, 0, 5, 0), "demand already satisfied"),
+        ((9, 12), (3, 0, 0, 5), "unregistered user"),
+        ((4, 12), (6, 0, 0, 5), "no demand from previous epoch"),
+        ((1, 12), (14, 6, 0, 7), ""),   # granted and satisfied
+        ((2, 12), (13, 5, 0, 7), ""),   # granted, demand left
+        ((2, 13), (8, 0, 0, 5), "already claimed this round"),
+        ((1, 13), (6, 0, 0, 5), "demand already satisfied"),
     ]
     for args, want, reason in cases:
         meter.reset()
@@ -103,6 +102,21 @@ def test_claim_paths(policy):
         assert (charges(meter), res.reason) == (want, reason), args
     assert faucet.users[1].pending[1] == 0
     assert faucet.users[2].pending[1] > 0
+
+
+@pytest.mark.parametrize("policy", [None, WeightPolicy.reciprocal(1000)])
+def test_epoch_zero_claim_has_no_previous_demand(policy):
+    # epoch 0 has no previous epoch, so a user who never demanded must
+    # not pass the demand check and read as depleted
+    meter = CostMeter()
+    faucet = AutonomousFaucet(CLOCK, 30, policy, meter)
+    faucet.register()
+    assert faucet.demand(1, 4, 0).accepted
+    for block in (1, 2):
+        meter.reset()
+        res = faucet.claim(1, block)
+        assert (charges(meter), res.reason) == (
+            (6, 0, 0, 5), "no demand from previous epoch"), block
 
 
 def test_claim_floor_and_depletion_paths():
@@ -114,12 +128,12 @@ def test_claim_floor_and_depletion_paths():
     meter.reset()
     res = faucet.claim(1, 12)
     assert res.floored and res.granted == 1 and not res.satisfied
-    assert charges(meter) == (13, 5, 0, 7, 0)
+    assert charges(meter) == (13, 5, 0, 7)
     faucet.claim(2, 13)
     meter.reset()
     res = faucet.claim(3, 14)
     assert res.reason == "capacity depleted"
-    assert charges(meter) == (6, 0, 0, 5, 0)
+    assert charges(meter) == (6, 0, 0, 5)
 
 
 def test_floored_claim_that_satisfies():
@@ -128,7 +142,7 @@ def test_floored_claim_that_satisfies():
     meter.reset()
     res = faucet.claim(1, 12)
     assert res.floored and res.satisfied
-    assert charges(meter) == (14, 6, 0, 7, 0)
+    assert charges(meter) == (14, 6, 0, 7)
 
 
 # -- CMF -------------------------------------------------------------------
@@ -136,7 +150,7 @@ def test_floored_claim_that_satisfies():
 def test_cmf_register_charges_two_writes():
     meter = CostMeter()
     dist = CmfDistributor(30, meter)
-    assert metered(meter, dist.register, 1) == (0, 2, 0, 0, 0)
+    assert metered(meter, dist.register, 1) == (0, 2, 0, 0)
 
 
 def test_submit_demand_paths():
@@ -144,21 +158,21 @@ def test_submit_demand_paths():
     dist = CmfDistributor(30, meter)
     with pytest.raises(ValueError, match="empty demand"):
         dist.submit_demand(1, 0)
-    assert charges(meter) == (0, 0, 0, 0, 0)
+    assert charges(meter) == (0, 0, 0, 0)
     # accepted: one read, one write, then the heap insert's own charges
-    assert metered(meter, dist.submit_demand, 1, 4) == (1, 1, 1, 0, 0)
-    assert metered(meter, dist.submit_demand, 2, 11) == (1, 1, 1, 1, 0)
+    assert metered(meter, dist.submit_demand, 1, 4) == (1, 1, 1, 0)
+    assert metered(meter, dist.submit_demand, 2, 11) == (1, 1, 1, 1)
     meter.reset()
     with pytest.raises(ValueError, match="already demanded"):
         dist.submit_demand(1, 5)
-    assert charges(meter) == (1, 0, 0, 0, 0)
+    assert charges(meter) == (1, 0, 0, 0)
 
 
 def distribute_charges(iterations, grants, heap_moves, heap_ariths):
     """3 reads, 2 writes and 1 arith per call, 2 ariths per iteration,
     1 read, 1 write and 2 ariths per grant, plus the heap's charges."""
     return (3 + grants, 2 + grants, heap_moves,
-            1 + 2 * iterations + 2 * grants + heap_ariths, 0)
+            1 + 2 * iterations + 2 * grants + heap_ariths)
 
 
 def distributed(epoch_capacity, amounts):
@@ -173,7 +187,7 @@ def distributed(epoch_capacity, amounts):
 
 def test_distribute_without_demands():
     got, report = distributed(30, ())
-    assert got == distribute_charges(0, 0, 0, 0) == (3, 2, 0, 1, 0)
+    assert got == distribute_charges(0, 0, 0, 0) == (3, 2, 0, 1)
     assert (report.iterations, len(report.rows)) == (0, 0)
 
 
@@ -182,7 +196,7 @@ def test_distribute_with_leftover_capacity():
     got, report = distributed(40, (4, 11, 15))
     assert (report.iterations, len(report.rows)) == (2, 4)
     assert report.capacity_after == 10
-    assert got == distribute_charges(2, 4, 6, 1) == (7, 6, 6, 14, 0)
+    assert got == distribute_charges(2, 4, 6, 1) == (7, 6, 6, 14)
 
 
 def test_distribute_with_depletion():
@@ -190,4 +204,4 @@ def test_distribute_with_depletion():
     got, report = distributed(20, (4, 11, 15))
     assert (report.iterations, len(report.rows)) == (2, 5)
     assert report.capacity_after == 0
-    assert got == distribute_charges(2, 5, 10, 3) == (8, 7, 10, 18, 0)
+    assert got == distribute_charges(2, 5, 10, 3) == (8, 7, 10, 18)
