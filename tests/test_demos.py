@@ -1,0 +1,45 @@
+"""Byte pins for the demos: each script in ``demos/`` runs in a fresh
+interpreter with ``PYTHONPATH=src`` and the sha256 of its stdout must
+match the digest recorded here.  Demo 04 prints CMF distribute costs at
+n = 10 to 500 and demo 05 cross-checks the heap distributor against the
+water-filling oracle; no other pin covers those outputs.  The demos are
+deterministic (two runs, or two hash seeds, print the same bytes), so a
+digest may be re-recorded only by a change that means to alter what a
+demo prints."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DIGESTS = {
+    "01_central_distribution.py":
+        "249082e4edecae41d47e19217d21dae66add8fb580eb8848d9347d2339104203",
+    "02_autonomous_rounds.py":
+        "5a8ffcc6554d4f3240948fe6d6d639e3190e58b168fc43d58f946806bf121224",
+    "03_weighted_incentives.py":
+        "6e791e73a2dd831cdcb18bb2b325fa7637d64f9eb6e9d0947bc124c7226b495f",
+    "04_cost_scaling.py":
+        "6bec33cb3a7e93e72fd53f861c5a07c47e3f2f4413216b286bd1a751f8ed8f9f",
+    "05_oracle_crosscheck.py":
+        "b794294dde1dc9df05e4bf24195328873ff1062cf1d6a537ad6313e46c829b8e",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in (ROOT / "demos").glob("*.py")) == \
+        sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_demo_output_is_pinned(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                         env=env, cwd=ROOT, capture_output=True, check=True,
+                         timeout=300).stdout
+    assert hashlib.sha256(out).hexdigest() == DIGESTS[name]
