@@ -13,10 +13,13 @@ Each entry point charges its cost meter once per exit path, with that
 path's total of storage reads, writes and arithmetic operations;
 ``distribute`` adds its per-grant and per-iteration terms once, after
 the drain loop.  The heaps charge their own node moves and comparisons,
-the remainder heap as the inserts it replaces.
+the remainder heap as the inserts it replaces.  The drain pops once per
+grant through ``MinHeap.del_min`` and builds each grant row and
+remainder node positionally, through ``tuple.__new__``.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 from .costs import CostMeter
@@ -29,6 +32,12 @@ class GrantRow(NamedTuple):
     granted: int
     share: int
     capacity_after: int
+
+
+# tuple.__new__ builds a row or node at half its NamedTuple constructor's
+# cost; the drain builds one row per grant and one node per remainder
+_new_row = partial(tuple.__new__, GrantRow)
+_new_node = partial(tuple.__new__, HeapNode)
 
 
 @dataclass
@@ -90,7 +99,7 @@ class CmfDistributor:
             raise ValueError("already demanded")
         self._demanded.add(user)
         self._meter.charge(1, 1)
-        self._heaps[0].insert(HeapNode(amount, user))
+        self._heaps[0].insert(_new_node((amount, user)))
 
     def distribute(self, epoch: int = 0) -> DistributionReport:
         """Run one full distribution; returns the report.  ``epoch`` only
@@ -106,7 +115,7 @@ class CmfDistributor:
         # depletion ends the loop), and an ascending append never climbs, so
         # ``rest`` is the array its inserts would build, charged as they are.
         heaps = self._heaps
-        rows, allocations = report.rows, report.allocations
+        add_row, allocations = report.rows.append, report.allocations
         balances = self.balances
         c = self.capacity
         i = 0
@@ -120,13 +129,17 @@ class CmfDistributor:
             rest = []
             for _ in range(size):
                 demand, user = del_min()
+                if demand > share:
+                    granted = share
+                    rest.append(_new_node((demand - share, user)))
+                else:
+                    granted = demand
                 # clamped by c so the pool can never go negative
-                granted = min(share, demand, c)
+                if granted > c:
+                    granted = c
                 balances[user] = balances.get(user, 0) + granted
                 c -= granted
-                if demand > share:
-                    rest.append(HeapNode(demand - share, user))
-                rows.append(GrantRow(iteration, user, granted, share, c))
+                add_row(_new_row((iteration, user, granted, share, c)))
                 allocations[user] = allocations.get(user, 0) + granted
                 if c == 0:
                     break

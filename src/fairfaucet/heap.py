@@ -10,6 +10,10 @@ heap operation charges its comparisons and node moves to a meter in one
 ``charge(reads, writes, ariths, heap_moves)`` call (a ``CostMeter`` unless
 the caller passes another object with that method); the simulator shares
 one meter across a transaction to charge abstract per-operation costs.
+The sifts read each node once per level and count nothing as they go:
+node i sits on level ``(i + 1).bit_length() - 1``, so the moves follow
+from the index where the sifted node lands, and a sift-down's compares
+from that level and whether two children, one or none stopped it.
 """
 
 from typing import NamedTuple
@@ -49,22 +53,24 @@ class MinHeap:
 
     def insert(self, node: HeapNode) -> None:
         """Sift-up insert; zero demands are never stored."""
-        if node.demand < 1:
+        if node[0] < 1:
             raise ValueError("empty demand")
         nodes = self._nodes
         nodes.append(node)
-        k = len(nodes) - 1
-        depth = 0
-        while k > 0:
-            parent = (k - 1) // 2
-            if nodes[parent] <= node:
+        start = k = len(nodes) - 1
+        while k:
+            parent = (k - 1) >> 1
+            above = nodes[parent]
+            if above <= node:
                 break
-            nodes[k] = nodes[parent]
+            nodes[k] = above
             k = parent
-            depth += 1
         nodes[k] = node
-        # one compare per level climbed, plus the one that stopped the
-        # climb below the root; one move for the append and one per level
+        # node i sits on level (i + 1).bit_length() - 1, so the climb is the
+        # level difference; one compare per level climbed, plus the one that
+        # stopped the climb below the root; one move for the append and one
+        # per level
+        depth = (start + 1).bit_length() - (k + 1).bit_length()
         self._meter.charge(0, 0, depth + (k > 0), depth + 1)
 
     def del_min(self) -> HeapNode:
@@ -74,26 +80,39 @@ class MinHeap:
             raise IndexError("underflow")
         top = nodes[0]
         last = nodes.pop()
-        depth = 0
-        compares = 0
-        if nodes:
-            k = 0
-            size = len(nodes)
-            while True:
-                child = 2 * k + 1
-                if child >= size:
-                    break
-                if child + 1 < size:
-                    compares += 1
-                    if nodes[child + 1] < nodes[child]:
-                        child += 1
+        if not nodes:
+            self._meter.charge(0, 0, 0, 1)
+            return top
+        # a node whose left child sits below the last index ``end`` also has
+        # a right child; the node whose left child is ``end`` has only that
+        end = len(nodes) - 1
+        k = 0
+        child = 1
+        while child < end:
+            smaller = nodes[child]
+            right = nodes[child + 1]
+            if right < smaller:  # ties go to the left child
+                child += 1
+                smaller = right
+            if last <= smaller:
+                # two compares on k's level, which stopped the sift, and on
+                # every level above it
+                compares = 2 * (k + 1).bit_length()
+                break
+            nodes[k] = smaller
+            k = child
+            child = 2 * k + 1
+        else:
+            # two compares on every level above k's; on k's level one if k
+            # has a single child, none if it is a leaf
+            compares = 2 * (k + 1).bit_length() - 2
+            if child == end:
                 compares += 1
-                if last <= nodes[child]:
-                    break
-                nodes[k] = nodes[child]
-                k = child
-                depth += 1
-            nodes[k] = last
+                smaller = nodes[child]
+                if not last <= smaller:
+                    nodes[k] = smaller
+                    k = child
+        nodes[k] = last
         # one move for the pop and one per level descended
-        self._meter.charge(0, 0, compares, depth + 1)
+        self._meter.charge(0, 0, compares, (k + 1).bit_length())
         return top

@@ -1,0 +1,195 @@
+"""Differential tests of the heap's sifts against their level-counting
+predecessor.
+
+``ReferenceHeap.insert`` and ``ReferenceHeap.del_min`` are the sifts as
+they were before the moves were taken from the landing index: they count
+the levels and compares as they go.  Both heaps replay the same seeded
+operation sequences on the same node objects, and after every operation
+they must agree on the popped node, the node array (by identity, so a tie
+sent to the other child shows even between equal keys) and the one
+(ariths, heap_moves) charge the operation makes.
+"""
+
+import random
+
+import pytest
+
+from fairfaucet.heap import HeapNode, MinHeap
+
+
+class ReferenceHeap(MinHeap):
+
+    def insert(self, node: HeapNode) -> None:
+        """Sift-up insert; zero demands are never stored."""
+        if node.demand < 1:
+            raise ValueError("empty demand")
+        nodes = self._nodes
+        nodes.append(node)
+        k = len(nodes) - 1
+        depth = 0
+        while k > 0:
+            parent = (k - 1) // 2
+            if nodes[parent] <= node:
+                break
+            nodes[k] = nodes[parent]
+            k = parent
+            depth += 1
+        nodes[k] = node
+        # one compare per level climbed, plus the one that stopped the
+        # climb below the root; one move for the append and one per level
+        self._meter.charge(0, 0, depth + (k > 0), depth + 1)
+
+    def del_min(self) -> HeapNode:
+        """Pop the minimum node, restoring heap order by sift-down."""
+        nodes = self._nodes
+        if not nodes:
+            raise IndexError("underflow")
+        top = nodes[0]
+        last = nodes.pop()
+        depth = 0
+        compares = 0
+        if nodes:
+            k = 0
+            size = len(nodes)
+            while True:
+                child = 2 * k + 1
+                if child >= size:
+                    break
+                if child + 1 < size:
+                    compares += 1
+                    if nodes[child + 1] < nodes[child]:
+                        child += 1
+                compares += 1
+                if last <= nodes[child]:
+                    break
+                nodes[k] = nodes[child]
+                k = child
+                depth += 1
+            nodes[k] = last
+        # one move for the pop and one per level descended
+        self._meter.charge(0, 0, compares, depth + 1)
+        return top
+
+
+class Charges:
+    """A meter that keeps every charge call, so a test can tell one call
+    per operation from several."""
+
+    def __init__(self):
+        self.calls = []
+
+    def charge(self, reads=0, writes=0, ariths=0, heap_moves=0):
+        self.calls.append((reads, writes, ariths, heap_moves))
+
+
+class Pair:
+    """The heap under test and the reference, driven in lockstep."""
+
+    def __init__(self, ascending=()):
+        ascending = list(ascending)
+        self.meters = Charges(), Charges()
+        self.heaps = (MinHeap.from_ascending(list(ascending), self.meters[0]),
+                      ReferenceHeap.from_ascending(list(ascending),
+                                                   self.meters[1]))
+        self.ops = 0
+        self.check()
+
+    def check(self, *popped):
+        new, ref = self.heaps
+        assert [id(n) for n in new._nodes] == [id(n) for n in ref._nodes]
+        assert self.meters[0].calls == self.meters[1].calls
+        if popped:
+            assert popped[0] is popped[1]
+        self.ops += 1
+
+    def insert(self, node):
+        for heap in self.heaps:
+            heap.insert(node)
+        self.check()
+
+    def pop(self):
+        self.check(*(heap.del_min() for heap in self.heaps))
+
+    def drain(self):
+        while len(self.heaps[1]):
+            self.pop()
+        assert len(self.heaps[0]) == 0
+
+
+def key_stream(rng, keys):
+    """Nodes drawn from a small key space, so equal keys are common; each
+    call builds a fresh node object."""
+    demands, users = keys
+    return lambda: HeapNode(rng.randrange(1, demands), rng.randrange(users))
+
+
+@pytest.mark.parametrize("keys", [(10_000, 10_000), (4, 3), (2, 1)],
+                         ids=["distinct", "few", "one"])
+def test_interleaved_inserts_and_pops(keys):
+    rng = random.Random(41)
+    ops = 0
+    for _ in range(60):
+        pair = Pair()
+        draw = key_stream(rng, keys)
+        for _ in range(rng.randrange(1, 300)):
+            if len(pair.heaps[1]) and rng.random() < 0.4:
+                pair.pop()
+            else:
+                pair.insert(draw())
+        pair.drain()
+        ops += pair.ops
+    assert ops > 10_000
+
+
+@pytest.mark.parametrize("keys", [(10_000, 10_000), (3, 2)],
+                         ids=["distinct", "duplicates"])
+def test_drains_to_empty_around_powers_of_two(keys):
+    # sizes 2^j - 1, 2^j and 2^j + 1 reach every last-level shape,
+    # including the node with a single child in every even-sized heap
+    rng = random.Random(42)
+    draw = key_stream(rng, keys)
+    for size in sorted({s for j in range(9) for s in (2**j - 1, 2**j,
+                                                      2**j + 1) if s > 0}):
+        for _ in range(3):
+            pair = Pair()
+            for _ in range(size):
+                pair.insert(draw())
+            pair.drain()
+            with pytest.raises(IndexError, match="underflow"):
+                pair.heaps[0].del_min()
+
+
+def test_drains_of_ascending_heaps():
+    rng = random.Random(43)
+    for size in list(range(0, 40)) + [63, 64, 65, 127, 128, 129, 500]:
+        keys = sorted({(rng.randrange(1, 3 * size + 2), u)
+                       for u in range(size)})
+        pair = Pair(HeapNode(d, u) for d, u in keys)
+        pair.drain()
+        # the reference meter saw one charge per pop plus the adoption
+        assert len(pair.meters[1].calls) == len(keys) + 1
+
+
+def test_refilled_ascending_heaps_with_duplicate_keys():
+    # a from_ascending heap topped up with inserts of keys already in it,
+    # then popped and refilled again, as a drain loop with ties would
+    rng = random.Random(44)
+    for _ in range(40):
+        size = rng.randrange(1, 70)
+        pair = Pair(HeapNode(d, 0) for d in range(1, size + 1))
+        for _ in range(rng.randrange(1, 150)):
+            if len(pair.heaps[1]) and rng.random() < 0.5:
+                pair.pop()
+            else:
+                pair.insert(HeapNode(rng.randrange(1, size + 1), 0))
+        pair.drain()
+
+
+def test_zero_demand_is_rejected_without_a_charge():
+    pair = Pair()
+    for heap in pair.heaps:
+        with pytest.raises(ValueError, match="empty demand"):
+            heap.insert(HeapNode(0, 1))
+    pair.check()
+    # the only charge is the empty heap's adoption
+    assert pair.meters[0].calls == [(0, 0, 0, 0)]

@@ -1,9 +1,10 @@
 """Differential tests: the oracle against its earlier, slower form.
 
-``reference_weighted_waterfill`` and ``reference_is_maxmin_fair`` are the
-pre-rewrite implementations, kept verbatim (one unit of remainder at a
-time; every recipient against every donor) as the behaviour the faster
-oracle must reproduce.
+``reference_weighted_waterfill``, ``reference_unweighted_waterfill`` and
+``reference_is_maxmin_fair`` are the pre-rewrite implementations, kept
+verbatim (one unit of remainder at a time; a fresh sort of the active
+users on every pass; every recipient against every donor) as the
+behaviour the faster oracle must reproduce.
 """
 
 import random
@@ -47,6 +48,26 @@ def reference_weighted_waterfill(problem: AllocationProblem) -> dict:
         lowest = min(needy, key=lambda v: (Fraction(alloc[v], weight[v]), v))
         alloc[lowest] += 1
         leftover -= 1
+    return alloc
+
+
+def reference_unweighted_waterfill(problem: AllocationProblem) -> dict:
+    remaining = {u: a for u, a in problem.demands}
+    alloc = {u: 0 for u, _ in problem.demands}
+    c = problem.capacity
+    while c > 0:
+        active = sorted((u for u in remaining if remaining[u] > 0),
+                        key=lambda u: (remaining[u], u))
+        if not active:
+            break
+        share = 1 if c < len(active) else c // len(active)
+        for u in active:
+            if c == 0:
+                break
+            grant = min(share, remaining[u], c)
+            alloc[u] += grant
+            remaining[u] -= grant
+            c -= grant
     return alloc
 
 
@@ -131,6 +152,58 @@ def test_weighted_waterfill_matches_the_reference():
     for _ in range(600):
         p = random_problem(rng, weighted=True)
         assert waterfill(p) == reference_weighted_waterfill(p), p
+
+
+def unweighted(demands, capacity, rng=None):
+    """An unweighted problem over ``demands``, user ids shuffled by
+    ``rng`` so id order and demand order differ."""
+    ids = list(range(1, len(demands) + 1))
+    if rng is not None:
+        rng.shuffle(ids)
+    return AllocationProblem(demands=tuple(zip(ids, demands)),
+                             capacity=capacity)
+
+
+def assert_unweighted_matches(p):
+    got = waterfill(p)
+    assert got == reference_unweighted_waterfill(p), p
+    # same keys in the same order, so iteration over the result is too
+    assert list(got) == [u for u, _ in p.demands]
+
+
+def test_unweighted_waterfill_matches_the_reference():
+    rng = random.Random(35)
+    for _ in range(600):
+        assert_unweighted_matches(random_problem(rng, weighted=False))
+
+
+def test_unweighted_waterfill_matches_the_reference_on_edge_shapes():
+    rng = random.Random(36)
+    checked = 0
+    for _ in range(150):
+        n = rng.randrange(1, 40)
+        mixed = [rng.randrange(1, 60) for _ in range(n)]
+        equal = [rng.randrange(1, 9)] * n  # every tie broken by id
+        for demands in (mixed, equal):
+            total = sum(demands)
+            for capacity in (0, 1, rng.randrange(1, n + 1), n - 1, n, n + 1,
+                             rng.randrange(0, total + 1), total - 1, total,
+                             total + rng.randrange(1, 50)):
+                if capacity >= 0:
+                    assert_unweighted_matches(
+                        unweighted(demands, capacity, rng))
+                    checked += 1
+    assert_unweighted_matches(unweighted([], 0))
+    assert_unweighted_matches(unweighted([], 7))
+    assert checked > 2500
+
+
+def test_unweighted_waterfill_matches_the_reference_at_5000_users():
+    rng = random.Random(37)
+    demands = [rng.randrange(1, 100) for _ in range(5000)]
+    p = unweighted(demands, sum(demands) // 3, rng)
+    assert_unweighted_matches(p)
+    assert sum(waterfill(p).values()) == p.capacity
 
 
 def test_waterfill_matches_the_reference_on_wamf_sized_depleted_problems():
