@@ -14,9 +14,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .costs import cost_report
-from .sim import (Scenario, ScenarioError, balances_csv, distributions_csv,
-                  load_scenario, worked_example_scenarios, receipts_csv,
-                  run_scenario, trace_csv)
+from .sim import (Scenario, ScenarioError, balances_chunks,
+                  distributions_chunks, load_scenario,
+                  worked_example_scenarios, receipts_chunks, run_scenario,
+                  trace_chunks)
 from .verify import verify_run
 
 EXIT_OK = 0
@@ -42,27 +43,29 @@ def _load(args) -> Scenario:
     return sc
 
 
-def _write_text(path: Path, text: str):
+def _write_chunks(path: Path, chunks):
+    """Write a CSV chunk by chunk, so no whole file is held in memory."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _write_outputs(result, out_dir: Path) -> list:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, text in _output_files(result):
+    for name, chunks in _output_files(result):
         path = out_dir / name
-        _write_text(path, text)
+        _write_chunks(path, chunks)
         written.append(path)
     return written
 
 
 def _output_files(result):
-    files = [("trace.csv", trace_csv(result)),
-             ("receipts.csv", receipts_csv(result)),
-             ("balances.csv", balances_csv(result))]
+    """(file name, chunk iterator) per CSV; each renders as it is written."""
+    files = [("trace.csv", trace_chunks(result)),
+             ("receipts.csv", receipts_chunks(result)),
+             ("balances.csv", balances_chunks(result))]
     if result.reports:
-        files.append(("distributions.csv", distributions_csv(result)))
+        files.append(("distributions.csv", distributions_chunks(result)))
     return files
 
 
@@ -172,15 +175,15 @@ def cmd_golden(args) -> int:
     planned = []
     for name, sc in worked_example_scenarios().items():
         result = run_scenario(sc)
-        for suffix, text in _output_files(result):
-            planned.append((out_dir / f"{name}.{suffix}", text))
+        for suffix, chunks in _output_files(result):
+            planned.append((out_dir / f"{name}.{suffix}", chunks))
     existing = [path for path, _ in planned if path.exists()]
     if existing and not args.force:
         print(f"refusing to overwrite {len(existing)} golden file(s) "
               f"without --force (first: {existing[0]})")
         return EXIT_USAGE
-    for path, text in planned:
-        _write_text(path, text)
+    for path, chunks in planned:
+        _write_chunks(path, chunks)
         print(f"wrote {path}")
     return EXIT_OK
 

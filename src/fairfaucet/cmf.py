@@ -15,7 +15,9 @@ path's total of storage reads, writes and arithmetic operations;
 the drain loop.  The heaps charge their own node moves and comparisons,
 the remainder heap as the inserts it replaces.  The drain pops once per
 grant through ``MinHeap.del_min`` and builds each grant row and
-remainder node positionally, through ``tuple.__new__``.
+remainder node positionally, through ``tuple.__new__``.  It adds each
+grant to the report's per-user allocations only; the balances take those
+totals once per user after the loop.
 """
 
 from dataclasses import dataclass, field
@@ -62,11 +64,10 @@ class DistributionReport:
     def grant_matrix(self, users):
         """Per-iteration grants for the given user order, zeros filled in;
         mirrors the layout of a distribution table."""
-        matrix = []
-        for it in range(1, self.iterations + 1):
-            row = {r.user: r.granted for r in self.rows if r.iteration == it}
-            matrix.append([row.get(u, 0) for u in users])
-        return matrix
+        grants = [{} for _ in range(self.iterations)]
+        for r in self.rows:
+            grants[r.iteration - 1][r.user] = r.granted
+        return [[row.get(u, 0) for u in users] for row in grants]
 
 
 class CmfDistributor:
@@ -116,7 +117,6 @@ class CmfDistributor:
         # ``rest`` is the array its inserts would build, charged as they are.
         heaps = self._heaps
         add_row, allocations = report.rows.append, report.allocations
-        balances = self.balances
         c = self.capacity
         i = 0
         iteration = 0
@@ -137,7 +137,6 @@ class CmfDistributor:
                 # clamped by c so the pool can never go negative
                 if granted > c:
                     granted = c
-                balances[user] = balances.get(user, 0) + granted
                 c -= granted
                 add_row(_new_row((iteration, user, granted, share, c)))
                 allocations[user] = allocations.get(user, 0) + granted
@@ -146,6 +145,9 @@ class CmfDistributor:
             heaps[1 - i] = MinHeap.from_ascending(rest, self._meter)
             i = 1 - i
 
+        balances = self.balances
+        for user, granted in allocations.items():
+            balances[user] = balances.get(user, 0) + granted
         # depletion discards whatever is left in either heap
         m = self._meter
         self._heaps = [MinHeap(m), MinHeap(m)]

@@ -18,8 +18,9 @@ fixes each round's one kind of transaction and how many of its first
 blocks run it; a small adapter per design (autonomous for AMF/WAMF,
 central for CMF) runs those, and the rest of the round is idle.  Every
 block is recorded as one trace row and one receipt; an idle block is a
-no-op that costs ``tx_base`` and leaves the pool as it was.  Identical
-scenarios produce bit-identical traces and receipts.
+no-op that costs ``tx_base`` and leaves the pool as it was.  Equal
+summaries and equal costs within a run are one shared object each.
+Identical scenarios produce bit-identical traces and receipts.
 """
 
 import json
@@ -323,7 +324,24 @@ def _demand_plan(sc: Scenario):
 # summary).  Its transaction methods end in (block, offset), the block
 # and its offset in the round; user ``offset + 1`` acts.  It records
 # accepted demands, their weights and the grants in the schedule's
-# per-epoch dicts, and counts the pool's top-ups.
+# per-epoch dicts, and counts the pool's top-ups.  Summaries that repeat
+# come from per-run tables keyed by their values, so equal summaries are
+# one object and each text is formatted once.
+
+class _Table(dict):
+    """Value per key, made by ``make(key)`` the first time the key is
+    looked up and shared by every later lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
 
 class _Autonomous:
     """AMF/WAMF over ``AutonomousFaucet``: users claim their share
@@ -338,6 +356,11 @@ class _Autonomous:
                                      meter)
         self.demands, self.weights, self.grants = demands, weights, grants
         self.reports = []
+        self.rejected = _Table("rejected: %s".__mod__)
+        self.accepted = {}  # weight -> amount -> text
+        self.granted = _Table("granted=%d".__mod__)
+        self.floored = _Table("granted=%d floor1".__mod__)
+        self.no_op = _Table("no-op: %s".__mod__)
 
     @property
     def injections(self) -> int:
@@ -357,10 +380,18 @@ class _Autonomous:
         user = offset + 1
         accepted, reason, weight = self.pool.demand(user, amount, block)
         if not accepted:
-            return user, "demand", 0, 0, f"rejected: {reason}"
+            return user, "demand", 0, 0, self.rejected[reason]
         self.demands[epoch][user] = amount
         self.weights[epoch][user] = weight
-        return user, "demand", amount, 0, f"amount={amount} weight={weight}"
+        # plain nested dicts: a tuple key per text or a table object per
+        # weight would add GC-tracked objects that live as long as the run
+        texts = self.accepted.get(weight)
+        if texts is None:
+            texts = self.accepted[weight] = {}
+        summary = texts.get(amount)
+        if summary is None:
+            summary = texts[amount] = f"amount={amount} weight={weight}"
+        return user, "demand", amount, 0, summary
 
     def claim(self, epoch, block, offset):
         user = offset + 1
@@ -368,11 +399,9 @@ class _Autonomous:
         if granted:
             grants = self.grants[epoch]
             grants[user] = grants.get(user, 0) + granted
-            summary = f"granted={granted}"
-            if floored:
-                summary += " floor1"
+            summary = (self.floored if floored else self.granted)[granted]
         else:
-            summary = f"no-op: {reason}"
+            summary = self.no_op[reason]
         return user, "claim", granted, share, summary
 
     def noop(self):
@@ -390,6 +419,8 @@ class _Central:
         self.n = sc.n
         self.demands, self.weights, self.grants = demands, weights, grants
         self.reports = []
+        self.accepted = _Table("amount=%d".__mod__)
+        self.distributed = _Table("granted=%d iterations=%d".__mod__)
 
     @property
     def injections(self) -> int:
@@ -411,15 +442,15 @@ class _Central:
         self.pool.submit_demand(user, amount)
         self.demands[epoch][user] = amount
         self.weights[epoch][user] = 1
-        return user, "demand", amount, 0, f"amount={amount}"
+        return user, "demand", amount, 0, self.accepted[amount]
 
     def distribute(self, epoch, block, offset):
         report = self.pool.distribute(epoch=epoch)
         self.reports.append(report)
-        self.grants[epoch].update(report.allocations)
+        self.grants[epoch] = report.allocations  # the epoch's grants, uncopied
         total = report.total_granted()
         return (AUTHORITY, "distribute", total, 0,
-                f"granted={total} iterations={report.iterations}")
+                self.distributed[total, report.iterations])
 
     def noop(self):
         return AUTHORITY, "noop", 0, 0, ""
@@ -435,6 +466,8 @@ def run_scenario(sc: Scenario) -> RunResult:
     tx_base = model.tx_base
     meter = CostMeter()
     priced = meter.total
+    # one int object per distinct cost; idle blocks cost tx_base itself
+    shared_cost = {tx_base: tx_base}.setdefault
     demands = [{} for _ in range(sc.epochs)]  # epoch -> user -> amount
     weights = [{} for _ in range(sc.epochs)]
     grants = [{} for _ in range(sc.epochs)]
@@ -475,6 +508,7 @@ def run_scenario(sc: Scenario) -> RunResult:
                 block = round_start + offset
                 actor, action, amount, share, summary = step(block, offset)
                 cost = priced(model) + tx_base
+                cost = shared_cost(cost, cost)
                 over = cost > budget
                 add_row(new_row((block, pos_epoch, pos_round, actor, action,
                                  amount, share, pool.capacity, cost, over)))
@@ -530,6 +564,16 @@ def worked_example_scenarios() -> dict:
 
 
 # -- CSV rendering ---------------------------------------------------------
+#
+# Each CSV is produced as a stream of chunks: the header line, then the
+# rows formatted CHUNK at a time, each chunk one string.  ``trace_chunks``
+# and its siblings yield those chunks, so ``fairfaucet run`` writes a file
+# without ever holding all of it; ``trace_csv`` and its siblings join the
+# same chunks into the whole text.  Rendering a CSV this way peaks at about
+# twice its length (the chunks plus their join) instead of a string per
+# line plus two copies of the text.
+
+CHUNK = 1024  # rows per chunk
 
 TRACE_HEADER = "block,epoch,round,actor,action,amount,share,capacity,cost,over_budget"
 
@@ -539,28 +583,47 @@ _TRACE_ROW = "%d,%d,%d,%d,%s,%d,%d,%d,%d,%d"
 _RECEIPT_ROW = "%d,%d,%d,%s,%d,%d,%d,%s"
 
 
+def _rows(fmt: str, rows):
+    """Yield the sequence ``rows`` formatted by ``fmt``, one string per
+    CHUNK rows, every row ending in a newline."""
+    line = (fmt + "\n").__mod__
+    for i in range(0, len(rows), CHUNK):
+        yield "".join(map(line, rows[i:i + CHUNK]))
+
+
+def trace_chunks(result: RunResult):
+    yield TRACE_HEADER + "\n"
+    yield from _rows(_TRACE_ROW, result.trace)
+
+
+def receipts_chunks(result: RunResult):
+    yield "block,epoch,round,action,actor,cost,over_budget,summary\n"
+    yield from _rows(_RECEIPT_ROW, result.receipts)
+
+
+def balances_chunks(result: RunResult):
+    yield "user,balance\n"
+    yield from _rows("%d,%d", sorted(result.balances.items()))
+
+
+def distributions_chunks(result: RunResult):
+    yield "epoch,iteration,user,allocated,share,remaining_capacity\n"
+    for report in result.reports:
+        # the epoch, then GrantRow's fields
+        yield from _rows(f"{report.epoch},%d,%d,%d,%d,%d", report.rows)
+
+
 def trace_csv(result: RunResult) -> str:
-    lines = [TRACE_HEADER]
-    lines.extend(_TRACE_ROW % r for r in result.trace)
-    return "\n".join(lines) + "\n"
+    return "".join(trace_chunks(result))
 
 
 def receipts_csv(result: RunResult) -> str:
-    lines = ["block,epoch,round,action,actor,cost,over_budget,summary"]
-    lines.extend(_RECEIPT_ROW % r for r in result.receipts)
-    return "\n".join(lines) + "\n"
+    return "".join(receipts_chunks(result))
 
 
 def balances_csv(result: RunResult) -> str:
-    lines = ["user,balance"]
-    for user in sorted(result.balances):
-        lines.append(f"{user},{result.balances[user]}")
-    return "\n".join(lines) + "\n"
+    return "".join(balances_chunks(result))
 
 
 def distributions_csv(result: RunResult) -> str:
-    lines = ["epoch,iteration,user,allocated,share,remaining_capacity"]
-    for report in result.reports:
-        row = f"{report.epoch},%d,%d,%d,%d,%d"  # then GrantRow's fields
-        lines.extend(row % r for r in report.rows)
-    return "\n".join(lines) + "\n"
+    return "".join(distributions_chunks(result))
