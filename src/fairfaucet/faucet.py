@@ -10,7 +10,11 @@ epoch and round boundaries, exactly as a contract would do it.
 Each entry point charges its cost meter once per exit path, with that
 path's total of storage reads, writes and arithmetic operations (the
 README's cost model tables them; ``demand`` and ``claim`` also pay for
-the ``update_state`` they start with).
+the ``update_state`` they start with).  Almost every transaction lands
+inside the current round, so ``demand`` and ``claim`` check that
+themselves: a block in the current round skips the ``update_state``
+call, and its same-round row (2 reads, 4 ariths) is added to the exit
+path's one charge.  Any other block goes through ``update_state``.
 
 Weights are fixed-point reciprocals of each user's cumulative demand
 (or constant 1 in unweighted mode).  The weight captured when a demand
@@ -27,6 +31,7 @@ so each fixed reason is one shared module-level constant.
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 from .clock import ClockParams, locate
@@ -115,6 +120,10 @@ CLAIM_DEPLETED = ClaimResult(0, "capacity depleted")
 CLAIM_SATISFIED = ClaimResult(0, "demand already satisfied")
 CLAIM_REPEAT = ClaimResult(0, "already claimed this round")
 
+# tuple.__new__ builds a result at half its NamedTuple constructor's cost
+_new_demand = partial(tuple.__new__, DemandResult)
+_new_claim = partial(tuple.__new__, ClaimResult)
+
 
 class AutonomousFaucet:
     """Serial faucet state machine; all mutations happen inside simulated
@@ -172,7 +181,8 @@ class AutonomousFaucet:
         """Refresh epoch/round from the block number.  An epoch advance
         tops up the capacity pool (once, regardless of how many epochs
         elapsed) and recomputes the unit share; a round advance recomputes
-        the share only.  Otherwise a no-op."""
+        the share only.  Otherwise a no-op.  ``demand`` and ``claim`` take
+        the same-round path themselves and must stay in step with it."""
         if block < self._last_block:
             raise ValueError("blocks must be non-decreasing")
         self._last_block = block
@@ -209,34 +219,41 @@ class AutonomousFaucet:
         """Register a demand for the next epoch.  One demand per user per
         epoch; repeats, zero amounts and unknown users are rejected
         without state changes."""
-        self.update_state(block)
+        # the same-round path of update_state, paid in the exit's charge
+        if self._last_block <= block < self._round_end:
+            self._last_block = block
+            reads, ariths = 2, 4
+        else:
+            self.update_state(block)
+            reads = ariths = 0
         m = self._meter
-        i = (self.epoch + 1) % 2
+        epoch = self.epoch
+        i = (epoch + 1) % 2
         acct = self.users.get(user)
         if acct is None:
-            m.charge(1, 0, 1)
+            m.charge(reads + 1, 0, ariths + 1)
             return DEMAND_UNREGISTERED
         if amount < 1:
-            m.charge(1, 0, 1)
+            m.charge(reads + 1, 0, ariths + 1)
             return DEMAND_EMPTY
-        if acct.demand_epoch[i] == self.epoch:
-            m.charge(2, 0, 1)
+        if acct.demand_epoch[i] == epoch:
+            m.charge(reads + 2, 0, ariths + 1)
             return DEMAND_REPEAT
 
         acct.cumulative_demand += amount
         weight = self.policy.weight_for(acct.cumulative_demand)
         acct.pending[i] = amount
-        acct.demand_epoch[i] = self.epoch
+        acct.demand_epoch[i] = epoch
         acct.slot_weight[i] = weight
-        if self.reset_epoch < self.epoch:
+        if self.reset_epoch < epoch:
             # first accepted demand of the epoch starts a fresh total
             self.weight_total[i] = weight
-            self.reset_epoch = self.epoch
-            m.charge(4, 6, 2)
+            self.reset_epoch = epoch
+            m.charge(reads + 4, 6, ariths + 2)
         else:
             self.weight_total[i] += weight
-            m.charge(5, 5, 2)
-        return DemandResult(True, "", weight)
+            m.charge(reads + 5, 5, ariths + 2)
+        return _new_demand((True, "", weight))
 
     def claim(self, user: int, block: int) -> ClaimResult:
         """Claim this round's share of the demand registered last epoch.
@@ -246,43 +263,57 @@ class AutonomousFaucet:
         share is the unit share scaled by the slot's snapshot weight, with
         a floor of one unit so a live demand always makes progress (the
         floor event is logged)."""
-        self.update_state(block)
+        # the same-round path of update_state, paid in the exit's charge
+        if self._last_block <= block < self._round_end:
+            self._last_block = block
+            reads, ariths = 2, 4
+        else:
+            self.update_state(block)
+            reads = ariths = 0
         m = self._meter
-        i = self.epoch % 2
+        epoch = self.epoch
+        i = epoch % 2
         acct = self.users.get(user)
         if acct is None:
-            m.charge(1, 0, 1)
+            m.charge(reads + 1, 0, ariths + 1)
             return CLAIM_UNREGISTERED
-        if acct.demand_epoch[i] != self.epoch - 1:
-            m.charge(4, 0, 1)
+        if acct.demand_epoch[i] != epoch - 1:
+            m.charge(reads + 4, 0, ariths + 1)
             return CLAIM_NO_DEMAND
-        if self.capacity == 0:
-            m.charge(4, 0, 1)
+        capacity = self.capacity
+        if capacity == 0:
+            m.charge(reads + 4, 0, ariths + 1)
             return CLAIM_DEPLETED
-        if acct.pending[i] == 0:
-            m.charge(4, 0, 1)
+        pending = acct.pending[i]
+        if pending == 0:
+            m.charge(reads + 4, 0, ariths + 1)
             return CLAIM_SATISFIED
-        if (acct.last_claim_epoch == self.epoch
-                and acct.last_claim_round == self.round):
-            m.charge(6, 0, 1)
+        rnd = self.round
+        if acct.last_claim_epoch == epoch and acct.last_claim_round == rnd:
+            m.charge(reads + 6, 0, ariths + 1)
             return CLAIM_REPEAT
-        acct.last_claim_epoch = self.epoch
-        acct.last_claim_round = self.round
+        acct.last_claim_epoch = epoch
+        acct.last_claim_round = rnd
 
-        share = (self.unit_share * acct.slot_weight[i]) // self._scale
+        weight = acct.slot_weight[i]
+        share = (self.unit_share * weight) // self._scale
         floored = share < 1
         if floored:
             share = 1
             logger.debug("share floored to 1 for user %d (epoch %d round %d)",
-                         user, self.epoch, self.round)
-        granted = min(acct.pending[i], share, self.capacity)
+                         user, epoch, rnd)
+        # min(pending, share, capacity)
+        granted = pending if pending < share else share
+        if capacity < granted:
+            granted = capacity
         acct.balance += granted
-        acct.pending[i] -= granted
-        self.capacity -= granted
-        satisfied = acct.pending[i] == 0
+        pending -= granted
+        acct.pending[i] = pending
+        self.capacity = capacity - granted
+        satisfied = pending == 0
         if satisfied:
-            self.weight_total[i] -= acct.slot_weight[i]
-            m.charge(12, 6, 3)
+            self.weight_total[i] -= weight
+            m.charge(reads + 12, 6, ariths + 3)
         else:
-            m.charge(11, 5, 3)
-        return ClaimResult(granted, "", share, floored, satisfied)
+            m.charge(reads + 11, 5, ariths + 3)
+        return _new_claim((granted, "", share, floored, satisfied))

@@ -57,6 +57,11 @@ def next_demand(state: int, lo: int, hi: int):
         raise ScenarioError("demand range is empty")
     if lo < 1:
         raise ScenarioError("demand range must start at 1 or above")
+    return _draw(state, lo, hi)
+
+
+def _draw(state: int, lo: int, hi: int):
+    """``next_demand`` without its range checks, for a validated range."""
     state = (state + _GAMMA) & MASK64
     z = state
     z ^= z >> 30
@@ -309,11 +314,13 @@ def _demand_plan(sc: Scenario):
             plan.append([row[k] if k < len(row) else None
                          for k in range(sc.n)])
         return plan
+    # Scenario has validated the range
+    lo, hi = sc.demand_lo, sc.demand_hi
     state = sc.seed
     for _ in range(sc.epochs):
         row = []
         for _ in range(sc.n):
-            state, amount = next_demand(state, sc.demand_lo, sc.demand_hi)
+            state, amount = _draw(state, lo, hi)
             row.append(amount)
         plan.append(row)
     return plan
@@ -321,12 +328,12 @@ def _demand_plan(sc: Scenario):
 
 # A variant adapter runs one transaction on its state machine (``pool``,
 # which has a ``capacity``) and returns (actor, action, amount, share,
-# summary).  Its transaction methods end in (block, offset), the block
-# and its offset in the round; user ``offset + 1`` acts.  It records
-# accepted demands, their weights and the grants in the schedule's
-# per-epoch dicts, and counts the pool's top-ups.  Summaries that repeat
-# come from per-run tables keyed by their values, so equal summaries are
-# one object and each text is formatted once.
+# summary).  Its transaction methods end in (base, block): ``base`` is
+# the block before the round's first, so user ``block - base`` acts.  It
+# records accepted demands, their weights and the grants in the
+# schedule's per-epoch dicts, and counts the pool's top-ups.  Summaries
+# that repeat come from per-run tables keyed by their values, so equal
+# summaries are one object and each text is formatted once.
 
 class _Table(dict):
     """Value per key, made by ``make(key)`` the first time the key is
@@ -354,7 +361,8 @@ class _Autonomous:
                   if sc.variant == "WAMF" else WeightPolicy.unweighted())
         self.pool = AutonomousFaucet(sc.clock, sc.epoch_capacity, policy,
                                      meter)
-        self.demands, self.weights, self.grants = demands, weights, grants
+        # ``claim`` is handed its epoch's grants dict once per round
+        self.demands, self.weights = demands, weights
         self.reports = []
         self.rejected = _Table("rejected: %s".__mod__)
         self.accepted = {}  # weight -> amount -> text
@@ -369,15 +377,15 @@ class _Autonomous:
     def balances(self) -> dict:
         return self.pool.final_balances()
 
-    def register(self, block, offset):
+    def register(self, base, block):
         uid = self.pool.register()
         return uid, "register", 0, 0, f"user={uid}"
 
-    def demand(self, epoch, amounts, block, offset):
-        amount = amounts[offset]
+    def demand(self, epoch, amounts, base, block):
+        user = block - base
+        amount = amounts[user - 1]
         if amount is None:
             return self.noop()
-        user = offset + 1
         accepted, reason, weight = self.pool.demand(user, amount, block)
         if not accepted:
             return user, "demand", 0, 0, self.rejected[reason]
@@ -393,11 +401,10 @@ class _Autonomous:
             summary = texts[amount] = f"amount={amount} weight={weight}"
         return user, "demand", amount, 0, summary
 
-    def claim(self, epoch, block, offset):
-        user = offset + 1
+    def claim(self, grants, base, block):
+        user = block - base
         granted, reason, share, floored, _ = self.pool.claim(user, block)
         if granted:
-            grants = self.grants[epoch]
             grants[user] = grants.get(user, 0) + granted
             summary = (self.floored if floored else self.granted)[granted]
         else:
@@ -429,22 +436,22 @@ class _Central:
     def balances(self) -> dict:
         return {u: self.pool.balances.get(u, 0) for u in range(1, self.n + 1)}
 
-    def register(self, block, offset):
-        user = offset + 1
+    def register(self, base, block):
+        user = block - base
         self.pool.register(user)
         return user, "register", 0, 0, f"user={user}"
 
-    def demand(self, epoch, amounts, block, offset):
-        amount = amounts[offset]
+    def demand(self, epoch, amounts, base, block):
+        user = block - base
+        amount = amounts[user - 1]
         if amount is None:
             return self.noop()
-        user = offset + 1
         self.pool.submit_demand(user, amount)
         self.demands[epoch][user] = amount
         self.weights[epoch][user] = 1
         return user, "demand", amount, 0, self.accepted[amount]
 
-    def distribute(self, epoch, block, offset):
+    def distribute(self, epoch, base, block):
         report = self.pool.distribute(epoch=epoch)
         self.reports.append(report)
         self.grants[epoch] = report.allocations  # the epoch's grants, uncopied
@@ -493,20 +500,21 @@ def run_scenario(sc: Scenario) -> RunResult:
         for rnd in range(rounds):
             round_start = epoch * sc.epoch_span + rnd * sc.round_span
             pos_epoch, pos_round, _ = locate(clock, round_start)
+            base = round_start - 1
             # the round's transaction runs in its first ``busy`` blocks
             if epoch == 0 and rnd == 0:
-                step, busy = adapter.register, n
+                step, busy = partial(adapter.register, base), n
             elif rnd == rounds - 1:
-                step, busy = partial(adapter.demand, epoch, plan[epoch]), n
+                step, busy = partial(adapter.demand, epoch, plan[epoch],
+                                     base), n
             elif epoch == 0 or (central and rnd > 0):
                 step, busy = None, 0
             elif central:
-                step, busy = partial(adapter.distribute, epoch), 1
+                step, busy = partial(adapter.distribute, epoch, base), 1
             else:
-                step, busy = partial(adapter.claim, epoch), n
-            for offset in range(busy):
-                block = round_start + offset
-                actor, action, amount, share, summary = step(block, offset)
+                step, busy = partial(adapter.claim, grants[epoch], base), n
+            for block in range(round_start, round_start + busy):
+                actor, action, amount, share, summary = step(block)
                 cost = priced(model) + tx_base
                 cost = shared_cost(cost, cost)
                 over = cost > budget
@@ -578,9 +586,10 @@ CHUNK = 1024  # rows per chunk
 TRACE_HEADER = "block,epoch,round,actor,action,amount,share,capacity,cost,over_budget"
 
 # Rows are tuples whose fields are in column order, so each renders with
-# one format; %d writes the over_budget flag as 0 or 1.
-_TRACE_ROW = "%d,%d,%d,%d,%s,%d,%d,%d,%d,%d"
-_RECEIPT_ROW = "%d,%d,%d,%s,%d,%d,%d,%s"
+# one format.  %s writes an int as %d does, only faster; the over_budget
+# flag keeps %d, which writes it as 0 or 1 where %s would write False/True.
+_TRACE_ROW = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%d"
+_RECEIPT_ROW = "%s,%s,%s,%s,%s,%s,%d,%s"
 
 
 def _rows(fmt: str, rows):

@@ -4,8 +4,11 @@ Each case runs one call on a meter reset just before it and pins
 (reads, writes, heap_moves, ariths).  The simulator takes only a
 few of these paths, so the run-level pins in ``test_costs`` and
 ``test_pins`` leave the others unchecked.  A ``demand`` or ``claim``
-also pays for the ``update_state`` it starts with; every case below sets
-the block so that this is the same-round path (2 reads, 4 ariths).
+also pays one ``update_state`` row.  Most cases below set the block so
+that this is the same-round row (2 reads, 4 ariths), paid inside the
+exit path's charge; the cases on the first block of a round or an
+epoch pay the round-advance row (4 reads, 2 writes, 6 ariths) or the
+epoch-advance row (6 reads, 4 writes, 6 ariths) instead.
 """
 
 import pytest
@@ -73,7 +76,8 @@ def test_demand_paths(policy):
     faucet = AutonomousFaucet(CLOCK, 30, policy, meter)
     for _ in range(2):
         faucet.register()
-    faucet.update_state(9)
+    # the first block of the last round: round-advance row plus exit path
+    assert metered(meter, faucet.demand, 7, 5, 9) == (5, 2, 0, 7)
     assert metered(meter, faucet.demand, 7, 5, 9) == (3, 0, 0, 5)
     assert metered(meter, faucet.demand, 1, 0, 9) == (3, 0, 0, 5)
     # the first accepted demand of an epoch starts a fresh weight total
@@ -87,14 +91,17 @@ def test_demand_paths(policy):
 @pytest.mark.parametrize("policy", [None, WeightPolicy.reciprocal(1000)])
 def test_claim_paths(policy):
     faucet, meter = faucet_with_demands((4, 11, 15, None), policy=policy)
-    faucet.update_state(12)
     cases = [
+        # the first block of an epoch: epoch-advance row plus exit path
+        ((4, 12), (10, 4, 0, 7), "no demand from previous epoch"),
         ((9, 12), (3, 0, 0, 5), "unregistered user"),
         ((4, 12), (6, 0, 0, 5), "no demand from previous epoch"),
         ((1, 12), (14, 6, 0, 7), ""),   # granted and satisfied
         ((2, 12), (13, 5, 0, 7), ""),   # granted, demand left
         ((2, 13), (8, 0, 0, 5), "already claimed this round"),
         ((1, 13), (6, 0, 0, 5), "demand already satisfied"),
+        # the first block of a round: round-advance row plus exit path
+        ((3, 15), (15, 7, 0, 9), ""),   # granted, demand left
     ]
     for args, want, reason in cases:
         meter.reset()
@@ -102,6 +109,7 @@ def test_claim_paths(policy):
         assert (charges(meter), res.reason) == (want, reason), args
     assert faucet.users[1].pending[1] == 0
     assert faucet.users[2].pending[1] > 0
+    assert faucet.users[3].pending[1] > 0
 
 
 @pytest.mark.parametrize("policy", [None, WeightPolicy.reciprocal(1000)])
