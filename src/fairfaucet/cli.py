@@ -10,7 +10,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .costs import cost_report
@@ -39,7 +38,7 @@ def _configure_logging():
 def _load(args) -> Scenario:
     sc = load_scenario(args.scenario)
     if args.seed is not None:
-        sc = replace(sc, seed=args.seed)
+        sc = sc._replace(seed=args.seed)
     return sc
 
 
@@ -148,8 +147,8 @@ def cmd_cost_report(args) -> int:
     for n in sizes:
         autonomous = sc.with_n(n)
         if autonomous.variant == "CMF":
-            autonomous = replace(autonomous, variant="AMF")
-        central = replace(sc.with_n(n), variant="CMF")
+            autonomous = autonomous._replace(variant="AMF")
+        central = sc.with_n(n)._replace(variant="CMF")
         auto_summary = cost_report(run_scenario(autonomous).receipts)
         central_result = run_scenario(central)
         central_summary = cost_report(central_result.receipts)

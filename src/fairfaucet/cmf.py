@@ -20,10 +20,10 @@ grant to the report's per-user allocations only; the balances take those
 totals once per user after the loop.
 """
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
+from .clock import _Record
 from .costs import CostMeter
 from .heap import HeapNode, MinHeap
 
@@ -42,17 +42,22 @@ _new_row = partial(tuple.__new__, GrantRow)
 _new_node = partial(tuple.__new__, HeapNode)
 
 
-@dataclass
-class DistributionReport:
+class DistributionReport(_Record):
     """Everything one distribution did: the per-iteration unit shares,
     one row per individual grant and the per-user totals."""
 
-    epoch: int
-    shares: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
-    allocations: dict = field(default_factory=dict)
-    capacity_before: int = 0
-    capacity_after: int = 0
+    __slots__ = ("epoch", "shares", "rows", "allocations", "capacity_before",
+                 "capacity_after")
+
+    def __init__(self, epoch: int, shares: list = None, rows: list = None,
+                 allocations: dict = None, capacity_before: int = 0,
+                 capacity_after: int = 0):
+        self.epoch = epoch
+        self.shares = [] if shares is None else shares
+        self.rows = [] if rows is None else rows
+        self.allocations = {} if allocations is None else allocations
+        self.capacity_before = capacity_before
+        self.capacity_after = capacity_after
 
     @property
     def iterations(self) -> int:

@@ -8,25 +8,25 @@ arithmetic is nearly free.  A block budget caps what a single simulated
 transaction may cost before it is flagged infeasible.
 """
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .clock import _Record
 
-@dataclass(frozen=True)
-class CostModel:
-    storage_read: int = 800
-    storage_write: int = 5000
-    heap_move: int = 800
-    arithmetic_op: int = 5
-    tx_base: int = 21000
-    block_budget: int = 8_000_000
 
-    def __post_init__(self):
+class CostModel(_Record, frozen=True):
+    __slots__ = ("storage_read", "storage_write", "heap_move",
+                 "arithmetic_op", "tx_base", "block_budget")
+
+    def __init__(self, storage_read: int = 800, storage_write: int = 5000,
+                 heap_move: int = 800, arithmetic_op: int = 5,
+                 tx_base: int = 21000, block_budget: int = 8_000_000):
+        super().__init__(storage_read, storage_write, heap_move,
+                         arithmetic_op, tx_base, block_budget)
         for name in ("storage_read", "storage_write", "heap_move",
                      "arithmetic_op", "tx_base"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.block_budget <= self.tx_base:
+        if block_budget <= tx_base:
             raise ValueError("block_budget must exceed tx_base")
 
 
@@ -72,21 +72,27 @@ class TxReceipt(NamedTuple):
     summary: str = ""
 
 
-@dataclass
-class ActionStats:
-    count: int = 0
-    total: int = 0
+class ActionStats(_Record):
+    __slots__ = ("count", "total")
+
+    def __init__(self, count: int = 0, total: int = 0):
+        self.count = count
+        self.total = total
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
 
-@dataclass
-class CostSummary:
-    by_action: dict = field(default_factory=dict)     # kind -> ActionStats
-    claim_by_round: dict = field(default_factory=dict)  # round -> ActionStats
-    over_budget: int = 0
+class CostSummary(_Record):
+    __slots__ = ("by_action", "claim_by_round", "over_budget")
+
+    def __init__(self, by_action: dict = None, claim_by_round: dict = None,
+                 over_budget: int = 0):
+        # kind -> ActionStats and round -> ActionStats
+        self.by_action = {} if by_action is None else by_action
+        self.claim_by_round = {} if claim_by_round is None else claim_by_round
+        self.over_budget = over_budget
 
     def mean(self, kind: str) -> float:
         return self.by_action.get(kind, ActionStats()).mean

@@ -30,11 +30,10 @@ so each fixed reason is one shared module-level constant.
 """
 
 import logging
-from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
-from .clock import ClockParams, locate
+from .clock import ClockParams, _Record, locate
 from .costs import CostMeter
 
 logger = logging.getLogger(__name__)
@@ -47,17 +46,16 @@ def reciprocal_weight(precision: int, cumulative_demand: int) -> int:
     return precision // cumulative_demand
 
 
-@dataclass(frozen=True)
-class WeightPolicy:
+class WeightPolicy(_Record, frozen=True):
     """Weighting rule: either everyone weighs 1, or weights are the
     scaled reciprocal of lifetime demand.  ``precision`` must stay above
     any user's lifetime demand for weights to remain non-zero."""
 
-    weighted: bool = False
-    precision: int = 10 ** 9
+    __slots__ = ("weighted", "precision")
 
-    def __post_init__(self):
-        if self.precision < 1:
+    def __init__(self, weighted: bool = False, precision: int = 10 ** 9):
+        super().__init__(weighted, precision)
+        if precision < 1:
             raise ValueError("precision must be positive")
 
     @classmethod
@@ -79,18 +77,24 @@ class WeightPolicy:
         return reciprocal_weight(self.precision, cumulative_demand)
 
 
-@dataclass
-class UserAccount:
-    uid: int
-    balance: int = 0
-    # parity-indexed circular buffers
-    pending: list = field(default_factory=lambda: [0, 0])
-    # -2 for never: -1 would pass as a demand from "epoch 0 - 1"
-    demand_epoch: list = field(default_factory=lambda: [-2, -2])
-    slot_weight: list = field(default_factory=lambda: [0, 0])
-    last_claim_epoch: int = -1
-    last_claim_round: int = -1
-    cumulative_demand: int = 0
+class UserAccount(_Record):
+    __slots__ = ("uid", "balance", "pending", "demand_epoch", "slot_weight",
+                 "last_claim_epoch", "last_claim_round", "cumulative_demand")
+
+    def __init__(self, uid: int, balance: int = 0, pending: list = None,
+                 demand_epoch: list = None, slot_weight: list = None,
+                 last_claim_epoch: int = -1, last_claim_round: int = -1,
+                 cumulative_demand: int = 0):
+        self.uid = uid
+        self.balance = balance
+        # parity-indexed circular buffers
+        self.pending = [0, 0] if pending is None else pending
+        # -2 for never: -1 would pass as a demand from "epoch 0 - 1"
+        self.demand_epoch = [-2, -2] if demand_epoch is None else demand_epoch
+        self.slot_weight = [0, 0] if slot_weight is None else slot_weight
+        self.last_claim_epoch = last_claim_epoch
+        self.last_claim_round = last_claim_round
+        self.cumulative_demand = cumulative_demand
 
 
 class DemandResult(NamedTuple):

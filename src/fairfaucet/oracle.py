@@ -11,12 +11,13 @@ tiny instances to validate the other two.
 Cost in the number of users n (each problem indexes its weights once, so
 ``AllocationProblem.weight_of`` is an O(1) lookup):
 
-* ``waterfill``, weighted: O(n log n) -- one sort for the continuous
-  level, one sort of the needy users for the sub-unit remainder.
-  Unweighted: one O(n log n) sort, then O(n) per pass.  A pass that does
-  not end the fill satisfies at least one user, so there are at most
-  n + 1 passes; on random and polynomial demand profiles at n = 5000 it
-  takes 3 to 9.
+* ``waterfill``: O(n) when the capacity covers the total demand, which
+  is then granted in full.  Otherwise, weighted: O(n log n) -- one sort
+  for the continuous level, one sort of the needy users for the sub-unit
+  remainder.  Unweighted: one O(n log n) sort, then O(n) per pass.  A
+  pass that does not end the fill satisfies at least one user, so there
+  are at most n + 1 passes; on random and polynomial demand profiles at
+  n = 5000 it takes 3 to 9.
 * ``is_maxmin_fair``: O(n), one pass.  It compares the lowest recipient
   level (a_u + 1) / w_u over unsatisfied users u with the highest donor
   level (a_v - 1) / w_v over users v holding a unit; the witness is that
@@ -25,37 +26,37 @@ Cost in the number of users n (each problem indexes its weights once, so
 * ``leximin_brute_force``: exponential by design; tiny instances only.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import Optional, Sequence, Tuple
 
+from .clock import _Record
 
-@dataclass(frozen=True)
-class AllocationProblem:
+
+class AllocationProblem(_Record, frozen=True):
     """Demands (user id, amount >= 1), an integer capacity and optional
     positive weights aligned with the demands."""
 
-    demands: Sequence[Tuple[int, int]]
-    capacity: int
-    weights: Optional[Sequence[int]] = None
-    # user -> weight, built once; None when unweighted
-    _weight: Optional[dict] = field(init=False, repr=False, compare=False)
+    # _weight: user -> weight, built once; None when unweighted
+    __slots__ = ("demands", "capacity", "weights", "_weight")
 
-    def __post_init__(self):
-        ids = [u for u, _ in self.demands]
+    def __init__(self, demands: Sequence[Tuple[int, int]], capacity: int,
+                 weights: Optional[Sequence[int]] = None):
+        super().__init__(demands, capacity, weights)
+        ids = [u for u, _ in demands]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate user ids")
-        if any(a < 1 for _, a in self.demands):
+        if any(a < 1 for _, a in demands):
             raise ValueError("demands must be >= 1")
-        if self.capacity < 0:
+        if capacity < 0:
             raise ValueError("capacity must be >= 0")
-        if self.weights is not None:
-            if len(self.weights) != len(self.demands):
+        if weights is not None:
+            if len(weights) != len(demands):
                 raise ValueError("weights must align with demands")
-            if any(w < 1 for w in self.weights):
+            if any(w < 1 for w in weights):
                 raise ValueError("weights must be positive")
-        weight = None if self.weights is None else dict(zip(ids, self.weights))
+        weight = None if weights is None else dict(zip(ids, weights))
         object.__setattr__(self, "_weight", weight)
 
     def weight_of(self, user: int) -> int:
@@ -69,11 +70,12 @@ class AllocationProblem:
 def waterfill(problem: AllocationProblem) -> dict:
     """Integer max-min allocation by water-filling.
 
-    Unweighted: repeated passes over the unsatisfied demands in ascending
-    (remaining, id) order, each granting min(quantum, remaining, capacity)
-    where the quantum is floor(c / active count) at pass start, dropping
-    to one unit when c is smaller than the active count.  The demands are
-    sorted once; each later pass costs O(n).
+    A capacity that covers the total demand grants every demand in full.
+    Otherwise, unweighted: repeated passes over the unsatisfied demands in
+    ascending (remaining, id) order, each granting min(quantum, remaining,
+    capacity) where the quantum is floor(c / active count) at pass start,
+    dropping to one unit when c is smaller than the active count.  The
+    demands are sorted once; each later pass costs O(n).
 
     Weighted: the exact continuous water level is solved with rational
     arithmetic (multiply before divide, no precision scaling), each user
@@ -81,6 +83,8 @@ def waterfill(problem: AllocationProblem) -> dict:
     goes one unit at a time to whoever sits at the lowest normalized
     level.
     """
+    if problem.capacity >= sum(map(itemgetter(1), problem.demands)):
+        return dict(problem.demands)
     if problem.weights is not None:
         return _weighted_waterfill(problem)
     alloc = {u: 0 for u, _ in problem.demands}
@@ -113,9 +117,7 @@ def _weighted_waterfill(problem: AllocationProblem) -> dict:
     demands = dict(problem.demands)
     users = sorted(demands)
     weight = problem._weight
-    c = problem.capacity
-    if c >= sum(demands.values()):
-        return dict(demands)
+    c = problem.capacity  # below the total demand, or waterfill returned
 
     # continuous solve: users cap out in order of demand/weight while the
     # common level rises until the capacity is exactly consumed

@@ -24,11 +24,10 @@ Identical scenarios produce bit-identical traces and receipts.
 """
 
 import json
-from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
 
-from .clock import ClockParams, locate
+from .clock import ClockParams, _Record, locate
 from .cmf import CmfDistributor
 from .costs import CostMeter, CostModel, TxReceipt
 from .faucet import AutonomousFaucet, WeightPolicy
@@ -78,25 +77,15 @@ def _geometry(n: int) -> dict:
     return dict(epoch_capacity=20 * n, epoch_span=4 * n, round_span=n)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record, frozen=True):
     """Declarative experiment description.  ``scripted_demands`` (one row
     per epoch, one entry per user, None meaning no demand) replaces the
     PRNG stream entirely when present; epochs beyond the scripted rows
     get no demands."""
 
-    variant: str
-    n: int
-    epoch_capacity: int
-    epoch_span: int
-    round_span: int
-    demand_lo: int = 10
-    demand_hi: int = 30
-    epochs: int = 4
-    seed: int = 0
-    precision: int = 10 ** 9
-    cost_model: CostModel = field(default_factory=CostModel)
-    scripted_demands: tuple = None
+    __slots__ = ("variant", "n", "epoch_capacity", "epoch_span",
+                 "round_span", "demand_lo", "demand_hi", "epochs", "seed",
+                 "precision", "cost_model", "scripted_demands")
 
     @classmethod
     def benchmark_defaults(cls, variant: str, n: int, **overrides):
@@ -106,7 +95,15 @@ class Scenario:
         params.update(overrides)
         return cls(**params)
 
-    def __post_init__(self):
+    def __init__(self, variant: str, n: int, epoch_capacity: int,
+                 epoch_span: int, round_span: int, demand_lo: int = 10,
+                 demand_hi: int = 30, epochs: int = 4, seed: int = 0,
+                 precision: int = 10 ** 9,
+                 cost_model: CostModel = CostModel(),  # frozen, so shared
+                 scripted_demands: tuple = None):
+        super().__init__(variant, n, epoch_capacity, epoch_span, round_span,
+                         demand_lo, demand_hi, epochs, seed, precision,
+                         cost_model, scripted_demands)
         if self.variant not in VARIANTS:
             raise ScenarioError(f"unknown variant {self.variant!r}")
         if self.n < 0:
@@ -162,7 +159,7 @@ class Scenario:
     def with_n(self, n: int):
         """Rescale to a different user count, rederiving the n-coupled
         geometry."""
-        return replace(self, n=n, **_geometry(n))
+        return self._replace(n=n, **_geometry(n))
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -259,18 +256,23 @@ class TraceRow(NamedTuple):
     over_budget: bool
 
 
-@dataclass
-class EpochSummary:
+class EpochSummary(_Record):
     """What one claim epoch distributed, plus the matching allocation
     problem (demands from the previous epoch and the capacity in force
     when claims began)."""
 
-    epoch: int
-    demands: dict
-    weights: dict
-    capacity_start: int
-    granted: dict = field(default_factory=dict)
-    capacity_end: int = 0
+    __slots__ = ("epoch", "demands", "weights", "capacity_start", "granted",
+                 "capacity_end")
+
+    def __init__(self, epoch: int, demands: dict, weights: dict,
+                 capacity_start: int, granted: dict = None,
+                 capacity_end: int = 0):
+        self.epoch = epoch
+        self.demands = demands
+        self.weights = weights
+        self.capacity_start = capacity_start
+        self.granted = {} if granted is None else granted
+        self.capacity_end = capacity_end
 
     @property
     def unsatisfied(self) -> int:
@@ -286,17 +288,22 @@ class EpochSummary:
         return self.capacity_end > 0 and self.unsatisfied > 0
 
 
-@dataclass
-class RunResult:
-    scenario: Scenario
-    trace: list
-    receipts: list
-    balances: dict
-    reports: list            # CMF distribution reports
-    epoch_summaries: list
-    findings: list
-    final_capacity: int
-    injected: int
+class RunResult(_Record):
+    __slots__ = ("scenario", "trace", "receipts", "balances", "reports",
+                 "epoch_summaries", "findings", "final_capacity", "injected")
+
+    def __init__(self, scenario: Scenario, trace: list, receipts: list,
+                 balances: dict, reports: list, epoch_summaries: list,
+                 findings: list, final_capacity: int, injected: int):
+        self.scenario = scenario
+        self.trace = trace
+        self.receipts = receipts
+        self.balances = balances
+        self.reports = reports  # CMF distribution reports
+        self.epoch_summaries = epoch_summaries
+        self.findings = findings
+        self.final_capacity = final_capacity
+        self.injected = injected
 
     def conservation_ok(self) -> bool:
         return sum(self.balances.values()) + self.final_capacity == self.injected

@@ -17,25 +17,29 @@ exceptions:
   actual capacity, so nothing cascades).
 """
 
-from dataclasses import dataclass, field
-
+from .clock import _Record
 from .oracle import AllocationProblem, waterfill
 from .sim import RunResult
 
 
-@dataclass
-class EpochCheck:
-    epoch: int
-    ok: bool
-    note: str = ""
-    first_diff: tuple = None  # (epoch, user, got, want)
+class EpochCheck(_Record):
+    __slots__ = ("epoch", "ok", "note", "first_diff")
+
+    def __init__(self, epoch: int, ok: bool, note: str = "",
+                 first_diff: tuple = None):
+        self.epoch = epoch
+        self.ok = ok
+        self.note = note
+        self.first_diff = first_diff  # (epoch, user, got, want)
 
 
-@dataclass
-class VerifyReport:
-    ok: bool
-    checks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+class VerifyReport(_Record):
+    __slots__ = ("ok", "checks", "notes")
+
+    def __init__(self, ok: bool, checks: list = None, notes: list = None):
+        self.ok = ok
+        self.checks = [] if checks is None else checks
+        self.notes = [] if notes is None else notes
 
     @property
     def first_diff(self):

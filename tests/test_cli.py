@@ -62,6 +62,7 @@ def assert_cli_exits_two_without_traceback(*args):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+    return proc.stderr
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
@@ -198,3 +199,11 @@ def test_seed_override_changes_the_run(tmp_path):
                  "--seed", "999"]) == 0
     assert ((out1 / "trace.csv").read_bytes()
             != (out2 / "trace.csv").read_bytes())
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_seed_override_out_of_range_exits_two_without_traceback(seed):
+    err = assert_cli_exits_two_without_traceback(
+        "verify", "--scenario", str(SCENARIOS / "amf_n10.json"),
+        "--seed", seed)
+    assert "seed must fit in 64 bits" in err
