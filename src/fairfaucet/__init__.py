@@ -4,32 +4,21 @@ an independent water-filling oracle, and a deterministic block-by-block
 simulator with abstract cost metering.
 """
 
-from .clock import ClockParams, ClockPosition, locate
-from .cmf import CmfDistributor, DistributionReport
-from .costs import CostMeter, CostModel, CostSummary, TxReceipt, cost_report
-from .faucet import (AutonomousFaucet, ClaimResult, DemandResult,
-                     UserAccount, WeightPolicy, reciprocal_weight)
-from .heap import HeapNode, MinHeap
+from .clock import ClockParams
+from .cmf import CmfDistributor
+from .costs import cost_report
+from .faucet import AutonomousFaucet, WeightPolicy
 from .oracle import (AllocationProblem, is_maxmin_fair, leximin_brute_force,
                      sorted_levels, waterfill)
-from .sim import (RunResult, Scenario, ScenarioError, TraceRow,
-                  balances_csv, distributions_csv, load_scenario,
-                  next_demand, worked_example_scenarios, receipts_csv,
-                  run_scenario, scenario_from_dict, scenario_to_dict,
-                  trace_csv)
-from .verify import VerifyReport, verify_run
+from .sim import (Scenario, run_scenario, scenario_from_dict,
+                  worked_example_scenarios)
+from .verify import verify_run
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationProblem", "AutonomousFaucet", "ClaimResult", "ClockParams",
-    "ClockPosition", "CmfDistributor", "CostMeter", "CostModel",
-    "CostSummary", "DemandResult", "DistributionReport", "HeapNode",
-    "MinHeap", "RunResult", "Scenario", "ScenarioError", "TraceRow",
-    "TxReceipt", "UserAccount", "VerifyReport", "WeightPolicy",
-    "balances_csv", "cost_report", "distributions_csv", "is_maxmin_fair",
-    "leximin_brute_force", "load_scenario", "locate", "next_demand",
-    "worked_example_scenarios", "receipts_csv", "reciprocal_weight",
-    "run_scenario", "scenario_from_dict", "scenario_to_dict",
-    "sorted_levels", "trace_csv", "verify_run", "waterfill",
+    "AllocationProblem", "AutonomousFaucet", "ClockParams", "CmfDistributor",
+    "Scenario", "WeightPolicy", "cost_report", "is_maxmin_fair",
+    "leximin_brute_force", "run_scenario", "scenario_from_dict",
+    "sorted_levels", "verify_run", "waterfill", "worked_example_scenarios",
 ]

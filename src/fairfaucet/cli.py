@@ -7,8 +7,6 @@ scenario file.
 """
 
 import argparse
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -22,17 +20,6 @@ from .verify import verify_run
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-
-logger = logging.getLogger(__name__)
-
-
-def _configure_logging():
-    level_name = os.environ.get("FAIRFAUCET_LOG", "warning").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def _load(args) -> Scenario:
@@ -114,7 +101,6 @@ def _corrupt(result):
         if summary.granted:
             user = sorted(summary.granted)[0]
             summary.granted[user] += 1
-            logger.info("injected fault: epoch %d user %d", summary.epoch, user)
             return
     raise ScenarioError("cannot inject a fault into a run with no grants")
 
@@ -222,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,4 +1,4 @@
-"""Block-number arithmetic: mapping blocks to epochs, rounds and parity.
+"""Block-number arithmetic: mapping blocks to epochs and rounds.
 
 The chain is divided into fixed-width epochs, each epoch into fixed-width
 rounds.  Everything here is pure integer arithmetic on immutable values,
@@ -90,11 +90,10 @@ class ClockParams(_Record, frozen=True):
 class ClockPosition(NamedTuple):
     epoch: int
     round: int
-    parity: int  # epoch mod 2
 
 
 def locate(params: ClockParams, block: int) -> ClockPosition:
-    """Return the epoch, round and parity selector for ``block``.
+    """Return the epoch and round of ``block``.
 
     Raises ValueError for blocks before the deployment offset.
     """
@@ -103,4 +102,4 @@ def locate(params: ClockParams, block: int) -> ClockPosition:
     since = block - params.offset
     epoch = since // params.epoch_span
     rnd = (since % params.epoch_span) // params.round_span
-    return ClockPosition(epoch, rnd, epoch % 2)
+    return ClockPosition(epoch, rnd)

@@ -66,14 +66,6 @@ class DistributionReport(_Record):
     def total_granted(self) -> int:
         return sum(self.allocations.values())
 
-    def grant_matrix(self, users):
-        """Per-iteration grants for the given user order, zeros filled in;
-        mirrors the layout of a distribution table."""
-        grants = [{} for _ in range(self.iterations)]
-        for r in self.rows:
-            grants[r.iteration - 1][r.user] = r.granted
-        return [[row.get(u, 0) for u in users] for row in grants]
-
 
 class CmfDistributor:
     """Serial state machine holding the demand heaps, the capacity pool
@@ -88,9 +80,6 @@ class CmfDistributor:
         self._meter = meter if meter is not None else CostMeter()
         self._heaps = [MinHeap(self._meter), MinHeap(self._meter)]
         self._demanded: set = set()
-
-    def pending_demands(self) -> int:
-        return len(self._heaps[0])
 
     def register(self, user: int) -> None:
         self._meter.charge(writes=2)  # account bookkeeping

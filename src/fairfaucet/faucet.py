@@ -29,14 +29,11 @@ trace rows and receipts.  A rejection or no-op carries no per-call data,
 so each fixed reason is one shared module-level constant.
 """
 
-import logging
 from functools import partial
 from typing import NamedTuple
 
 from .clock import ClockParams, _Record, locate
 from .costs import CostMeter
-
-logger = logging.getLogger(__name__)
 
 
 def reciprocal_weight(precision: int, cumulative_demand: int) -> int:
@@ -109,10 +106,6 @@ class ClaimResult(NamedTuple):
     share: int = 0
     floored: bool = False
     satisfied: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.granted > 0
 
 
 DEMAND_UNREGISTERED = DemandResult(False, "unregistered user")
@@ -266,7 +259,7 @@ class AutonomousFaucet:
         claim grants min(remaining demand, user share, capacity); the user
         share is the unit share scaled by the slot's snapshot weight, with
         a floor of one unit so a live demand always makes progress (the
-        floor event is logged)."""
+        result's ``floored`` marks it)."""
         # the same-round path of update_state, paid in the exit's charge
         if self._last_block <= block < self._round_end:
             self._last_block = block
@@ -304,8 +297,6 @@ class AutonomousFaucet:
         floored = share < 1
         if floored:
             share = 1
-            logger.debug("share floored to 1 for user %d (epoch %d round %d)",
-                         user, epoch, rnd)
         # min(pending, share, capacity)
         granted = pending if pending < share else share
         if capacity < granted:

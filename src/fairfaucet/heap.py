@@ -46,11 +46,6 @@ class MinHeap:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def peek(self) -> HeapNode:
-        if not self._nodes:
-            raise IndexError("underflow")
-        return self._nodes[0]
-
     def insert(self, node: HeapNode) -> None:
         """Sift-up insert; zero demands are never stored."""
         if node[0] < 1:

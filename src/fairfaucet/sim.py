@@ -258,8 +258,8 @@ class TraceRow(NamedTuple):
 
 class EpochSummary(_Record):
     """What one claim epoch distributed, plus the matching allocation
-    problem (demands from the previous epoch and the capacity in force
-    when claims began)."""
+    problem (demands from the previous epoch, their weights or None if
+    unweighted, and the capacity in force when claims began)."""
 
     __slots__ = ("epoch", "demands", "weights", "capacity_start", "granted",
                  "capacity_end")
@@ -337,10 +337,10 @@ def _demand_plan(sc: Scenario):
 # which has a ``capacity``) and returns (actor, action, amount, share,
 # summary).  Its transaction methods end in (base, block): ``base`` is
 # the block before the round's first, so user ``block - base`` acts.  It
-# records accepted demands, their weights and the grants in the
-# schedule's per-epoch dicts, and counts the pool's top-ups.  Summaries
-# that repeat come from per-run tables keyed by their values, so equal
-# summaries are one object and each text is formatted once.
+# records accepted demands and the grants in the schedule's per-epoch
+# dicts, and counts the pool's top-ups.  Summaries that repeat come from
+# per-run tables keyed by their values, so equal summaries are one object
+# and each text is formatted once.
 
 class _Table(dict):
     """Value per key, made by ``make(key)`` the first time the key is
@@ -363,13 +363,13 @@ class _Autonomous:
 
     central = False
 
-    def __init__(self, sc, meter, demands, weights, grants):
+    def __init__(self, sc, meter, demands, grants):
         policy = (WeightPolicy.reciprocal(sc.precision)
                   if sc.variant == "WAMF" else WeightPolicy.unweighted())
         self.pool = AutonomousFaucet(sc.clock, sc.epoch_capacity, policy,
                                      meter)
         # ``claim`` is handed its epoch's grants dict once per round
-        self.demands, self.weights = demands, weights
+        self.demands = demands
         self.reports = []
         self.rejected = _Table("rejected: %s".__mod__)
         self.accepted = {}  # weight -> amount -> text
@@ -384,6 +384,15 @@ class _Autonomous:
     def balances(self) -> dict:
         return self.pool.final_balances()
 
+    def weights(self, epoch):
+        """The weights the claims of ``epoch`` used, None if unweighted.
+        The demands of ``epoch - 1`` stored them in slot ``epoch % 2``,
+        and the demand round of ``epoch`` writes the other slot."""
+        if not self.pool.policy.weighted:
+            return None
+        users, i = self.pool.users, epoch % 2
+        return {u: users[u].slot_weight[i] for u in self.demands[epoch - 1]}
+
     def register(self, base, block):
         uid = self.pool.register()
         return uid, "register", 0, 0, f"user={uid}"
@@ -397,7 +406,6 @@ class _Autonomous:
         if not accepted:
             return user, "demand", 0, 0, self.rejected[reason]
         self.demands[epoch][user] = amount
-        self.weights[epoch][user] = weight
         # plain nested dicts: a tuple key per text or a table object per
         # weight would add GC-tracked objects that live as long as the run
         texts = self.accepted.get(weight)
@@ -428,10 +436,10 @@ class _Central:
 
     central = True
 
-    def __init__(self, sc, meter, demands, weights, grants):
+    def __init__(self, sc, meter, demands, grants):
         self.pool = CmfDistributor(sc.epoch_capacity, meter)
         self.n = sc.n
-        self.demands, self.weights, self.grants = demands, weights, grants
+        self.demands, self.grants = demands, grants
         self.reports = []
         self.accepted = _Table("amount=%d".__mod__)
         self.distributed = _Table("granted=%d iterations=%d".__mod__)
@@ -442,6 +450,9 @@ class _Central:
 
     def balances(self) -> dict:
         return {u: self.pool.balances.get(u, 0) for u in range(1, self.n + 1)}
+
+    def weights(self, epoch):
+        return None
 
     def register(self, base, block):
         user = block - base
@@ -455,7 +466,6 @@ class _Central:
             return self.noop()
         self.pool.submit_demand(user, amount)
         self.demands[epoch][user] = amount
-        self.weights[epoch][user] = 1
         return user, "demand", amount, 0, self.accepted[amount]
 
     def distribute(self, epoch, base, block):
@@ -483,10 +493,9 @@ def run_scenario(sc: Scenario) -> RunResult:
     # one int object per distinct cost; idle blocks cost tx_base itself
     shared_cost = {tx_base: tx_base}.setdefault
     demands = [{} for _ in range(sc.epochs)]  # epoch -> user -> amount
-    weights = [{} for _ in range(sc.epochs)]
     grants = [{} for _ in range(sc.epochs)]
     variant = _Central if sc.variant == "CMF" else _Autonomous
-    adapter = variant(sc, meter, demands, weights, grants)
+    adapter = variant(sc, meter, demands, grants)
     pool = adapter.pool
     central = adapter.central
     plan = _demand_plan(sc)
@@ -506,7 +515,7 @@ def run_scenario(sc: Scenario) -> RunResult:
     for epoch in range(sc.epochs):
         for rnd in range(rounds):
             round_start = epoch * sc.epoch_span + rnd * sc.round_span
-            pos_epoch, pos_round, _ = locate(clock, round_start)
+            pos_epoch, pos_round = locate(clock, round_start)
             base = round_start - 1
             # the round's transaction runs in its first ``busy`` blocks
             if epoch == 0 and rnd == 0:
@@ -544,7 +553,7 @@ def run_scenario(sc: Scenario) -> RunResult:
         # distribute block even without users, AMF only on a transaction
         if adapter.injections > injections:
             closed = EpochSummary(epoch=epoch, demands=demands[epoch - 1],
-                                  weights=weights[epoch - 1],
+                                  weights=adapter.weights(epoch),
                                   capacity_start=(capacity_end
                                                   + sc.epoch_capacity),
                                   granted=grants[epoch],

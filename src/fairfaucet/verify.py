@@ -49,10 +49,10 @@ class VerifyReport(_Record):
         return None
 
 
-def oracle_problem(summary, weighted: bool) -> AllocationProblem:
+def oracle_problem(summary) -> AllocationProblem:
     demands = sorted(summary.demands.items())
     weights = None
-    if weighted:
+    if summary.weights is not None:
         weights = [summary.weights[u] for u, _ in demands]
     return AllocationProblem(demands=tuple(demands),
                              capacity=summary.capacity_start,
@@ -61,7 +61,6 @@ def oracle_problem(summary, weighted: bool) -> AllocationProblem:
 
 def verify_run(result: RunResult) -> VerifyReport:
     """Compare every claim epoch of a run to the oracle allocation."""
-    weighted = result.scenario.variant == "WAMF"
     report = VerifyReport(ok=True)
     for summary in result.epoch_summaries:
         granted = summary.granted
@@ -83,7 +82,7 @@ def verify_run(result: RunResult) -> VerifyReport:
                 f"epoch {summary.epoch}: claim rounds ran out with capacity "
                 f"left; per-user comparison skipped")
             continue
-        want = waterfill(oracle_problem(summary, weighted))
+        want = waterfill(oracle_problem(summary))
         got = {u: granted.get(u, 0) for u in want}
         if got == want:
             report.checks.append(EpochCheck(summary.epoch, True))

@@ -32,8 +32,8 @@ def test_criterion_1_golden_cmf_trace():
     result = run_scenario(worked_example_scenarios()["cmf_worked_example"])
     report = result.reports[0]
     assert report.shares == [10, 3, 2]
-    assert report.grant_matrix([1, 2, 3]) == [[4, 10, 10], [0, 1, 3],
-                                              [0, 0, 2]]
+    assert [r[:3] for r in report.rows] == [(1, 1, 4), (1, 2, 10), (1, 3, 10),
+                                            (2, 2, 1), (2, 3, 3), (3, 3, 2)]
     assert report.allocations == {1: 4, 2: 11, 3: 15}
     assert report.capacity_before == 30
     assert report.capacity_after == 0

@@ -162,12 +162,6 @@ def test_cost_report_of_an_empty_scenario_is_empty(tmp_path, capsys):
     assert "claim" not in out
 
 
-def test_log_env_var_is_accepted(tmp_path, monkeypatch):
-    monkeypatch.setenv("FAIRFAUCET_LOG", "debug")
-    rc = main(["run", "--scenario", FCFS, "--out", str(tmp_path)])
-    assert rc == 0
-
-
 def test_golden_refuses_overwrite_without_force(tmp_path, capsys):
     rc = main(["golden", "--out", str(tmp_path)])
     assert rc == 0

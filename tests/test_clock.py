@@ -7,17 +7,17 @@ from fairfaucet.clock import ClockParams, locate
 
 def test_identity_case():
     pos = locate(ClockParams(0, 4, 1), 0)
-    assert (pos.epoch, pos.round, pos.parity) == (0, 0, 0)
+    assert (pos.epoch, pos.round) == (0, 0)
 
 
 def test_offset_case():
     pos = locate(ClockParams(100, 40, 10), 185)
-    assert (pos.epoch, pos.round, pos.parity) == (2, 0, 0)
+    assert (pos.epoch, pos.round) == (2, 0)
 
 
 def test_mid_epoch_case():
     pos = locate(ClockParams(0, 12, 3), 23)
-    assert (pos.epoch, pos.round, pos.parity) == (1, 3, 1)
+    assert (pos.epoch, pos.round) == (1, 3)
 
 
 def test_pre_deployment_block_rejected():
@@ -51,7 +51,6 @@ def test_round_always_below_rounds_per_epoch():
         block = offset + rng.randrange(0, 10 * es)
         pos = locate(params, block)
         assert 0 <= pos.round < params.rounds_per_epoch
-        assert pos.parity == pos.epoch % 2
 
 
 def test_monotone_in_block_number():
@@ -63,7 +62,7 @@ def test_monotone_in_block_number():
         last = (pos.epoch, pos.round)
 
 
-def test_parity_alternates_across_epochs():
+def test_one_epoch_span_later_is_the_next_epoch():
     rng = random.Random(7)
     for _ in range(200):
         rs = rng.randrange(1, 10)
@@ -73,4 +72,3 @@ def test_parity_alternates_across_epochs():
         here = locate(params, block)
         there = locate(params, block + es)
         assert there.epoch == here.epoch + 1
-        assert there.parity == 1 - here.parity

@@ -15,10 +15,19 @@ def distribute(demands, capacity):
     return dist, dist.distribute(epoch=1)
 
 
+def grant_matrix(report, users):
+    """Per-iteration grants for the given user order, zeros filled in;
+    the layout of a distribution table."""
+    grants = [{} for _ in range(report.iterations)]
+    for r in report.rows:
+        grants[r.iteration - 1][r.user] = r.granted
+    return [[row.get(u, 0) for u in users] for row in grants]
+
+
 def test_worked_table_is_reproduced_exactly():
     dist, report = distribute([4, 11, 15], 30)
     assert report.shares == [10, 3, 2]
-    assert report.grant_matrix([1, 2, 3]) == [[4, 10, 10], [0, 1, 3], [0, 0, 2]]
+    assert grant_matrix(report, [1, 2, 3]) == [[4, 10, 10], [0, 1, 3], [0, 0, 2]]
     assert report.allocations == {1: 4, 2: 11, 3: 15}
     assert report.capacity_before == 30
     assert report.capacity_after == 0
@@ -78,7 +87,7 @@ def test_unsatisfied_demands_are_discarded_on_depletion():
     dist, report = distribute([10, 10], 5)
     assert dist.capacity == 0
     assert sum(report.allocations.values()) == 5
-    assert dist.pending_demands() == 0
+    assert len(dist._heaps[0]) == 0
     # next epoch starts from a clean slate
     dist.submit_demand(1, 3)
     second = dist.distribute()

@@ -5,7 +5,10 @@ n = 10 to 500 and demo 05 cross-checks the heap distributor against the
 water-filling oracle; no other pin covers those outputs.  The demos are
 deterministic (two runs, or two hash seeds, print the same bytes), so a
 digest may be re-recorded only by a change that means to alter what a
-demo prints."""
+demo prints.
+
+The README's Library block runs too: its import line names the package's
+public API, which nothing else imports in one statement."""
 
 import hashlib
 import os
@@ -43,3 +46,12 @@ def test_demo_output_is_pinned(name):
                          env=env, cwd=ROOT, capture_output=True, check=True,
                          timeout=300).stdout
     assert hashlib.sha256(out).hexdigest() == DIGESTS[name]
+
+
+def test_readme_library_block_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["report"].shares == [10, 3, 2]
+    assert namespace["verify_run"](namespace["result"]).ok

@@ -1,4 +1,3 @@
-import logging
 import random
 
 import pytest
@@ -245,21 +244,18 @@ def test_unweighted_share_floor_under_starvation():
 
 
 @pytest.mark.parametrize("variant", ["AMF", "WAMF"])
-def test_each_floored_claim_logs_one_debug_line(caplog, variant):
-    # FAIRFAUCET_LOG=debug shows one line per share floored to 1; ten
-    # units an epoch for six users floor some shares and not others
-    caplog.set_level(logging.DEBUG, logger="fairfaucet.faucet")
+def test_each_floored_claim_is_marked_in_its_receipt(variant):
+    # ten units an epoch for six users floor some shares and not others;
+    # a receipt and a trace row share their index
     sc = Scenario(variant=variant, n=6, epoch_capacity=10, epoch_span=24,
                   round_span=6, demand_lo=5, demand_hi=20, epochs=4, seed=2)
     result = run_scenario(sc)
-    granted = [r for r in result.receipts if r.summary.startswith("granted")]
-    floored = [(r.actor, r.epoch, r.round) for r in granted
-               if r.summary.endswith(" floor1")]
-    lines = [r.getMessage() for r in caplog.records
-             if r.name == "fairfaucet.faucet"]
+    granted = [i for i, r in enumerate(result.receipts)
+               if r.summary.startswith("granted")]
+    floored = [i for i in granted
+               if result.receipts[i].summary.endswith(" floor1")]
     assert 0 < len(floored) < len(granted)
-    assert lines == ["share floored to 1 for user %d (epoch %d round %d)" % f
-                     for f in floored]
+    assert all(result.trace[i].share == 1 for i in floored)
 
 
 def test_last_block_of_a_round_then_first_block_of_the_next():

@@ -26,7 +26,7 @@ from fairfaucet.faucet import (CLAIM_DEPLETED, CLAIM_NO_DEMAND, CLAIM_REPEAT,
                                CLAIM_SATISFIED, CLAIM_UNREGISTERED,
                                DEMAND_EMPTY, DEMAND_REPEAT,
                                DEMAND_UNREGISTERED, AutonomousFaucet,
-                               ClaimResult, DemandResult, WeightPolicy, logger)
+                               ClaimResult, DemandResult, WeightPolicy)
 
 
 class ReferenceFaucet(AutonomousFaucet):
@@ -129,8 +129,6 @@ class ReferenceFaucet(AutonomousFaucet):
         floored = share < 1
         if floored:
             share = 1
-            logger.debug("share floored to 1 for user %d (epoch %d round %d)",
-                         user, self.epoch, self.round)
         granted = min(acct.pending[i], share, self.capacity)
         acct.balance += granted
         acct.pending[i] -= granted

@@ -17,7 +17,7 @@ def drain(heap):
 def test_insert_into_empty():
     h = MinHeap()
     h.insert(HeapNode(5, 1))
-    assert h.peek().demand == 5
+    assert h._nodes[0].demand == 5
     assert len(h) == 1
 
 
@@ -25,14 +25,14 @@ def test_table_demands_min_is_smallest():
     h = MinHeap()
     for user, demand in enumerate((4, 11, 15), 1):
         h.insert(HeapNode(demand, user))
-    assert h.peek() == HeapNode(4, 1)
+    assert h._nodes[0] == HeapNode(4, 1)
 
 
 def test_mixed_inserts():
     h = MinHeap()
     for user, demand in enumerate((7, 3, 9, 1), 1):
         h.insert(HeapNode(demand, user))
-    assert h.peek().demand == 1
+    assert h._nodes[0].demand == 1
 
 
 def test_zero_demand_rejected():

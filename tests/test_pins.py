@@ -142,7 +142,8 @@ def epochs_text(result) -> str:
     """The epoch summaries, findings, final capacity and injected total
     as text, one summary per line, in a fixed order."""
     lines = [f"{s.epoch} {sorted(s.demands.items())} "
-             f"{sorted(s.weights.items())} {s.capacity_start} "
+             f"{sorted((s.weights or dict.fromkeys(s.demands, 1)).items())} "
+             f"{s.capacity_start} "
              f"{sorted(s.granted.items())} {s.capacity_end}"
              for s in result.epoch_summaries]
     lines += result.findings

@@ -1,6 +1,7 @@
 """The record classes as their callers use them: constructor signatures,
 value equality, immutability and hashing of the frozen ones, fresh
-mutable defaults, and an import path that leaves out ``dataclasses``."""
+mutable defaults, and an import path that leaves out ``dataclasses`` and
+``logging``."""
 
 import copy
 import inspect
@@ -180,7 +181,7 @@ def test_with_n_validates_through_the_constructor():
         sc.with_n(-1)
 
 
-def test_importing_the_package_loads_no_dataclasses_or_inspect():
+def test_importing_the_package_loads_no_dataclasses_inspect_or_logging():
     # the form of the benchmark's setup probe: json, sys and time first
     probe = (
         "import json, sys, time\n"
@@ -194,4 +195,4 @@ def test_importing_the_package_loads_no_dataclasses_or_inspect():
                           check=True)
     loaded = set(json.loads(done.stdout))
     assert "fairfaucet.sim" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "logging"}

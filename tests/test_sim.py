@@ -259,3 +259,21 @@ def test_epoch_summaries_describe_claim_epochs():
         assert len(summary.demands) == 6
         granted = sum(summary.granted.values())
         assert granted == summary.capacity_start - summary.capacity_end
+
+
+@pytest.mark.parametrize("variant", ["CMF", "AMF", "WAMF"])
+def test_only_wamf_summaries_carry_weights(variant):
+    # a WAMF summary holds the weights its demand receipts recorded, in
+    # demand order; the faucet's slots are read when the epoch closes
+    sc = Scenario.benchmark_defaults(variant, 6, seed=10, epochs=4)
+    result = run_scenario(sc)
+    assert [s.epoch for s in result.epoch_summaries] == [1, 2, 3]
+    for summary in result.epoch_summaries:
+        if variant != "WAMF":
+            assert summary.weights is None
+            continue
+        recorded = [(r.actor, int(r.summary.rsplit("=", 1)[1]))
+                    for r in result.receipts
+                    if r.kind == "demand" and r.epoch == summary.epoch - 1]
+        assert list(summary.weights.items()) == recorded
+        assert len(set(summary.weights.values())) > 1

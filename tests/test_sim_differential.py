@@ -164,7 +164,7 @@ def reference_run_scenario(sc: Scenario) -> RunResult:
         amounts = plan[epoch]
         for rnd in range(rounds):
             round_start = epoch * sc.epoch_span + rnd * sc.round_span
-            pos_epoch, pos_round, _ = locate(clock, round_start)
+            pos_epoch, pos_round = locate(clock, round_start)
             last = rnd == rounds - 1
             for offset in range(sc.round_span):
                 block = round_start + offset
@@ -193,7 +193,8 @@ def reference_run_scenario(sc: Scenario) -> RunResult:
         # distribute block even without users, AMF only on a transaction
         if adapter.injections > injections:
             closed = EpochSummary(epoch=epoch, demands=demands[epoch - 1],
-                                  weights=weights[epoch - 1],
+                                  weights=(weights[epoch - 1]
+                                           if sc.variant == "WAMF" else None),
                                   capacity_start=(capacity_end
                                                   + sc.epoch_capacity),
                                   granted=grants[epoch],

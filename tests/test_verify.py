@@ -1,6 +1,6 @@
 from fairfaucet.oracle import AllocationProblem, waterfill
 from fairfaucet.sim import Scenario, worked_example_scenarios, run_scenario
-from fairfaucet.verify import verify_run
+from fairfaucet.verify import EpochCheck, verify_run
 
 
 def test_worked_example_run_verifies_cleanly():
@@ -71,6 +71,24 @@ def test_wamf_runs_verify_against_the_weighted_oracle():
         assert result.conservation_ok()
         report = verify_run(result)
         assert report.ok, report.first_diff
+
+
+def test_changed_weight_fails_the_per_user_comparison():
+    # epoch 1 is depleted, yet its grants match the weighted oracle user
+    # by user; doubling user 3's weight moves the oracle's answer, so the
+    # epoch falls back to the totals-only check that depletion allows
+    # (both sides hand out the whole pool, so the totals still agree)
+    sc = Scenario.benchmark_defaults("WAMF", 3, seed=1, epochs=3,
+                                     demand_lo=10, demand_hi=60)
+    result = run_scenario(sc)
+    summary = result.epoch_summaries[0]
+    assert summary.epoch == 1 and summary.depleted
+    assert verify_run(result).checks[0] == EpochCheck(1, True)
+    summary.weights[3] *= 2
+    report = verify_run(result)
+    assert report.checks[0] == EpochCheck(
+        1, True, "depletion round served in arrival order")
+    assert report.notes[0].startswith("epoch 1: capacity depleted")
 
 
 def test_grant_to_a_user_without_demand_fails_verification():
