@@ -2,7 +2,13 @@
 
 The functions here are deliberately structured differently from the
 production distributor (plain sorted lists, no heap) so the two can
-cross-check each other.  ``waterfill`` raises all unsatisfied demands in
+cross-check each other.  Their arithmetic is exact and in plain
+integers: a weight-normalized level a / w is compared by
+cross-multiplication, or sorted by the integer key a * K // w with
+K = W ** 2 for the largest weight W.  Two distinct levels with
+denominators at most W differ by at least 1 / W ** 2, so their keys
+differ by at least one and the floors keep both the exact order and
+the exact ties.  ``waterfill`` raises all unsatisfied demands in
 passes until the capacity runs dry; ``is_maxmin_fair`` checks the result
 locally (no single unit can be moved to improve the worst-off user); and
 ``leximin_brute_force`` enumerates every feasible integer allocation for
@@ -24,9 +30,12 @@ Cost in the number of users n (each problem indexes its weights once, so
   pair, ties going to the lowest id on each side.
 * ``sorted_levels``: O(n log n).
 * ``leximin_brute_force``: exponential by design; tiny instances only.
+
+``sorted_levels`` and ``leximin_brute_force`` return level vectors of
+``fractions.Fraction``, imported where they run, so that importing the
+package does not load ``fractions``.
 """
 
-from fractions import Fraction
 from itertools import product
 from operator import itemgetter
 from typing import Optional, Sequence, Tuple
@@ -77,7 +86,7 @@ def waterfill(problem: AllocationProblem) -> dict:
     dropping to one unit when c is smaller than the active count.  The
     demands are sorted once; each later pass costs O(n).
 
-    Weighted: the exact continuous water level is solved with rational
+    Weighted: the exact continuous water level is solved in integer
     arithmetic (multiply before divide, no precision scaling), each user
     takes min(demand, floor(weight * level)), and the sub-unit remainder
     goes one unit at a time to whoever sits at the lowest normalized
@@ -118,26 +127,25 @@ def _weighted_waterfill(problem: AllocationProblem) -> dict:
     users = sorted(demands)
     weight = problem._weight
     c = problem.capacity  # below the total demand, or waterfill returned
+    k = max(weight.values()) ** 2  # level keys, see the module docstring
 
     # continuous solve: users cap out in order of demand/weight while the
-    # common level rises until the capacity is exactly consumed
-    order = sorted(users, key=lambda u: (Fraction(demands[u], weight[u]), u))
-    active_weight = sum(weight.values())
-    level = Fraction(0)
-    budget = Fraction(c)
+    # common level (c - capped) / active rises until the capacity is
+    # exactly consumed; u caps when d_u / w_u is at most that level with
+    # u still active.  ``users`` is in id order and sorted() is stable,
+    # so ties stay in id order.
+    order = sorted(users, key=lambda u: demands[u] * k // weight[u])
+    active = sum(weight.values())
+    capped = 0
     for u in order:
-        cap_level = Fraction(demands[u], weight[u])
-        needed = (cap_level - level) * active_weight
-        if needed > budget:
+        w = weight[u]
+        if capped * w + demands[u] * active > c * w:
             break
-        budget -= needed
-        level = cap_level
-        active_weight -= weight[u]
-    level += Fraction(budget, active_weight)
+        capped += demands[u]
+        active -= w
+    room = c - capped  # the level is room / active
 
-    alloc = {u: min(demands[u],
-                    (weight[u] * level.numerator) // level.denominator)
-             for u in users}
+    alloc = {u: min(demands[u], weight[u] * room // active) for u in users}
     # Remainder: one unit each to the lowest `leftover` needy users by
     # (alloc / w, id).  This equals granting one unit at a time to the
     # lowest needy user, because every needy user now sits at
@@ -146,7 +154,7 @@ def _weighted_waterfill(problem: AllocationProblem) -> dict:
     # needy users' fractional parts of w * level, is below their count.
     leftover = c - sum(alloc.values())
     needy = sorted((u for u in users if alloc[u] < demands[u]),
-                   key=lambda u: (Fraction(alloc[u], weight[u]), u))
+                   key=lambda u: alloc[u] * k // weight[u])
     for u in needy[:leftover]:
         alloc[u] += 1
     return alloc
@@ -159,7 +167,7 @@ def is_maxmin_fair(problem: AllocationProblem, alloc: dict):
     leftover capacity or from a better-off user v -- to an unsatisfied
     user u without leaving the donor below u's new level.  On failure
     returns (False, (u, v)) with v None for the leftover-capacity case.
-    Levels are weight-normalized (compared as exact rationals) when the
+    Levels are weight-normalized (compared exactly, in integers) when the
     problem carries weights.  The check is one pass: the lowest recipient
     level against the highest donor level, and the witness is that pair
     (ties to the lowest id on each side).  Infeasible allocations raise
@@ -183,15 +191,15 @@ def is_maxmin_fair(problem: AllocationProblem, alloc: dict):
     # lowest recipient level (a_u + 1) / w_u against highest donor level
     # (a_v - 1) / w_v, ties to the lowest id; the same user cannot be
     # both, since (a - 1) / w < (a + 1) / w
-    def level(u, delta):
-        return Fraction(alloc.get(u, 0) + delta, problem.weight_of(u))
-
     donors = [v for v in demands if alloc.get(v, 0) >= 1]
     if not unsatisfied or not donors:
         return True, None
-    u = min(unsatisfied, key=lambda x: (level(x, 1), x))
-    v = min(donors, key=lambda x: (-level(x, -1), x))
-    if level(v, -1) >= level(u, 1):
+    weight_of = problem.weight_of
+    k = max(problem.weights) ** 2 if problem.weights else 1
+    u = min(unsatisfied,
+            key=lambda x: ((alloc.get(x, 0) + 1) * k // weight_of(x), x))
+    v = min(donors, key=lambda x: (-((alloc[x] - 1) * k // weight_of(x)), x))
+    if (alloc[v] - 1) * weight_of(u) >= (alloc.get(u, 0) + 1) * weight_of(v):
         return False, (u, v)
     return True, None
 
@@ -204,6 +212,7 @@ def leximin_brute_force(problem: AllocationProblem):
     where vectors are compared lexicographically after sorting ascending.
     Levels are Fractions alloc/weight in the weighted case.
     """
+    from fractions import Fraction
     users = [u for u, _ in problem.demands]
     weights = [problem.weight_of(u) for u in users]
     caps = [min(a, problem.capacity) for _, a in problem.demands]
@@ -223,6 +232,7 @@ def leximin_brute_force(problem: AllocationProblem):
 def sorted_levels(problem: AllocationProblem, alloc: dict):
     """Sorted normalized level vector of an allocation, for comparisons
     against ``leximin_brute_force``."""
+    from fractions import Fraction
     return tuple(sorted(
         Fraction(alloc.get(u, 0), problem.weight_of(u))
         for u, _ in problem.demands))

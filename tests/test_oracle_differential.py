@@ -270,3 +270,110 @@ def test_weighted_depleted_oracle_scales_to_5000_users():
     alloc = waterfill(p)
     assert sum(alloc.values()) == capacity
     assert is_maxmin_fair(p, alloc) == (True, None)
+
+
+def fraction_witness(problem: AllocationProblem, alloc: dict):
+    """The pair the one-pass check names, found with Fractions: the lowest
+    recipient level (a_u + 1) / w_u, then the highest donor level
+    (a_v - 1) / w_v, each tie to the lowest id."""
+    demands = dict(problem.demands)
+
+    def level(u, delta):
+        return Fraction(alloc.get(u, 0) + delta, problem.weight_of(u))
+
+    u = min((x for x in demands if alloc.get(x, 0) < demands[x]),
+            key=lambda x: (level(x, 1), x))
+    v = min((x for x in demands if alloc.get(x, 0) >= 1),
+            key=lambda x: (-level(x, -1), x))
+    return u, v
+
+
+def tie_heavy_problems():
+    """Weighted (demands, weights) sets whose levels tie across different
+    pairs, mix weights 1 and 10**9, or hold one user, each at every
+    capacity from 0 past the total (sampled when the total is large),
+    with ids shuffled so id order and input order differ."""
+    rng = random.Random(38)
+    big = 10 ** 9
+    sets = [
+        # 1/2, 2/4, 3/6 and 1/1, 2/2, 4/4: equal levels from other pairs
+        ([1, 2, 3, 5], [2, 4, 6, 3]),
+        ([1, 2, 4, 3, 6], [1, 2, 4, 6, 12]),
+        ([3, 6, 9, 2, 4], [2, 4, 6, 2, 4]),
+        # one user
+        ([1], [1]), ([7], [3]), ([5], [big]),
+        # equal weights and demands: every remainder tie goes by id
+        ([10, 10, 10], [3, 3, 3]),
+        ([4, 4, 4, 4, 4], [7, 7, 7, 7, 7]),
+        # weights 1 and 10**9 in one problem
+        ([5, 3 * big, 7, 2 * big], [1, big, 1, big]),
+        ([3, 2, 1, 4], [1, big, big, 1]),
+        ([big, 1, big + 1, 2], [big, 1, big - 1, big]),
+    ]
+    for _ in range(40):
+        n = rng.randrange(2, 8)
+        base = [rng.choice((1, 2, 3)) for _ in range(n)]
+        scale = [rng.choice((1, 2, 3, big)) for _ in range(n)]
+        sets.append(([b * s for b, s in zip(base, scale)], scale))
+    problems = []
+    for demands, weights in sets:
+        total = sum(demands)
+        if total <= 30:
+            capacities = range(total + 2)
+        else:
+            capacities = sorted({0, 1, 2, total // 3, total // 2, total - 1,
+                                 total, total + 1,
+                                 rng.randrange(total)})
+        ids = rng.sample(range(1, 4 * len(demands) + 1), len(demands))
+        for capacity in capacities:
+            problems.append(AllocationProblem(
+                demands=tuple(zip(ids, demands)), capacity=capacity,
+                weights=tuple(weights)))
+    return problems
+
+
+def test_waterfill_matches_the_reference_on_tie_heavy_problems():
+    problems = tie_heavy_problems()
+    for p in problems:
+        assert waterfill(p) == reference_weighted_waterfill(p), p
+    assert len(problems) > 400
+
+
+def test_remainder_ties_go_to_the_lowest_id():
+    # level 4/9 for all three: one unit each, the leftover one to id 2
+    p = AllocationProblem(demands=((7, 10), (2, 10), (5, 10)), capacity=4,
+                          weights=(3, 3, 3))
+    assert waterfill(p) == {7: 1, 2: 2, 5: 1}
+    # level 2/3: floors 1/2 and 2/4 tie, and the unit goes to id 3,
+    # which comes second in input order
+    p = AllocationProblem(demands=((9, 10), (3, 10)), capacity=4,
+                          weights=(2, 4))
+    assert waterfill(p) == {9: 1, 3: 3} == reference_weighted_waterfill(p)
+
+
+def test_maxmin_verdict_and_witness_match_on_tie_heavy_problems():
+    verdicts = {True: 0, False: 0}
+    for p in tie_heavy_problems():
+        demands = dict(p.demands)
+        alloc = waterfill(p)
+        candidates = [alloc]
+        # every one-unit move away from the water-fill
+        for v in demands:
+            for u in demands:
+                if u != v and alloc[v] >= 1 and alloc[u] < demands[u]:
+                    moved = dict(alloc)
+                    moved[v] -= 1
+                    moved[u] += 1
+                    candidates.append(moved)
+        for candidate in candidates[:12]:
+            got = is_maxmin_fair(p, candidate)
+            want_ok, want_witness = reference_is_maxmin_fair(p, candidate)
+            assert got[0] == want_ok, (p, candidate)
+            if want_ok:
+                assert got == (True, None)
+            elif want_witness[1] is None:
+                assert got == (False, want_witness)
+            else:
+                assert got == (False, fraction_witness(p, candidate))
+            verdicts[want_ok] += 1
+    assert verdicts[True] > 400 and verdicts[False] > 400

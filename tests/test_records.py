@@ -1,7 +1,7 @@
 """The record classes as their callers use them: constructor signatures,
 value equality, immutability and hashing of the frozen ones, fresh
-mutable defaults, and an import path that leaves out ``dataclasses`` and
-``logging``."""
+mutable defaults, and an import path that leaves out ``dataclasses``,
+``logging`` and ``fractions``."""
 
 import copy
 import inspect
@@ -9,6 +9,7 @@ import json
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,8 @@ from fairfaucet.clock import ClockParams
 from fairfaucet.cmf import DistributionReport, GrantRow
 from fairfaucet.costs import ActionStats, CostModel, CostSummary
 from fairfaucet.faucet import UserAccount, WeightPolicy
-from fairfaucet.oracle import AllocationProblem
+from fairfaucet.oracle import (AllocationProblem, leximin_brute_force,
+                               sorted_levels)
 from fairfaucet.sim import EpochSummary, RunResult, Scenario, ScenarioError
 from fairfaucet.verify import EpochCheck, VerifyReport
 
@@ -196,3 +198,17 @@ def test_importing_the_package_loads_no_dataclasses_inspect_or_logging():
     loaded = set(json.loads(done.stdout))
     assert "fairfaucet.sim" in loaded
     assert not loaded & {"dataclasses", "inspect", "logging"}
+    # the referee's arithmetic is in plain integers
+    assert not loaded & {"fractions", "decimal", "numbers"}
+
+
+def test_level_vectors_are_still_fractions():
+    # fractions is imported where the two tiny-instance helpers run
+    p = AllocationProblem(demands=((1, 3), (2, 2)), capacity=3,
+                          weights=(2, 1))
+    best_vec, best_alloc = leximin_brute_force(p)
+    assert best_vec == (Fraction(1), Fraction(1))
+    assert all(type(x) is Fraction for x in best_vec)
+    levels = sorted_levels(p, best_alloc)
+    assert levels == best_vec
+    assert all(type(x) is Fraction for x in levels)
