@@ -8,8 +8,6 @@ arithmetic is nearly free.  A block budget caps what a single simulated
 transaction may cost before it is flagged infeasible.
 """
 
-from typing import NamedTuple
-
 from .clock import _Record
 
 
@@ -61,17 +59,6 @@ class CostMeter:
         return cost
 
 
-class TxReceipt(NamedTuple):
-    block: int
-    epoch: int
-    round: int
-    kind: str  # register | demand | claim | distribute | noop
-    actor: int
-    cost: int
-    over_budget: bool
-    summary: str = ""
-
-
 class ActionStats(_Record):
     __slots__ = ("count", "total")
 
@@ -114,8 +101,10 @@ class CostSummary(_Record):
 
 
 def cost_report(receipts) -> CostSummary:
-    """Aggregate receipts into mean/total cost per action kind and, for
-    claims, per round.  Empty input yields an empty summary."""
+    """Aggregate a run's records (``RunResult.receipts``, or any records
+    with ``kind``, ``round``, ``cost`` and ``over_budget``) into mean/total
+    cost per action kind and, for claims, per round.  Empty input yields an
+    empty summary."""
     summary = CostSummary()
     for r in receipts:
         st = summary.by_action.setdefault(r.kind, ActionStats())

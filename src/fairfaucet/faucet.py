@@ -25,7 +25,7 @@ even when the user's live weight changes in between.
 The faucet keeps no history of its own.  ``demand`` and ``claim`` return
 a ``DemandResult`` or ``ClaimResult`` describing the outcome (including
 the reason for a rejection or no-op); the simulator turns those into its
-trace rows and receipts.  A rejection or no-op carries no per-call data,
+per-block records.  A rejection or no-op carries no per-call data,
 so each fixed reason is one shared module-level constant.
 """
 

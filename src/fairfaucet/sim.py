@@ -17,19 +17,21 @@ replays the canonical block schedule, which all three variants share:
 fixes each round's one kind of transaction and how many of its first
 blocks run it; a small adapter per design (autonomous for AMF/WAMF,
 central for CMF) runs those, and the rest of the round is idle.  Every
-block is recorded as one trace row and one receipt; an idle block is a
-no-op that costs ``tx_base`` and leaves the pool as it was.  Equal
-summaries and equal costs within a run are one shared object each.
-Identical scenarios produce bit-identical traces and receipts.
+block is recorded as one ``TraceRow``, which also carries the receipt's
+summary; ``trace.csv`` and ``receipts.csv`` are two renderings of the same
+records.  An idle block is a no-op that costs ``tx_base`` and leaves the
+pool as it was.  Equal summaries and equal costs within a run are one
+shared object each.  Identical scenarios produce bit-identical records.
 """
 
 import json
 from functools import partial
+from operator import itemgetter
 from typing import NamedTuple
 
 from .clock import ClockParams, _Record, locate
 from .cmf import CmfDistributor
-from .costs import CostMeter, CostModel, TxReceipt
+from .costs import CostMeter, CostModel
 from .faucet import AutonomousFaucet, WeightPolicy
 
 MASK64 = (1 << 64) - 1
@@ -254,6 +256,10 @@ class TraceRow(NamedTuple):
     capacity: int
     cost: int
     over_budget: bool
+    summary: str = ""  # the outcome, as receipts.csv shows it
+    # the action under its receipt name: register | demand | claim |
+    # distribute | noop
+    kind = property(itemgetter(4))
 
 
 class EpochSummary(_Record):
@@ -289,21 +295,24 @@ class EpochSummary(_Record):
 
 
 class RunResult(_Record):
-    __slots__ = ("scenario", "trace", "receipts", "balances", "reports",
+    __slots__ = ("scenario", "trace", "balances", "reports",
                  "epoch_summaries", "findings", "final_capacity", "injected")
 
-    def __init__(self, scenario: Scenario, trace: list, receipts: list,
-                 balances: dict, reports: list, epoch_summaries: list,
-                 findings: list, final_capacity: int, injected: int):
+    def __init__(self, scenario: Scenario, trace: list, balances: dict,
+                 reports: list, epoch_summaries: list, findings: list,
+                 final_capacity: int, injected: int):
         self.scenario = scenario
-        self.trace = trace
-        self.receipts = receipts
+        self.trace = trace  # one TraceRow per block
         self.balances = balances
         self.reports = reports  # CMF distribution reports
         self.epoch_summaries = epoch_summaries
         self.findings = findings
         self.final_capacity = final_capacity
         self.injected = injected
+
+    @property
+    def receipts(self) -> list:  # each trace row is its block's receipt
+        return self.trace
 
     def conservation_ok(self) -> bool:
         return sum(self.balances.values()) + self.final_capacity == self.injected
@@ -481,9 +490,9 @@ class _Central:
 
 
 def run_scenario(sc: Scenario) -> RunResult:
-    """Execute a scenario round by round.  Returns the full trace, the
-    per-transaction receipts, the final balances and per-epoch summaries
-    suitable for oracle verification."""
+    """Execute a scenario round by round.  Returns one record per block,
+    the final balances and per-epoch summaries suitable for oracle
+    verification."""
     clock = sc.clock
     model = sc.cost_model
     budget = model.block_budget
@@ -502,12 +511,9 @@ def run_scenario(sc: Scenario) -> RunResult:
     n = sc.n
     rounds = clock.rounds_per_epoch
     trace = []
-    receipts = []
     add_row = trace.append
-    add_receipt = receipts.append
     # tuple.__new__ builds a record at half its NamedTuple constructor's cost
     new_row = partial(tuple.__new__, TraceRow)
-    new_receipt = partial(tuple.__new__, TxReceipt)
     summaries = []
     findings = []
     injections = capacity_end = 0
@@ -535,20 +541,17 @@ def run_scenario(sc: Scenario) -> RunResult:
                 cost = shared_cost(cost, cost)
                 over = cost > budget
                 add_row(new_row((block, pos_epoch, pos_round, actor, action,
-                                 amount, share, pool.capacity, cost, over)))
-                add_receipt(new_receipt((block, pos_epoch, pos_round, action,
-                                         actor, cost, over, summary)))
+                                 amount, share, pool.capacity, cost, over,
+                                 summary)))
             # the idle rest of the round leaves the pool as it was; the
             # model keeps tx_base below the block budget
             idle = range(round_start + busy, round_start + sc.round_span)
             actor, action, amount, share, summary = adapter.noop()
             capacity = pool.capacity
             trace.extend([new_row((b, pos_epoch, pos_round, actor, action,
-                                   amount, share, capacity, tx_base, False))
+                                   amount, share, capacity, tx_base, False,
+                                   summary))
                           for b in idle])
-            receipts.extend([new_receipt((b, pos_epoch, pos_round, action,
-                                          actor, tx_base, False, summary))
-                             for b in idle])
         # an epoch with a top-up is a claim epoch: CMF tops up in its
         # distribute block even without users, AMF only on a transaction
         if adapter.injections > injections:
@@ -566,8 +569,7 @@ def run_scenario(sc: Scenario) -> RunResult:
         injections = adapter.injections
         capacity_end = pool.capacity
 
-    return RunResult(scenario=sc, trace=trace, receipts=receipts,
-                     balances=adapter.balances(),
+    return RunResult(scenario=sc, trace=trace, balances=adapter.balances(),
                      reports=adapter.reports, epoch_summaries=summaries,
                      findings=findings, final_capacity=pool.capacity,
                      injected=injections * sc.epoch_capacity)
@@ -601,19 +603,26 @@ CHUNK = 1024  # rows per chunk
 
 TRACE_HEADER = "block,epoch,round,actor,action,amount,share,capacity,cost,over_budget"
 
-# Rows are tuples whose fields are in column order, so each renders with
-# one format.  %s writes an int as %d does, only faster; the over_budget
-# flag keeps %d, which writes it as 0 or 1 where %s would write False/True.
-_TRACE_ROW = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%d"
+# Rows are tuples, so each renders with one format.  %s writes an int as
+# %d does, only faster; the over_budget flag keeps %d, which writes it as 0
+# or 1 where %s would write False/True.  A trace row's fields are in
+# trace.csv's column order, then the summary, which %.0s writes as nothing.
+_TRACE_ROW = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%d%.0s"
 _RECEIPT_ROW = "%s,%s,%s,%s,%s,%s,%d,%s"
+# receipts.csv's columns of a trace row: block, epoch, round, action,
+# actor, cost, over_budget, summary
+_RECEIPT_COLUMNS = itemgetter(0, 1, 2, 4, 3, 8, 9, 10)
 
 
-def _rows(fmt: str, rows):
-    """Yield the sequence ``rows`` formatted by ``fmt``, one string per
-    CHUNK rows, every row ending in a newline."""
+def _rows(fmt: str, rows, columns=None):
+    """Yield the sequence ``rows``, or ``columns`` of each row, formatted
+    by ``fmt``, one string per CHUNK rows, every row ending in a newline."""
     line = (fmt + "\n").__mod__
     for i in range(0, len(rows), CHUNK):
-        yield "".join(map(line, rows[i:i + CHUNK]))
+        chunk = rows[i:i + CHUNK]
+        if columns is not None:
+            chunk = map(columns, chunk)
+        yield "".join(map(line, chunk))
 
 
 def trace_chunks(result: RunResult):
@@ -623,7 +632,7 @@ def trace_chunks(result: RunResult):
 
 def receipts_chunks(result: RunResult):
     yield "block,epoch,round,action,actor,cost,over_budget,summary\n"
-    yield from _rows(_RECEIPT_ROW, result.receipts)
+    yield from _rows(_RECEIPT_ROW, result.trace, _RECEIPT_COLUMNS)
 
 
 def balances_chunks(result: RunResult):

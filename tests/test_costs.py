@@ -2,9 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from fairfaucet.costs import (ActionStats, CostMeter, CostModel, TxReceipt,
-                              cost_report)
-from fairfaucet.sim import Scenario, load_scenario, run_scenario
+from fairfaucet.costs import ActionStats, CostMeter, CostModel, cost_report
+from fairfaucet.sim import Scenario, TraceRow, load_scenario, run_scenario
 
 
 def test_model_validation():
@@ -29,10 +28,10 @@ def test_meter_totals_follow_the_model():
 
 def test_report_aggregates_by_action_and_round():
     receipts = [
-        TxReceipt(0, 1, 0, "claim", 1, 100, False),
-        TxReceipt(1, 1, 0, "claim", 2, 200, False),
-        TxReceipt(2, 1, 1, "claim", 1, 50, False),
-        TxReceipt(3, 1, 3, "demand", 1, 70, True),
+        TraceRow(0, 1, 0, 1, "claim", 3, 3, 27, 100, False, "granted=3"),
+        TraceRow(1, 1, 0, 2, "claim", 3, 3, 24, 200, False, "granted=3"),
+        TraceRow(2, 1, 1, 1, "claim", 0, 0, 24, 50, False, "no-op"),
+        TraceRow(3, 1, 3, 1, "demand", 9, 0, 24, 70, True, "amount=9"),
     ]
     summary = cost_report(receipts)
     assert summary.by_action["claim"].count == 3

@@ -40,8 +40,8 @@ SIGNATURES = {
     Scenario: "variant n epoch_capacity epoch_span round_span demand_lo "
               "demand_hi epochs seed precision cost_model scripted_demands",
     EpochSummary: "epoch demands weights capacity_start granted capacity_end",
-    RunResult: "scenario trace receipts balances reports epoch_summaries "
-               "findings final_capacity injected",
+    RunResult: "scenario trace balances reports epoch_summaries findings "
+               "final_capacity injected",
     EpochCheck: "epoch ok note first_diff",
     VerifyReport: "ok checks notes",
 }

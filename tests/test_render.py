@@ -2,9 +2,11 @@
 receipt values.
 
 The renderers below the reference marker are the line-list renderers the
-chunked ones replaced, kept verbatim: every renderer must return exactly
-their text on synthetic results around the chunk boundaries and on runs
-of every variant that span several chunks.  A ``tracemalloc`` bound pins
+chunked ones replaced.  They are kept as they were, except that the trace
+and receipt lines name each field they write, since one record per block
+now feeds both CSVs.  Every renderer must return exactly their text on
+synthetic results around the chunk boundaries and on runs of every
+variant that span several chunks.  A ``tracemalloc`` bound pins
 the memory the change saves, the identity tests pin the sharing, and the
 CLI test checks that ``fairfaucet run`` writes the renderers' bytes.
 """
@@ -16,30 +18,29 @@ import pytest
 
 from fairfaucet.cli import main
 from fairfaucet.cmf import DistributionReport, GrantRow
-from fairfaucet.costs import TxReceipt
 from fairfaucet.sim import (CHUNK, RunResult, Scenario, TraceRow,
                             balances_csv, distributions_csv, receipts_csv,
                             run_scenario, scenario_to_dict, trace_csv)
 
-# -- reference: the renderers before chunking, verbatim ----------------------
+# -- reference: the renderers before chunking ---------------------------------
 
 TRACE_HEADER = "block,epoch,round,actor,action,amount,share,capacity,cost,over_budget"
-
-# Rows are tuples whose fields are in column order, so each renders with
-# one format; %d writes the over_budget flag as 0 or 1.
-_TRACE_ROW = "%d,%d,%d,%d,%s,%d,%d,%d,%d,%d"
-_RECEIPT_ROW = "%d,%d,%d,%s,%d,%d,%d,%s"
 
 
 def reference_trace_csv(result: RunResult) -> str:
     lines = [TRACE_HEADER]
-    lines.extend(_TRACE_ROW % r for r in result.trace)
+    # %d writes the over_budget flag as 0 or 1
+    lines.extend("%d,%d,%d,%d,%s,%d,%d,%d,%d,%d" % (
+        r.block, r.epoch, r.round, r.actor, r.action, r.amount, r.share,
+        r.capacity, r.cost, r.over_budget) for r in result.trace)
     return "\n".join(lines) + "\n"
 
 
 def reference_receipts_csv(result: RunResult) -> str:
     lines = ["block,epoch,round,action,actor,cost,over_budget,summary"]
-    lines.extend(_RECEIPT_ROW % r for r in result.receipts)
+    lines.extend("%d,%d,%d,%s,%d,%d,%d,%s" % (
+        r.block, r.epoch, r.round, r.kind, r.actor, r.cost, r.over_budget,
+        r.summary) for r in result.receipts)
     return "\n".join(lines) + "\n"
 
 
@@ -69,18 +70,17 @@ ACTIONS = ("register", "demand", "claim", "distribute", "noop")
 
 
 def synthetic(rows: int) -> RunResult:
-    """A result with ``rows`` trace rows, receipts, balances and grant rows
-    (the grants split over an empty report and two others), with values
-    that vary by row."""
-    trace, receipts, grants = [], [], []
+    """A result with ``rows`` records, balances and grant rows (the grants
+    split over an empty report and two others), with values that vary by
+    row."""
+    trace, grants = [], []
     for k in range(rows):
         action = ACTIONS[k % len(ACTIONS)]
         cost = 21000 + (k * 7919) % 100003
         over = k % 11 == 0
         trace.append(TraceRow(k, k // 40, k % 4, k % 13, action, k % 29,
-                              k % 5, 10 ** 6 - k, cost, over))
-        receipts.append(TxReceipt(k, k // 40, k % 4, action, k % 13, cost,
-                                  over, f"granted={k % 29}" if k % 3 else ""))
+                              k % 5, 10 ** 6 - k, cost, over,
+                              f"granted={k % 29}" if k % 3 else ""))
         grants.append(GrantRow(1 + k // 50, k % 97 + 1, k % 17, k % 23,
                                10 ** 5 - k))
     reports = [DistributionReport(epoch=1),
@@ -88,9 +88,9 @@ def synthetic(rows: int) -> RunResult:
                DistributionReport(epoch=3, rows=grants[rows // 3:])]
     # balances inserted in descending order, so rendering must sort them
     balances = {u: (u * 31) % 1000 for u in range(rows, 0, -1)}
-    return RunResult(scenario=None, trace=trace, receipts=receipts,
-                     balances=balances, reports=reports, epoch_summaries=[],
-                     findings=[], final_capacity=0, injected=0)
+    return RunResult(scenario=None, trace=trace, balances=balances,
+                     reports=reports, epoch_summaries=[], findings=[],
+                     final_capacity=0, injected=0)
 
 
 @pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,

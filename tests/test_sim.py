@@ -5,8 +5,8 @@ import pytest
 
 from fairfaucet.clock import locate
 from fairfaucet.costs import CostModel
-from fairfaucet.sim import (MASK64, Scenario, ScenarioError, balances_csv,
-                            load_scenario, next_demand,
+from fairfaucet.sim import (MASK64, Scenario, ScenarioError, TraceRow,
+                            balances_csv, load_scenario, next_demand,
                             worked_example_scenarios, run_scenario,
                             scenario_from_dict, scenario_to_dict, trace_csv)
 from fairfaucet.verify import verify_run
@@ -126,6 +126,18 @@ def test_one_tx_per_block_and_consecutive_numbering():
     blocks = [r.block for r in result.trace]
     assert blocks == list(range(sc.epochs * sc.epoch_span))
     assert [r.block for r in result.receipts] == blocks
+
+
+@pytest.mark.parametrize("variant", ["AMF", "WAMF", "CMF"])
+def test_each_block_is_one_record_that_is_also_its_receipt(variant):
+    sc = Scenario.benchmark_defaults(variant, 5, seed=8, epochs=3)
+    result = run_scenario(sc)
+    assert result.receipts is result.trace
+    assert ([r.block for r in result.trace]
+            == list(range(sc.epochs * sc.epoch_span)))
+    assert all(type(r) is TraceRow for r in result.trace)
+    assert all(r.kind == r.action for r in result.trace)
+    assert {r.kind for r in result.trace} >= {"register", "demand", "noop"}
 
 
 @pytest.mark.parametrize("variant", ["AMF", "WAMF", "CMF"])

@@ -6,23 +6,39 @@ round's transaction was picked once from the geometry: it resets the
 meter and counts ``tx_base`` on every block, picks the block's
 transaction with one ``elif`` chain, and records every no-op on its own.
 ``_ReferenceAutonomous`` and ``_ReferenceCentral`` are the adapters it
-drove and ``ReferenceMeter`` the meter API it used.  Both loops run the
-same contracts and must agree on every trace row, receipt, balance,
+drove, ``ReferenceMeter`` the meter API it used and ``TxReceipt`` the
+separate receipt record it kept next to each trace row.  Both loops run
+the same contracts and must agree on every trace row, receipt, balance,
 distribution report, epoch summary and finding, on a seeded grid of
 small geometries, scripted demands with gaps, and default and
-non-default prices.
+non-default prices.  The new loop's one record per block is compared
+field by field with the reference's trace row and, through its receipt
+columns, with the reference's receipt.
 """
 
 import random
+from operator import attrgetter
+from typing import NamedTuple
 
 import pytest
 
 from fairfaucet.clock import locate
 from fairfaucet.cmf import CmfDistributor
-from fairfaucet.costs import CostMeter, CostModel, TxReceipt
+from fairfaucet.costs import CostMeter, CostModel
 from fairfaucet.faucet import AutonomousFaucet, WeightPolicy
 from fairfaucet.sim import (AUTHORITY, EpochSummary, RunResult, Scenario,
                             TraceRow, _demand_plan, run_scenario)
+
+
+class TxReceipt(NamedTuple):
+    block: int
+    epoch: int
+    round: int
+    kind: str  # register | demand | claim | distribute | noop
+    actor: int
+    cost: int
+    over_budget: bool
+    summary: str = ""
 
 
 class ReferenceMeter(CostMeter):
@@ -138,7 +154,8 @@ class _ReferenceCentral:
         return AUTHORITY, "noop", 0, 0, ""
 
 
-def reference_run_scenario(sc: Scenario) -> RunResult:
+def reference_run_scenario(sc: Scenario) -> tuple:
+    """The result without receipts, and the receipts."""
     clock = sc.clock
     model = sc.cost_model
     budget = model.block_budget
@@ -207,11 +224,10 @@ def reference_run_scenario(sc: Scenario) -> RunResult:
         injections = adapter.injections
         capacity_end = pool.capacity
 
-    return RunResult(scenario=sc, trace=trace, receipts=receipts,
-                     balances=adapter.balances(),
+    return RunResult(scenario=sc, trace=trace, balances=adapter.balances(),
                      reports=adapter.reports, epoch_summaries=summaries,
                      findings=findings, final_capacity=pool.capacity,
-                     injected=injections * sc.epoch_capacity)
+                     injected=injections * sc.epoch_capacity), receipts
 
 
 # five distinct prices; each scenario draws one of these budgets, so
@@ -249,15 +265,26 @@ CASES = [(variant, n, priced) for variant in ("AMF", "WAMF", "CMF")
          for n in range(5) for priced in (False, True)]
 
 
+# a record's receipt columns, in TxReceipt's field order
+RECEIPT_FIELDS = attrgetter(*TxReceipt._fields)
+
+
+def typed(rows) -> list:
+    """Each row's values paired with their types, so a bool flag differs
+    from an int."""
+    return [tuple((type(v), v) for v in row) for row in rows]
+
+
 @pytest.mark.parametrize("variant,n,priced", CASES)
 def test_schedule_matches_the_block_by_block_loop(variant, n, priced):
     for sc in grid(variant, n, priced):
-        got, want = run_scenario(sc), reference_run_scenario(sc)
-        # repr also tells a record type or a bool flag from a plain
-        # tuple or an int
-        assert list(map(repr, got.trace)) == list(map(repr, want.trace)), sc
-        assert (list(map(repr, got.receipts))
-                == list(map(repr, want.receipts))), sc
+        got = run_scenario(sc)
+        want, receipts = reference_run_scenario(sc)
+        assert all(type(r) is TraceRow for r in got.trace), sc
+        assert (typed(r[:-1] for r in got.trace)
+                == typed(r[:-1] for r in want.trace)), sc
+        assert (typed(map(RECEIPT_FIELDS, got.receipts))
+                == typed(receipts)), sc
         assert got.balances == want.balances, sc
         assert got.reports == want.reports, sc
         assert got.epoch_summaries == want.epoch_summaries, sc
@@ -270,7 +297,7 @@ def test_grid_reaches_every_kind_of_block():
     seen = set()
     for case in CASES:
         for sc in grid(*case):
-            result = reference_run_scenario(sc)
+            result, _ = reference_run_scenario(sc)
             rounds = sc.epoch_span // sc.round_span
             for row in result.trace:
                 offset = row.block % sc.round_span

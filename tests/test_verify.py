@@ -1,5 +1,6 @@
 from fairfaucet.oracle import AllocationProblem, waterfill
-from fairfaucet.sim import Scenario, worked_example_scenarios, run_scenario
+from fairfaucet.sim import (EpochSummary, RunResult, Scenario,
+                            worked_example_scenarios, run_scenario)
 from fairfaucet.verify import EpochCheck, verify_run
 
 
@@ -109,3 +110,27 @@ def test_grant_to_a_user_without_demand_fails_verification():
     report = verify_run(result)
     assert not report.ok
     assert report.first_diff == (2, 3, 1, 0)
+
+
+def test_a_grant_of_nothing_matches_the_oracles_zero():
+    # the grants leave out user 3, whom the oracle lists with 0, so the
+    # grants differ from the oracle's dict but match its allocation
+    summary = EpochSummary(epoch=1, demands={1: 5, 2: 5, 3: 5}, weights=None,
+                           capacity_start=2, granted={1: 1, 2: 1},
+                           capacity_end=0)
+    result = RunResult(scenario=None, trace=[], balances={}, reports=[],
+                       epoch_summaries=[summary], findings=[],
+                       final_capacity=0, injected=0)
+    want = waterfill(AllocationProblem(demands=((1, 5), (2, 5), (3, 5)),
+                                       capacity=2))
+    assert want == {1: 1, 2: 1, 3: 0} != summary.granted
+    report = verify_run(result)
+    assert report.ok and report.notes == []
+    assert report.checks == [EpochCheck(1, True)]
+    assert report.checks[0].note == ""
+    # one unit to user 3 is a mismatch, also under depletion: the totals
+    # no longer agree
+    summary.granted[3] = 1
+    report = verify_run(result)
+    assert not report.ok
+    assert report.first_diff == (1, 3, 1, 0)
