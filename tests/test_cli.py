@@ -108,7 +108,8 @@ def test_run_matches_pinned_goldens_byte_for_byte(tmp_path):
 def test_cmf_run_matches_pinned_goldens(tmp_path):
     rc = main(["run", "--scenario", CMF_TABLE, "--out", str(tmp_path)])
     assert rc == 0
-    for suffix in ("trace.csv", "balances.csv", "distributions.csv"):
+    for suffix in ("trace.csv", "receipts.csv", "balances.csv",
+                   "distributions.csv"):
         produced = (tmp_path / suffix).read_bytes()
         pinned = (GOLDEN / f"cmf_worked_example.{suffix}").read_bytes()
         assert produced == pinned, f"golden drift in {suffix}"
@@ -201,3 +202,49 @@ def test_seed_override_out_of_range_exits_two_without_traceback(seed):
         "verify", "--scenario", str(SCENARIOS / "amf_n10.json"),
         "--seed", seed)
     assert "seed must fit in 64 bits" in err
+
+
+# The whole stdout of `run` (its output directory reads as OUT) and of
+# `verify` on every scenario file.
+WROTE = ("wrote OUT/trace.csv\n"
+         "wrote OUT/receipts.csv\n"
+         "wrote OUT/balances.csv\n")
+WROTE_CMF = WROTE + "wrote OUT/distributions.csv\n"
+INCOMPLETE = ("finding: epoch 1: distribution incomplete after 3 claim "
+              "rounds (a further round was needed)\n")
+
+
+def verify_ok(epochs):
+    return (f"verify OK: {epochs} epoch(s) checked against the "
+            f"water-filling oracle\n")
+
+
+STDOUT = {
+    "amf_n10": (WROTE, verify_ok(3)),
+    "amf_worked_example": (WROTE, verify_ok(4)),
+    "cmf_n10": (WROTE_CMF, verify_ok(3)),
+    "cmf_worked_example": (WROTE_CMF, verify_ok(1)),
+    "depletion_fcfs": (
+        WROTE,
+        "note: epoch 1: capacity depleted; final-round grants follow "
+        "arrival order, totals match the oracle\n" + verify_ok(1)),
+    "rounds_exhausted": (
+        WROTE + INCOMPLETE,
+        "note: epoch 1: claim rounds ran out with capacity left; per-user "
+        "comparison skipped\n" + INCOMPLETE + verify_ok(1)),
+    "wamf_n10": (WROTE, verify_ok(3)),
+}
+
+
+def test_every_scenario_file_has_a_stdout_pin():
+    assert {p.stem for p in SCENARIOS.glob("*.json")} == set(STDOUT)
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT))
+def test_run_and_verify_stdout_is_pinned(name, tmp_path, capsys):
+    scenario = str(SCENARIOS / f"{name}.json")
+    want_run, want_verify = STDOUT[name]
+    assert main(["run", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.replace(str(tmp_path), "OUT") == want_run
+    assert main(["verify", "--scenario", scenario]) == 0
+    assert capsys.readouterr().out == want_verify

@@ -120,6 +120,8 @@ METERING = {
                            0),
     "depletion_fcfs": ({"claim": (6, 293210), "demand": (2, 119070),
                         "noop": (6, 126000), "register": (2, 62000)}, 0),
+    "rounds_exhausted": ({"claim": (12, 643420), "demand": (4, 222330),
+                          "noop": (12, 252000), "register": (4, 124000)}, 0),
     "wamf_n10": ({"claim": (90, 3831330), "demand": (40, 2128440),
                   "noop": (20, 420000), "register": (10, 310000)}, 0),
     "cmf_benchmark_n200_seed5": (

@@ -81,6 +81,12 @@ DIGESTS = {
         "307961c03af28c1f36eb5574b96709e0d510941c6fbcae61bed7c677866749ae",
         "977d15eaccb31ac35b29a96c72873a9227369b49fab662fe98657051dbe442e2",
         "957a9a081ff44819a59e5af556e65f46d5126f3da341dc63e5e3eb3226caafe5"),
+    "rounds_exhausted": (
+        "062a51c77af703ab79c97d859be4a01a4b2dd8c03f683ff002866101ff104e7a",
+        "6e540009b53ee03fda9b10afce4388ad47107a5d6ea67bb2fbfa73d65a1921e0",
+        "1d8960684039e50575344405269df9926a649a8fc6533cdb80a04d992dd39dc7",
+        "977d15eaccb31ac35b29a96c72873a9227369b49fab662fe98657051dbe442e2",
+        "355eda9e142df623f28902e18445bcd5e3e6a2205f3937a6eb590f5dca0e0fd8"),
     "wamf_n10": (
         "6f6cbd69ef61069d57cf92789b0cb573e5cfb82a4531c74b72ef239d4240e13c",
         "31c989653288f31e22eedf5cf78fe60788a57e4b220af1bafa43bd7ba8470aad",
