@@ -15,7 +15,7 @@ from .sim import (Scenario, ScenarioError, balances_chunks,
                   distributions_chunks, load_scenario,
                   worked_example_scenarios, receipts_chunks, run_scenario,
                   trace_chunks)
-from .verify import verify_run
+from .verify import EXHAUSTED, MATCHED, TOTALS_ONLY, verify_run
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -55,13 +55,32 @@ def _output_files(result):
     return files
 
 
+def findings(result) -> list:
+    """One line per epoch whose claim rounds ran out with capacity left."""
+    return [f"epoch {s.epoch}: distribution incomplete after "
+            f"{result.scenario.clock.rounds_per_epoch - 1} claim rounds "
+            f"(a further round was needed)"
+            for s in result.epoch_summaries if s.incomplete]
+
+
+def notes(report) -> list:
+    """One line per epoch with demands that was not compared user by
+    user."""
+    text = {TOTALS_ONLY: "capacity depleted; final-round grants follow "
+                         "arrival order, totals match the oracle",
+            EXHAUSTED: "claim rounds ran out with capacity left; per-user "
+                       "comparison skipped"}
+    return [f"epoch {c.epoch}: {text[c.note]}" for c in report.checks
+            if c.note in text]
+
+
 def cmd_run(args) -> int:
     sc = _load(args)
     result = run_scenario(sc)
     written = _write_outputs(result, Path(args.out))
     for path in written:
         print(f"wrote {path}")
-    for finding in result.findings:
+    for finding in findings(result):
         print(f"finding: {finding}")
     over = result.over_budget_receipts()
     if over:
@@ -77,18 +96,20 @@ def cmd_verify(args) -> int:
     if args.inject_fault:
         _corrupt(result)
     report = verify_run(result)
-    for note in report.notes:
+    for note in notes(report):
         print(f"note: {note}")
-    for finding in result.findings:
-        print(f"finding: {finding}")
     if not result.conservation_ok():
         print("verify FAILED: conservation violated "
               f"(balances {sum(result.balances.values())} + capacity "
               f"{result.final_capacity} != injected {result.injected})")
         return EXIT_MISMATCH
     if report.ok:
-        print(f"verify OK: {len(report.checks)} epoch(s) checked against "
-              f"the water-filling oracle")
+        kinds = [check.note for check in report.checks]
+        compared, totals = kinds.count(MATCHED), kinds.count(TOTALS_ONLY)
+        print(f"verify OK: {compared} epoch(s) compared user by user with "
+              f"the water-filling oracle, {totals} by totals only "
+              f"(depletion), {len(kinds) - compared - totals} not compared "
+              f"(no demands or rounds exhausted)")
         return EXIT_OK
     epoch, user, got, want = report.first_diff
     print(f"verify FAILED: epoch {epoch} user {user}: got {got}, want {want}")
@@ -99,8 +120,7 @@ def _corrupt(result):
     """Negative control: skew one granted amount so verification fails."""
     for summary in result.epoch_summaries:
         if summary.granted:
-            user = sorted(summary.granted)[0]
-            summary.granted[user] += 1
+            summary.granted[min(summary.granted)] += 1
             return
     raise ScenarioError("cannot inject a fault into a run with no grants")
 

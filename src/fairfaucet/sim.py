@@ -58,11 +58,6 @@ def next_demand(state: int, lo: int, hi: int):
         raise ScenarioError("demand range is empty")
     if lo < 1:
         raise ScenarioError("demand range must start at 1 or above")
-    return _draw(state, lo, hi)
-
-
-def _draw(state: int, lo: int, hi: int):
-    """``next_demand`` without its range checks, for a validated range."""
     state = (state + _GAMMA) & MASK64
     z = state
     z ^= z >> 30
@@ -296,17 +291,16 @@ class EpochSummary(_Record):
 
 class RunResult(_Record):
     __slots__ = ("scenario", "trace", "balances", "reports",
-                 "epoch_summaries", "findings", "final_capacity", "injected")
+                 "epoch_summaries", "final_capacity", "injected")
 
     def __init__(self, scenario: Scenario, trace: list, balances: dict,
-                 reports: list, epoch_summaries: list, findings: list,
-                 final_capacity: int, injected: int):
+                 reports: list, epoch_summaries: list, final_capacity: int,
+                 injected: int):
         self.scenario = scenario
         self.trace = trace  # one TraceRow per block
         self.balances = balances
         self.reports = reports  # CMF distribution reports
         self.epoch_summaries = epoch_summaries
-        self.findings = findings
         self.final_capacity = final_capacity
         self.injected = injected
 
@@ -330,13 +324,12 @@ def _demand_plan(sc: Scenario):
             plan.append([row[k] if k < len(row) else None
                          for k in range(sc.n)])
         return plan
-    # Scenario has validated the range
     lo, hi = sc.demand_lo, sc.demand_hi
     state = sc.seed
     for _ in range(sc.epochs):
         row = []
         for _ in range(sc.n):
-            state, amount = _draw(state, lo, hi)
+            state, amount = next_demand(state, lo, hi)
             row.append(amount)
         plan.append(row)
     return plan
@@ -515,7 +508,6 @@ def run_scenario(sc: Scenario) -> RunResult:
     # tuple.__new__ builds a record at half its NamedTuple constructor's cost
     new_row = partial(tuple.__new__, TraceRow)
     summaries = []
-    findings = []
     injections = capacity_end = 0
 
     for epoch in range(sc.epochs):
@@ -555,23 +547,17 @@ def run_scenario(sc: Scenario) -> RunResult:
         # an epoch with a top-up is a claim epoch: CMF tops up in its
         # distribute block even without users, AMF only on a transaction
         if adapter.injections > injections:
-            closed = EpochSummary(epoch=epoch, demands=demands[epoch - 1],
-                                  weights=adapter.weights(epoch),
-                                  capacity_start=(capacity_end
-                                                  + sc.epoch_capacity),
-                                  granted=grants[epoch],
-                                  capacity_end=pool.capacity)
-            summaries.append(closed)
-            if closed.incomplete:
-                findings.append(
-                    f"epoch {epoch}: distribution incomplete after "
-                    f"{rounds - 1} claim rounds (a further round was needed)")
+            summaries.append(EpochSummary(
+                epoch=epoch, demands=demands[epoch - 1],
+                weights=adapter.weights(epoch),
+                capacity_start=capacity_end + sc.epoch_capacity,
+                granted=grants[epoch], capacity_end=pool.capacity))
         injections = adapter.injections
         capacity_end = pool.capacity
 
     return RunResult(scenario=sc, trace=trace, balances=adapter.balances(),
                      reports=adapter.reports, epoch_summaries=summaries,
-                     findings=findings, final_capacity=pool.capacity,
+                     final_capacity=pool.capacity,
                      injected=injections * sc.epoch_capacity)
 
 

@@ -12,20 +12,29 @@ exceptions:
   ascending-demand order, so per-user grants may differ from the oracle
   while the epoch totals must still agree;
 * exhausted rounds: when the scheduled claim rounds ended with capacity
-  left and demand unserved, the epoch is reported as a finding and not
-  compared user by user (the next epoch's comparison re-anchors on the
-  actual capacity, so nothing cascades).
+  left and demand unserved, the epoch is not compared user by user (the
+  next epoch's comparison re-anchors on the actual capacity, so nothing
+  cascades).
+
+Each epoch's verdict is one ``EpochCheck``, whose ``note`` names how it
+was compared; the report's ``ok`` and ``first_diff`` derive from them.
 """
 
 from .clock import _Record
 from .oracle import AllocationProblem, waterfill
 from .sim import RunResult
 
+MATCHED = ""  # every grant equals the oracle's
+MISMATCH = "allocation mismatch"  # the one kind that fails verification
+TOTALS_ONLY = "depletion round served in arrival order"
+NO_DEMANDS = "no demands"
+EXHAUSTED = "rounds exhausted before completion"
+
 
 class EpochCheck(_Record):
     __slots__ = ("epoch", "ok", "note", "first_diff")
 
-    def __init__(self, epoch: int, ok: bool, note: str = "",
+    def __init__(self, epoch: int, ok: bool, note: str = MATCHED,
                  first_diff: tuple = None):
         self.epoch = epoch
         self.ok = ok
@@ -34,12 +43,14 @@ class EpochCheck(_Record):
 
 
 class VerifyReport(_Record):
-    __slots__ = ("ok", "checks", "notes")
+    __slots__ = ("checks",)
 
-    def __init__(self, ok: bool, checks: list = None, notes: list = None):
-        self.ok = ok
+    def __init__(self, checks: list = None):
         self.checks = [] if checks is None else checks
-        self.notes = [] if notes is None else notes
+
+    @property
+    def ok(self) -> bool:
+        return all(check.ok for check in self.checks)
 
     @property
     def first_diff(self):
@@ -50,56 +61,37 @@ class VerifyReport(_Record):
 
 
 def oracle_problem(summary) -> AllocationProblem:
-    demands = sorted(summary.demands.items())
-    weights = None
-    if summary.weights is not None:
-        weights = [summary.weights[u] for u, _ in demands]
-    return AllocationProblem(demands=tuple(demands),
-                             capacity=summary.capacity_start,
-                             weights=weights)
+    demands = tuple(sorted(summary.demands.items()))
+    weights = (None if summary.weights is None
+               else [summary.weights[u] for u, _ in demands])
+    return AllocationProblem(demands, summary.capacity_start, weights)
 
 
 def verify_run(result: RunResult) -> VerifyReport:
     """Compare every claim epoch of a run to the oracle allocation."""
-    report = VerifyReport(ok=True)
+    checks = []
     for summary in result.epoch_summaries:
-        granted = summary.granted
+        epoch, granted = summary.epoch, summary.granted
         if not granted.keys() <= summary.demands.keys():
             # a grant to a user who demanded nothing: the oracle wants 0
             user = min(granted.keys() - summary.demands.keys())
-            report.ok = False
-            report.checks.append(EpochCheck(
-                summary.epoch, False, "allocation mismatch",
-                (summary.epoch, user, granted[user], 0)))
-            continue
-        if not summary.demands:
-            report.checks.append(EpochCheck(summary.epoch, True, "no demands"))
-            continue
-        if summary.incomplete:
-            report.checks.append(EpochCheck(
-                summary.epoch, True, "rounds exhausted before completion"))
-            report.notes.append(
-                f"epoch {summary.epoch}: claim rounds ran out with capacity "
-                f"left; per-user comparison skipped")
-            continue
-        want = waterfill(oracle_problem(summary))
-        # the oracle also lists the demanders it grants nothing
-        if granted == want or {u: granted.get(u, 0) for u in want} == want:
-            report.checks.append(EpochCheck(summary.epoch, True))
-            continue
-        if summary.depleted and sum(granted.values()) == sum(want.values()):
-            report.checks.append(EpochCheck(
-                summary.epoch, True, "depletion round served in arrival order"))
-            report.notes.append(
-                f"epoch {summary.epoch}: capacity depleted; final-round "
-                f"grants follow arrival order, totals match the oracle")
-            continue
-        diff = None
-        for user in sorted(want):
-            if granted.get(user, 0) != want[user]:
-                diff = (summary.epoch, user, granted.get(user, 0), want[user])
-                break
-        report.ok = False
-        report.checks.append(EpochCheck(summary.epoch, False,
-                                        "allocation mismatch", diff))
-    return report
+            check = EpochCheck(epoch, False, MISMATCH,
+                               (epoch, user, granted[user], 0))
+        elif not summary.demands:
+            check = EpochCheck(epoch, True, NO_DEMANDS)
+        elif summary.incomplete:
+            check = EpochCheck(epoch, True, EXHAUSTED)
+        else:
+            want = waterfill(oracle_problem(summary))
+            # the oracle also lists the demanders it grants nothing
+            if granted == want or {u: granted.get(u, 0) for u in want} == want:
+                check = EpochCheck(epoch, True)
+            elif (summary.depleted
+                  and sum(granted.values()) == sum(want.values())):
+                check = EpochCheck(epoch, True, TOTALS_ONLY)
+            else:
+                user = min(u for u in want if granted.get(u, 0) != want[u])
+                check = EpochCheck(epoch, False, MISMATCH, (
+                    epoch, user, granted.get(user, 0), want[user]))
+        checks.append(check)
+    return VerifyReport(checks)

@@ -214,25 +214,27 @@ INCOMPLETE = ("finding: epoch 1: distribution incomplete after 3 claim "
               "rounds (a further round was needed)\n")
 
 
-def verify_ok(epochs):
-    return (f"verify OK: {epochs} epoch(s) checked against the "
-            f"water-filling oracle\n")
+def verify_ok(compared, totals_only, skipped):
+    return (f"verify OK: {compared} epoch(s) compared user by user with the "
+            f"water-filling oracle, {totals_only} by totals only "
+            f"(depletion), {skipped} not compared (no demands or rounds "
+            f"exhausted)\n")
 
 
 STDOUT = {
-    "amf_n10": (WROTE, verify_ok(3)),
-    "amf_worked_example": (WROTE, verify_ok(4)),
-    "cmf_n10": (WROTE_CMF, verify_ok(3)),
-    "cmf_worked_example": (WROTE_CMF, verify_ok(1)),
+    "amf_n10": (WROTE, verify_ok(3, 0, 0)),
+    "amf_worked_example": (WROTE, verify_ok(4, 0, 0)),
+    "cmf_n10": (WROTE_CMF, verify_ok(3, 0, 0)),
+    "cmf_worked_example": (WROTE_CMF, verify_ok(1, 0, 0)),
     "depletion_fcfs": (
         WROTE,
         "note: epoch 1: capacity depleted; final-round grants follow "
-        "arrival order, totals match the oracle\n" + verify_ok(1)),
+        "arrival order, totals match the oracle\n" + verify_ok(0, 1, 0)),
     "rounds_exhausted": (
         WROTE + INCOMPLETE,
         "note: epoch 1: claim rounds ran out with capacity left; per-user "
-        "comparison skipped\n" + INCOMPLETE + verify_ok(1)),
-    "wamf_n10": (WROTE, verify_ok(3)),
+        "comparison skipped\n" + verify_ok(0, 0, 1)),
+    "wamf_n10": (WROTE, verify_ok(3, 0, 0)),
 }
 
 

@@ -1,18 +1,19 @@
 """Byte pins for whole runs: the sha256 of each rendered CSV, plus a digest
-of the epoch summaries and findings, for every committed scenario file, a
-WAMF and a CMF run at the benchmark geometry with 200 users, one small
-run per variant with filler blocks inside the claim rounds, and one run
-per variant at non-default prices.  The digests
-were recorded from the simulator that kept one schedule loop per variant,
-so any change to the block schedule or the per-transaction records that
-alters a byte fails here.  A pin may be re-recorded only by a change that
-means to alter the simulated behaviour."""
+of the epoch summaries and the finding lines of ``fairfaucet run``, for
+every committed scenario file, a WAMF and a CMF run at the benchmark
+geometry with 200 users, one small run per variant with filler blocks
+inside the claim rounds, and one run per variant at non-default prices.
+The digests were recorded from the simulator that kept one schedule loop
+per variant, so any change to the block schedule or the per-transaction
+records that alters a byte fails here.  A pin may be re-recorded only by
+a change that means to alter the simulated behaviour."""
 
 import hashlib
 from pathlib import Path
 
 import pytest
 
+from fairfaucet.cli import findings
 from fairfaucet.costs import CostModel
 from fairfaucet.sim import (Scenario, balances_csv, distributions_csv,
                             load_scenario, receipts_csv, run_scenario,
@@ -145,14 +146,14 @@ DIGESTS = {
 
 
 def epochs_text(result) -> str:
-    """The epoch summaries, findings, final capacity and injected total
-    as text, one summary per line, in a fixed order."""
+    """The epoch summaries, the finding lines, final capacity and
+    injected total as text, one summary per line, in a fixed order."""
     lines = [f"{s.epoch} {sorted(s.demands.items())} "
              f"{sorted((s.weights or dict.fromkeys(s.demands, 1)).items())} "
              f"{s.capacity_start} "
              f"{sorted(s.granted.items())} {s.capacity_end}"
              for s in result.epoch_summaries]
-    lines += result.findings
+    lines += findings(result)
     lines.append(f"{result.final_capacity} {result.injected}")
     return "\n".join(lines)
 

@@ -40,10 +40,10 @@ SIGNATURES = {
     Scenario: "variant n epoch_capacity epoch_span round_span demand_lo "
               "demand_hi epochs seed precision cost_model scripted_demands",
     EpochSummary: "epoch demands weights capacity_start granted capacity_end",
-    RunResult: "scenario trace balances reports epoch_summaries findings "
+    RunResult: "scenario trace balances reports epoch_summaries "
                "final_capacity injected",
     EpochCheck: "epoch ok note first_diff",
-    VerifyReport: "ok checks notes",
+    VerifyReport: "checks",
 }
 
 
@@ -129,8 +129,7 @@ def report(**changes):
 
 
 def verify_report(**changes):
-    fields = dict(ok=False, checks=[EpochCheck(1, False, "m", (1, 1, 2, 3))],
-                  notes=["n"])
+    fields = dict(checks=[EpochCheck(1, False, "m", (1, 1, 2, 3))])
     fields.update(changes)
     return VerifyReport(**fields)
 
@@ -139,8 +138,7 @@ def verify_report(**changes):
     (summary, "epoch", 2), (summary, "granted", {1: 4}),
     (summary, "capacity_end", 0),
     (report, "epoch", 3), (report, "rows", []), (report, "capacity_after", 6),
-    (verify_report, "ok", True), (verify_report, "checks", []),
-    (verify_report, "notes", []),
+    (verify_report, "checks", []),
 ], ids=lambda x: getattr(x, "__name__", str(x)))
 def test_mutable_records_compare_by_field(build, field, other):
     assert build() == build()
@@ -153,7 +151,7 @@ def test_mutable_records_compare_by_field(build, field, other):
 def test_equality_needs_the_same_class():
     assert ActionStats(1, 2) == ActionStats(1, 2)
     assert ActionStats(1, 2) != (1, 2)
-    assert EpochCheck(1, True) != VerifyReport(True)
+    assert EpochCheck(1, True) != VerifyReport()
 
 
 def test_mutable_defaults_are_fresh_per_instance():
@@ -169,8 +167,8 @@ def test_mutable_defaults_are_fresh_per_instance():
     assert a2.pending == [0, 0]
     s1, s2 = EpochSummary(1, {}, {}, 0), EpochSummary(1, {}, {}, 0)
     assert s1.granted is not s2.granted
-    v1, v2 = VerifyReport(True), VerifyReport(True)
-    assert v1.checks is not v2.checks and v1.notes is not v2.notes
+    v1, v2 = VerifyReport(), VerifyReport()
+    assert v1.checks is not v2.checks
     c1, c2 = CostSummary(), CostSummary()
     assert c1.by_action is not c2.by_action
     assert c1.claim_by_round is not c2.claim_by_round

@@ -89,8 +89,8 @@ def synthetic(rows: int) -> RunResult:
     # balances inserted in descending order, so rendering must sort them
     balances = {u: (u * 31) % 1000 for u in range(rows, 0, -1)}
     return RunResult(scenario=None, trace=trace, balances=balances,
-                     reports=reports, epoch_summaries=[], findings=[],
-                     final_capacity=0, injected=0)
+                     reports=reports, epoch_summaries=[], final_capacity=0,
+                     injected=0)
 
 
 @pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
