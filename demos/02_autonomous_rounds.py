@@ -1,15 +1,20 @@
 """The same fairness, but user-driven: demands one epoch, claims the next.
 
-Runs the scripted five-epoch scenario and prints it in the shape of a
+Runs the scripted five-epoch scenario of
+``scenarios/amf_worked_example.json`` and prints it in the shape of a
 distribution table: per epoch, the demands registered for the NEXT epoch
 and the per-round claims of the PREVIOUS epoch's demands.  Watch the
 leftover capacity carry over (30, 30, 38, 41 at the epoch boundaries)
 while unclaimed demand expires.
 """
 
-from fairfaucet import worked_example_scenarios, run_scenario
+from pathlib import Path
 
-scenario = worked_example_scenarios()["amf_worked_example"]
+from fairfaucet import run_scenario
+from fairfaucet.sim import load_scenario
+
+scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios"
+                         / "amf_worked_example.json")
 result = run_scenario(scenario)
 
 claims = {}

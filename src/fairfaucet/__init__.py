@@ -10,8 +10,7 @@ from .costs import cost_report
 from .faucet import AutonomousFaucet, WeightPolicy
 from .oracle import (AllocationProblem, is_maxmin_fair, leximin_brute_force,
                      sorted_levels, waterfill)
-from .sim import (Scenario, run_scenario, scenario_from_dict,
-                  worked_example_scenarios)
+from .sim import Scenario, run_scenario, scenario_from_dict
 from .verify import verify_run
 
 __version__ = "0.1.0"
@@ -20,5 +19,5 @@ __all__ = [
     "AllocationProblem", "AutonomousFaucet", "ClockParams", "CmfDistributor",
     "Scenario", "WeightPolicy", "cost_report", "is_maxmin_fair",
     "leximin_brute_force", "run_scenario", "scenario_from_dict",
-    "sorted_levels", "verify_run", "waterfill", "worked_example_scenarios",
+    "sorted_levels", "verify_run", "waterfill",
 ]

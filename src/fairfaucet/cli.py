@@ -1,5 +1,5 @@
 """Command-line front end: run scenarios, verify them against the
-oracle, summarize costs and regenerate golden fixtures.
+oracle and summarize costs.
 
 Exit codes are a stable contract: 0 success, 1 verification mismatch,
 2 usage, input or output error.  All outputs are pure functions of the
@@ -12,9 +12,8 @@ from pathlib import Path
 
 from .costs import cost_report
 from .sim import (Scenario, ScenarioError, balances_chunks,
-                  distributions_chunks, load_scenario,
-                  worked_example_scenarios, receipts_chunks, run_scenario,
-                  trace_chunks)
+                  distributions_chunks, load_scenario, receipts_chunks,
+                  run_scenario, trace_chunks)
 from .verify import EXHAUSTED, MATCHED, TOTALS_ONLY, verify_run
 
 EXIT_OK = 0
@@ -29,30 +28,21 @@ def _load(args) -> Scenario:
     return sc
 
 
-def _write_chunks(path: Path, chunks):
-    """Write a CSV chunk by chunk, so no whole file is held in memory."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(chunks)
-
-
 def _write_outputs(result, out_dir: Path) -> list:
+    """Write each CSV chunk by chunk as it renders, so no whole file is
+    held in memory."""
+    files = [("trace.csv", trace_chunks), ("receipts.csv", receipts_chunks),
+             ("balances.csv", balances_chunks)]
+    if result.reports:
+        files.append(("distributions.csv", distributions_chunks))
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, chunks in _output_files(result):
+    for name, chunks in files:
         path = out_dir / name
-        _write_chunks(path, chunks)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks(result))
         written.append(path)
     return written
-
-
-def _output_files(result):
-    """(file name, chunk iterator) per CSV; each renders as it is written."""
-    files = [("trace.csv", trace_chunks(result)),
-             ("receipts.csv", receipts_chunks(result)),
-             ("balances.csv", balances_chunks(result))]
-    if result.reports:
-        files.append(("distributions.csv", distributions_chunks(result)))
-    return files
 
 
 def findings(result) -> list:
@@ -112,7 +102,12 @@ def cmd_verify(args) -> int:
               f"(no demands or rounds exhausted)")
         return EXIT_OK
     epoch, user, got, want = report.first_diff
-    print(f"verify FAILED: epoch {epoch} user {user}: got {got}, want {want}")
+    if user is None:
+        print(f"verify FAILED: epoch {epoch}: grants total {got}, but the "
+              f"capacity fell by {want}")
+    else:
+        print(f"verify FAILED: epoch {epoch} user {user}: got {got}, "
+              f"want {want}")
     return EXIT_MISMATCH
 
 
@@ -174,25 +169,6 @@ def cmd_cost_report(args) -> int:
     return EXIT_OK
 
 
-def cmd_golden(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    planned = []
-    for name, sc in worked_example_scenarios().items():
-        result = run_scenario(sc)
-        for suffix, chunks in _output_files(result):
-            planned.append((out_dir / f"{name}.{suffix}", chunks))
-    existing = [path for path, _ in planned if path.exists()]
-    if existing and not args.force:
-        print(f"refusing to overwrite {len(existing)} golden file(s) "
-              f"without --force (first: {existing[0]})")
-        return EXIT_USAGE
-    for path, chunks in planned:
-        _write_chunks(path, chunks)
-        print(f"wrote {path}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairfaucet",
@@ -218,12 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     cost_p.add_argument("--sweep", default=None,
                         help="user counts, e.g. n=10,50,100,500")
     cost_p.set_defaults(func=cmd_cost_report)
-
-    golden_p = sub.add_parser("golden",
-                              help="regenerate pinned golden fixtures")
-    golden_p.add_argument("--out", default="tests/golden")
-    golden_p.add_argument("--force", action="store_true")
-    golden_p.set_defaults(func=cmd_golden)
     return parser
 
 

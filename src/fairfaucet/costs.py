@@ -20,9 +20,12 @@ class CostModel(_Record, frozen=True):
                  tx_base: int = 21000, block_budget: int = 8_000_000):
         super().__init__(storage_read, storage_write, heap_move,
                          arithmetic_op, tx_base, block_budget)
-        for name in ("storage_read", "storage_write", "heap_move",
-                     "arithmetic_op", "tx_base"):
-            if getattr(self, name) < 0:
+        for name in self._fields:
+            value = getattr(self, name)
+            # bool is an int subclass, but JSON true is not a price
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be >= 0")
         if block_budget <= tx_base:
             raise ValueError("block_budget must exceed tx_base")

@@ -68,9 +68,16 @@ def next_demand(state: int, lo: int, hi: int):
     return state, lo + (z % (hi - lo))
 
 
+def _require_int(name, value):
+    # bool is an int subclass, but JSON true is not a count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+
+
 def _geometry(n: int) -> dict:
     """The n-coupled part of the benchmark parameterization: capacity 20n,
     epoch span 4n, round span n."""
+    _require_int("n", n)
     return dict(epoch_capacity=20 * n, epoch_span=4 * n, round_span=n)
 
 
@@ -103,6 +110,10 @@ class Scenario(_Record, frozen=True):
                          cost_model, scripted_demands)
         if self.variant not in VARIANTS:
             raise ScenarioError(f"unknown variant {self.variant!r}")
+        for name in self._fields[1:-2]:  # the counts, n to precision
+            _require_int(name, getattr(self, name))
+        if not isinstance(self.cost_model, CostModel):
+            raise ScenarioError("cost_model must be a CostModel")
         if self.n < 0:
             raise ScenarioError("n must be >= 0")
         if self.epochs < 0:
@@ -125,9 +136,13 @@ class Scenario(_Record, frozen=True):
             raise ScenarioError("seed must fit in 64 bits")
         if self.precision < 1:
             raise ScenarioError("precision must be positive")
-        if self.scripted_demands is not None:
+        rows = self.scripted_demands
+        if rows is not None:
+            if (not isinstance(rows, (list, tuple))
+                    or not all(isinstance(row, (list, tuple)) for row in rows)):
+                raise ScenarioError("scripted_demands must be a list of rows")
             object.__setattr__(self, "scripted_demands",
-                               tuple(tuple(row) for row in self.scripted_demands))
+                               tuple(map(tuple, rows)))
             for row in self.scripted_demands:
                 if len(row) > self.n:
                     raise ScenarioError("scripted demand row longer than n")
@@ -160,73 +175,36 @@ class Scenario(_Record, frozen=True):
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    out = {
-        "variant": sc.variant, "n": sc.n,
-        "epoch_capacity": sc.epoch_capacity,
-        "epoch_span": sc.epoch_span, "round_span": sc.round_span,
-        "demand_lo": sc.demand_lo, "demand_hi": sc.demand_hi,
-        "epochs": sc.epochs, "seed": sc.seed, "precision": sc.precision,
-        "cost_model": {
-            "storage_read": sc.cost_model.storage_read,
-            "storage_write": sc.cost_model.storage_write,
-            "heap_move": sc.cost_model.heap_move,
-            "arithmetic_op": sc.cost_model.arithmetic_op,
-            "tx_base": sc.cost_model.tx_base,
-            "block_budget": sc.cost_model.block_budget,
-        },
-    }
-    if sc.scripted_demands is not None:
+    out = dict(zip(sc._fields, sc._values()))
+    model = sc.cost_model
+    out["cost_model"] = dict(zip(model._fields, model._values()))
+    if sc.scripted_demands is None:
+        del out["scripted_demands"]
+    else:
         out["scripted_demands"] = [list(row) for row in sc.scripted_demands]
     return out
 
 
-_SCENARIO_KEYS = {"variant", "n", "epoch_capacity", "epoch_span",
-                  "round_span", "demand_lo", "demand_hi", "epochs", "seed",
-                  "precision", "cost_model", "scripted_demands"}
-
-
-_INT_KEYS = ("n", "epoch_capacity", "epoch_span", "round_span", "demand_lo",
-             "demand_hi", "epochs", "seed", "precision")
-
-
-def _require_int(name, value):
-    # bool is an int subclass, but JSON true is not a count
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{name} must be an integer, got {value!r}")
-
-
 def scenario_from_dict(data: dict) -> Scenario:
+    """Build a scenario from its JSON object.  Omitted geometry takes the
+    benchmark parameterization; the constructor checks every value."""
     if not isinstance(data, dict):
         raise ScenarioError("a scenario must be a JSON object")
-    unknown = set(data) - _SCENARIO_KEYS
+    unknown = data.keys() - Scenario._fields
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
     if "variant" not in data or "n" not in data:
         raise ScenarioError("scenario requires 'variant' and 'n'")
-    for key in _INT_KEYS:
-        if key in data:
-            _require_int(key, data[key])
     kwargs = {**_geometry(data["n"]), **data}
     model = kwargs.pop("cost_model", None)
     if model is not None:
         if not isinstance(model, dict):
             raise ScenarioError("cost_model must be a JSON object")
-        for key, value in model.items():
-            _require_int(f"cost_model.{key}", value)
         try:
             kwargs["cost_model"] = CostModel(**model)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad cost_model: {exc}") from exc
-    scripted = kwargs.get("scripted_demands")
-    if scripted is not None:
-        if (not isinstance(scripted, (list, tuple))
-                or not all(isinstance(row, (list, tuple)) for row in scripted)):
-            raise ScenarioError("scripted_demands must be a list of rows")
-        kwargs["scripted_demands"] = tuple(tuple(row) for row in scripted)
-    try:
-        return Scenario(**kwargs)
-    except TypeError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return Scenario(**kwargs)
 
 
 def load_scenario(path) -> Scenario:
@@ -559,20 +537,6 @@ def run_scenario(sc: Scenario) -> RunResult:
                      reports=adapter.reports, epoch_summaries=summaries,
                      final_capacity=pool.capacity,
                      injected=injections * sc.epoch_capacity)
-
-
-def worked_example_scenarios() -> dict:
-    """The two worked-table scenarios used as golden fixtures: a 3-user
-    scripted AMF run over five epochs and the matching single-distribution
-    CMF run.  Both are fully scripted, so seeds are irrelevant."""
-    amf = Scenario(variant="AMF", n=3, epoch_capacity=30, epoch_span=12,
-                   round_span=3, epochs=5, seed=1,
-                   scripted_demands=((4, 11, 15), (11, 3, 8), (7, 8, 12),
-                                     (17, 13, 5)))
-    cmf = Scenario(variant="CMF", n=3, epoch_capacity=30, epoch_span=12,
-                   round_span=3, epochs=2, seed=1,
-                   scripted_demands=((4, 11, 15),))
-    return {"amf_worked_example": amf, "cmf_worked_example": cmf}
 
 
 # -- CSV rendering ---------------------------------------------------------

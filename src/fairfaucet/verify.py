@@ -2,10 +2,16 @@
 
 Each claim epoch is an allocation problem of its own: the demands
 registered in the previous epoch plus the capacity in force when claims
-began.  The oracle's answer must match the grants the run actually made
-(a grant to a user who demanded nothing in that problem is always a
-mismatch, even in an epoch without demands), with two documented
-exceptions:
+began.  Whatever the schedule, every epoch keeps two bounds:
+
+1. each grant is in (0, demand] of its user (a grant to a user who
+   demanded nothing in that problem is always a mismatch, even in an
+   epoch without demands);
+2. the grants sum to the capacity the epoch spent, ``capacity_start -
+   capacity_end``.
+
+Beyond the bounds, the oracle's answer must match the grants the run
+actually made, with two documented exceptions:
 
 * depletion: when the pool hit zero before every demand was met, the
   remaining units went to claimants in arrival order rather than
@@ -39,7 +45,9 @@ class EpochCheck(_Record):
         self.epoch = epoch
         self.ok = ok
         self.note = note
-        self.first_diff = first_diff  # (epoch, user, got, want)
+        # (epoch, user, got, want); a break of bound 2 has user None and
+        # compares the grants' total with the capacity spent
+        self.first_diff = first_diff
 
 
 class VerifyReport(_Record):
@@ -68,30 +76,41 @@ def oracle_problem(summary) -> AllocationProblem:
 
 
 def verify_run(result: RunResult) -> VerifyReport:
-    """Compare every claim epoch of a run to the oracle allocation."""
-    checks = []
-    for summary in result.epoch_summaries:
-        epoch, granted = summary.epoch, summary.granted
-        if not granted.keys() <= summary.demands.keys():
-            # a grant to a user who demanded nothing: the oracle wants 0
-            user = min(granted.keys() - summary.demands.keys())
-            check = EpochCheck(epoch, False, MISMATCH,
-                               (epoch, user, granted[user], 0))
-        elif not summary.demands:
-            check = EpochCheck(epoch, True, NO_DEMANDS)
-        elif summary.incomplete:
-            check = EpochCheck(epoch, True, EXHAUSTED)
-        else:
-            want = waterfill(oracle_problem(summary))
-            # the oracle also lists the demanders it grants nothing
-            if granted == want or {u: granted.get(u, 0) for u in want} == want:
-                check = EpochCheck(epoch, True)
-            elif (summary.depleted
-                  and sum(granted.values()) == sum(want.values())):
-                check = EpochCheck(epoch, True, TOTALS_ONLY)
-            else:
-                user = min(u for u in want if granted.get(u, 0) != want[u])
-                check = EpochCheck(epoch, False, MISMATCH, (
-                    epoch, user, granted.get(user, 0), want[user]))
-        checks.append(check)
-    return VerifyReport(checks)
+    """Check every claim epoch of a run against its bounds and the oracle
+    allocation."""
+    return VerifyReport([_check(summary) for summary in result.epoch_summaries])
+
+
+def _check(summary) -> EpochCheck:
+    epoch, granted, demands = summary.epoch, summary.granted, summary.demands
+    complete = bool(demands) and not summary.incomplete
+    want = waterfill(oracle_problem(summary)) if complete else {}
+    # the oracle also lists the demanders it grants nothing; its answer
+    # keeps bound 1, so an epoch that matches it skips the per-user pass
+    matched = complete and (granted == want or (
+        granted.keys() <= want.keys()
+        and {u: granted.get(u, 0) for u in want} == want))
+    total = sum(granted.values())
+    if not matched:
+        user = min((u for u, g in granted.items()
+                    if not 0 < g <= demands.get(u, 0)), default=None)
+        if user is not None:
+            return EpochCheck(epoch, False, MISMATCH, (
+                epoch, user, granted[user], demands.get(user, 0)))
+        if complete and not (summary.depleted
+                             and total == sum(want.values())):
+            user = min(u for u in want if granted.get(u, 0) != want[u])
+            return EpochCheck(epoch, False, MISMATCH, (
+                epoch, user, granted.get(user, 0), want[user]))
+    spent = summary.capacity_start - summary.capacity_end
+    if total != spent:
+        # bound 2 names no user: the diff holds the grants' total and the
+        # capacity the epoch spent
+        return EpochCheck(epoch, False, MISMATCH, (epoch, None, total, spent))
+    if matched:
+        return EpochCheck(epoch, True)
+    if not demands:
+        return EpochCheck(epoch, True, NO_DEMANDS)
+    if summary.incomplete:
+        return EpochCheck(epoch, True, EXHAUSTED)
+    return EpochCheck(epoch, True, TOTALS_ONLY)

@@ -9,15 +9,18 @@ import hashlib
 import math
 import random
 import time
+from pathlib import Path
 
 from fairfaucet.cmf import CmfDistributor
 from fairfaucet.costs import CostMeter, cost_report
 from fairfaucet.faucet import reciprocal_weight
 from fairfaucet.heap import HeapNode, MinHeap
 from fairfaucet.oracle import AllocationProblem, waterfill
-from fairfaucet.sim import (Scenario, next_demand, worked_example_scenarios,
+from fairfaucet.sim import (Scenario, load_scenario, next_demand,
                             run_scenario, trace_csv)
 from fairfaucet.verify import verify_run
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # conservation evidence collected while criteria 3 and 4 run
 CONSERVATION_LOG = []
@@ -29,7 +32,7 @@ def _pass(criterion, detail):
 
 def test_criterion_1_golden_cmf_trace():
     started = time.time()
-    result = run_scenario(worked_example_scenarios()["cmf_worked_example"])
+    result = run_scenario(load_scenario(SCENARIOS / "cmf_worked_example.json"))
     report = result.reports[0]
     assert report.shares == [10, 3, 2]
     assert [r[:3] for r in report.rows] == [(1, 1, 4), (1, 2, 10), (1, 3, 10),
@@ -44,7 +47,7 @@ def test_criterion_1_golden_cmf_trace():
 
 def test_criterion_2_golden_amf_trace():
     started = time.time()
-    result = run_scenario(worked_example_scenarios()["amf_worked_example"])
+    result = run_scenario(load_scenario(SCENARIOS / "amf_worked_example.json"))
     # grants per (epoch, round, user) and capacity after each round
     grants = {}
     round_share = {}

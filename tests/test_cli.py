@@ -6,14 +6,15 @@ from pathlib import Path
 
 import pytest
 
+from fairfaucet import cli
 from fairfaucet.cli import main
+from fairfaucet.sim import run_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 AMF_TABLE = str(SCENARIOS / "amf_worked_example.json")
-CMF_TABLE = str(SCENARIOS / "cmf_worked_example.json")
 FCFS = str(SCENARIOS / "depletion_fcfs.json")
 
 
@@ -75,16 +76,11 @@ def test_verify_bad_scenario_exits_two_without_traceback(tmp_path, case):
     assert_cli_exits_two_without_traceback("verify", "--scenario", str(path))
 
 
-@pytest.mark.parametrize("command", ["run", "golden"])
-def test_unwritable_output_exits_two_without_traceback(tmp_path, command):
-    # run: --out names an existing file; golden: --out lies under one
-    blocker = tmp_path / "file"
+def test_unwritable_output_exits_two_without_traceback(tmp_path):
+    blocker = tmp_path / "file"  # --out names an existing file
     blocker.write_text("")
-    if command == "run":
-        args = ["run", "--scenario", AMF_TABLE, "--out", str(blocker)]
-    else:
-        args = ["golden", "--out", str(blocker / "x")]
-    assert_cli_exits_two_without_traceback(*args)
+    assert_cli_exits_two_without_traceback(
+        "run", "--scenario", AMF_TABLE, "--out", str(blocker))
 
 
 def test_run_twice_produces_identical_files(tmp_path):
@@ -97,22 +93,23 @@ def test_run_twice_produces_identical_files(tmp_path):
 
 
 def test_run_matches_pinned_goldens_byte_for_byte(tmp_path):
-    rc = main(["run", "--scenario", AMF_TABLE, "--out", str(tmp_path)])
-    assert rc == 0
-    for suffix in ("trace.csv", "receipts.csv", "balances.csv"):
-        produced = (tmp_path / suffix).read_bytes()
-        pinned = (GOLDEN / f"amf_worked_example.{suffix}").read_bytes()
-        assert produced == pinned, f"golden drift in {suffix}"
-
-
-def test_cmf_run_matches_pinned_goldens(tmp_path):
-    rc = main(["run", "--scenario", CMF_TABLE, "--out", str(tmp_path)])
-    assert rc == 0
-    for suffix in ("trace.csv", "receipts.csv", "balances.csv",
-                   "distributions.csv"):
-        produced = (tmp_path / suffix).read_bytes()
-        pinned = (GOLDEN / f"cmf_worked_example.{suffix}").read_bytes()
-        assert produced == pinned, f"golden drift in {suffix}"
+    # `run` regenerates each tests/golden/<scenario>/: exactly its files,
+    # byte for byte, over stale ones
+    pinned = sorted(p.name for p in GOLDEN.iterdir())
+    assert pinned == ["amf_worked_example", "cmf_worked_example"]
+    for name in pinned:
+        out = tmp_path / name
+        out.mkdir()
+        files = sorted(p.name for p in (GOLDEN / name).iterdir())
+        for file in files:
+            (out / file).write_text("stale\n")
+        assert main(["run", "--scenario", str(SCENARIOS / f"{name}.json"),
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == files
+        for file in files:
+            assert ((out / file).read_bytes()
+                    == (GOLDEN / name / file).read_bytes()), \
+                f"golden drift in {name}/{file}"
 
 
 def test_verify_worked_example_exits_zero(capsys):
@@ -135,6 +132,29 @@ def test_verify_injected_fault_exits_one(capsys):
     out = capsys.readouterr().out
     assert "verify FAILED" in out
     assert "got" in out and "want" in out
+
+
+@pytest.mark.parametrize("name",
+                         sorted(p.stem for p in SCENARIOS.glob("*.json")))
+def test_injected_fault_fails_every_scenario_file(name, capsys):
+    # the negative control: one skewed grant fails whatever the epoch kind
+    scenario = str(SCENARIOS / f"{name}.json")
+    assert main(["verify", "--scenario", scenario, "--inject-fault"]) == 1
+    assert "verify FAILED" in capsys.readouterr().out
+
+
+def test_verify_names_the_epoch_whose_grants_miss_the_capacity_spent(
+        monkeypatch, capsys):
+    def run_with_a_unit_unspent(sc):
+        result = run_scenario(sc)
+        result.epoch_summaries[0].capacity_end += 1
+        return result
+
+    monkeypatch.setattr(cli, "run_scenario", run_with_a_unit_unspent)
+    assert main(["verify", "--scenario", AMF_TABLE]) == 1
+    assert capsys.readouterr().out == (
+        "verify FAILED: epoch 1: grants total 30, but the capacity fell by "
+        "29\n")
 
 
 def test_cost_report_prints_summary(capsys):
@@ -161,29 +181,6 @@ def test_cost_report_of_an_empty_scenario_is_empty(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "over-budget transactions: 0" in out
     assert "claim" not in out
-
-
-def test_golden_refuses_overwrite_without_force(tmp_path, capsys):
-    rc = main(["golden", "--out", str(tmp_path)])
-    assert rc == 0
-    rc = main(["golden", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "refusing" in capsys.readouterr().out
-    rc = main(["golden", "--out", str(tmp_path), "--force"])
-    assert rc == 0
-
-
-def test_golden_regeneration_matches_committed_fixtures(tmp_path):
-    # stale files under every fixture name must all be overwritten, and
-    # the command must write exactly the committed set
-    pinned = sorted(p.name for p in GOLDEN.iterdir())
-    for name in pinned:
-        (tmp_path / name).write_text("stale\n")
-    assert main(["golden", "--out", str(tmp_path), "--force"]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == pinned
-    for name in pinned:
-        assert ((tmp_path / name).read_bytes()
-                == (GOLDEN / name).read_bytes()), f"golden drift in {name}"
 
 
 def test_seed_override_changes_the_run(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,9 +8,11 @@ from fairfaucet.clock import locate
 from fairfaucet.costs import CostModel
 from fairfaucet.sim import (MASK64, Scenario, ScenarioError, TraceRow,
                             balances_csv, load_scenario, next_demand,
-                            worked_example_scenarios, run_scenario,
-                            scenario_from_dict, scenario_to_dict, trace_csv)
+                            run_scenario, scenario_from_dict,
+                            scenario_to_dict, trace_csv)
 from fairfaucet.verify import verify_run
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # -- demand stream ----------------------------------------------------------
@@ -92,6 +95,40 @@ def test_scenario_rejects_bad_parameters():
         Scenario.benchmark_defaults("AMF", 10, demand_lo=20, demand_hi=20)
     with pytest.raises(ScenarioError, match="precision"):
         Scenario.benchmark_defaults("WAMF", 10, epochs=4, precision=100)
+
+
+BAD_FIELDS = [("n", 2.5), ("n", True), ("epochs", 4.0), ("epochs", True),
+              ("seed", 1.5), ("seed", False), ("demand_lo", 10.0),
+              ("demand_lo", True), ("scripted_demands", [[1, 2], 3]),
+              ("scripted_demands", 7)]
+
+
+@pytest.mark.parametrize("field, value", BAD_FIELDS)
+def test_every_path_rejects_the_same_bad_field(field, value):
+    # the constructor is the one validator: _replace, with_n and the JSON
+    # path all build through it
+    sc = Scenario.benchmark_defaults("AMF", 3)
+    fields = dict(zip(sc._fields, sc._values()), **{field: value})
+    with pytest.raises(ScenarioError, match=field):
+        Scenario(**fields)
+    with pytest.raises(ScenarioError, match=field):
+        sc._replace(**{field: value})
+    with pytest.raises(ScenarioError, match=field):
+        scenario_from_dict({**scenario_to_dict(sc), field: value})
+    if field == "n":
+        with pytest.raises(ScenarioError, match="n must be an integer"):
+            sc.with_n(value)
+
+
+@pytest.mark.parametrize("value", [800.0, True])
+def test_every_path_rejects_a_non_integer_price(value):
+    with pytest.raises(ValueError, match="storage_read must be an integer"):
+        CostModel(storage_read=value)
+    with pytest.raises(ValueError, match="storage_read must be an integer"):
+        CostModel()._replace(storage_read=value)
+    with pytest.raises(ScenarioError, match="storage_read must be an integer"):
+        scenario_from_dict({"variant": "AMF", "n": 3,
+                            "cost_model": {"storage_read": value}})
 
 
 def test_scenario_json_round_trip(tmp_path):
@@ -232,7 +269,7 @@ def test_scripted_demands_override_prng():
 
 
 def test_cmf_run_produces_reports_and_full_balances():
-    sc = worked_example_scenarios()["cmf_worked_example"]
+    sc = load_scenario(SCENARIOS / "cmf_worked_example.json")
     result = run_scenario(sc)
     assert len(result.reports) == 1
     report = result.reports[0]
@@ -246,7 +283,7 @@ def test_cmf_run_produces_reports_and_full_balances():
 
 
 def test_amf_worked_example_reaches_the_expected_balances():
-    sc = worked_example_scenarios()["amf_worked_example"]
+    sc = load_scenario(SCENARIOS / "amf_worked_example.json")
     result = run_scenario(sc)
     assert result.balances == {1: 39, 2: 35, 3: 40}
     assert result.final_capacity == 6

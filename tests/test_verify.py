@@ -1,14 +1,18 @@
+from pathlib import Path
+
 from fairfaucet.cli import findings
 from fairfaucet.oracle import AllocationProblem, waterfill
-from fairfaucet.sim import (EpochSummary, RunResult, Scenario,
-                            worked_example_scenarios, run_scenario)
+from fairfaucet.sim import (EpochSummary, RunResult, Scenario, load_scenario,
+                            run_scenario)
 from fairfaucet.verify import (EXHAUSTED, MATCHED, MISMATCH, NO_DEMANDS,
                                TOTALS_ONLY, EpochCheck, VerifyReport,
                                verify_run)
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
 
 def test_worked_example_run_verifies_cleanly():
-    result = run_scenario(worked_example_scenarios()["amf_worked_example"])
+    result = run_scenario(load_scenario(SCENARIOS / "amf_worked_example.json"))
     report = verify_run(result)
     assert report.ok
     assert [c.note for c in report.checks] == [MATCHED] * 4
@@ -16,7 +20,7 @@ def test_worked_example_run_verifies_cleanly():
 
 
 def test_cmf_run_verifies_cleanly():
-    result = run_scenario(worked_example_scenarios()["cmf_worked_example"])
+    result = run_scenario(load_scenario(SCENARIOS / "cmf_worked_example.json"))
     report = verify_run(result)
     assert report.ok
     assert report.checks == [EpochCheck(1, True)]
@@ -40,6 +44,26 @@ def test_depletion_round_is_served_in_arrival_order():
     assert report.checks == [EpochCheck(1, True, TOTALS_ONLY)]
 
 
+def test_a_grant_above_demand_fails_a_depleted_epoch():
+    # the totals still match the oracle's, so only bound 1 catches it
+    result = run_scenario(load_scenario(SCENARIOS / "depletion_fcfs.json"))
+    summary = result.epoch_summaries[0]
+    assert summary.demands == {1: 9, 2: 3}
+    summary.granted = {2: 5}
+    report = verify_run(result)
+    assert not report.ok
+    assert report.first_diff == (1, 2, 5, 3)
+
+
+def test_grants_that_miss_the_capacity_spent_fail_without_a_user():
+    result = run_scenario(load_scenario(SCENARIOS / "amf_worked_example.json"))
+    assert verify_run(result).ok
+    summary = result.epoch_summaries[0]
+    summary.capacity_end += 1
+    assert verify_run(result).checks[0] == EpochCheck(
+        1, False, MISMATCH, (1, None, 30, 29))
+
+
 def test_exhausted_rounds_are_a_finding_not_a_failure():
     # constructed so the third round still leaves one unit and two live
     # demands: 41 = 1 + 11 + 15 + 15 - 1, shares 10/3/1 across the rounds
@@ -60,7 +84,7 @@ def test_exhausted_rounds_are_a_finding_not_a_failure():
 
 
 def test_tampered_grants_fail_verification():
-    result = run_scenario(worked_example_scenarios()["amf_worked_example"])
+    result = run_scenario(load_scenario(SCENARIOS / "amf_worked_example.json"))
     result.epoch_summaries[0].granted[1] += 1
     report = verify_run(result)
     assert not report.ok
