@@ -14,10 +14,13 @@ path's total of storage reads, writes and arithmetic operations;
 ``distribute`` adds its per-grant and per-iteration terms once, after
 the drain loop.  The heaps charge their own node moves and comparisons,
 the remainder heap as the inserts it replaces.  The drain pops once per
-grant through ``MinHeap.del_min`` and builds each grant row and
-remainder node positionally, through ``tuple.__new__``.  It adds each
-grant to the report's per-user allocations only; the balances take those
-totals once per user after the loop.
+grant through ``MinHeap.del_min`` and builds each grant row positionally,
+through ``tuple.__new__``.  Every heap node, queued or a remainder, is a
+plain ``(demand, user)`` tuple: the garbage collector untracks such a
+tuple of ints, never a tuple subclass, and unpacking one takes the
+exact-tuple fast path.  The drain adds each grant to the report's
+per-user allocations only; the balances take those totals once per user
+after the loop.
 """
 
 from functools import partial
@@ -25,7 +28,7 @@ from typing import NamedTuple
 
 from .clock import _Record
 from .costs import CostMeter
-from .heap import HeapNode, MinHeap
+from .heap import MinHeap
 
 
 class GrantRow(NamedTuple):
@@ -36,10 +39,9 @@ class GrantRow(NamedTuple):
     capacity_after: int
 
 
-# tuple.__new__ builds a row or node at half its NamedTuple constructor's
-# cost; the drain builds one row per grant and one node per remainder
+# tuple.__new__ builds a row at half its NamedTuple constructor's cost;
+# the drain builds one row per grant
 _new_row = partial(tuple.__new__, GrantRow)
-_new_node = partial(tuple.__new__, HeapNode)
 
 
 class DistributionReport(_Record):
@@ -94,7 +96,7 @@ class CmfDistributor:
             raise ValueError("already demanded")
         self._demanded.add(user)
         self._meter.charge(1, 1)
-        self._heaps[0].insert(_new_node((amount, user)))
+        self._heaps[0].insert((amount, user))
 
     def distribute(self, epoch: int = 0) -> DistributionReport:
         """Run one full distribution; returns the report.  ``epoch`` only
@@ -125,7 +127,7 @@ class CmfDistributor:
                 demand, user = del_min()
                 if demand > share:
                     granted = share
-                    rest.append(_new_node((demand - share, user)))
+                    rest.append((demand - share, user))
                 else:
                     granted = demand
                 # clamped by c so the pool can never go negative

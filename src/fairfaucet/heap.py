@@ -5,8 +5,9 @@ ordered by demand with the user id as tie-break, so drain order is fully
 deterministic.  The array layout is a complete binary tree, which keeps
 every sift path logarithmic regardless of insertion order.
 
-A node is a ``(demand, user)`` tuple, so it is its own sort key.  Each
-heap operation charges its comparisons and node moves to a meter in one
+A node is a plain ``(demand, user)`` tuple, so it is its own sort key;
+the heap reads it only by index and by comparison.  Each heap operation
+charges its comparisons and node moves to a meter in one
 ``charge(reads, writes, ariths, heap_moves)`` call (a ``CostMeter`` unless
 the caller passes another object with that method); the simulator shares
 one meter across a transaction to charge abstract per-operation costs.
@@ -16,21 +17,14 @@ from the index where the sifted node lands, and a sift-down's compares
 from that level and whether two children, one or none stopped it.
 """
 
-from typing import NamedTuple
-
 from .costs import CostMeter
-
-
-class HeapNode(NamedTuple):
-    demand: int
-    user: int
 
 
 class MinHeap:
     """Binary min-heap keyed on (demand, user id)."""
 
     def __init__(self, meter=None):
-        self._nodes: list[HeapNode] = []
+        self._nodes: list = []
         self._meter = meter if meter is not None else CostMeter()
 
     @classmethod
@@ -46,7 +40,7 @@ class MinHeap:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def insert(self, node: HeapNode) -> None:
+    def insert(self, node: tuple) -> None:
         """Sift-up insert; zero demands are never stored."""
         if node[0] < 1:
             raise ValueError("empty demand")
@@ -68,7 +62,7 @@ class MinHeap:
         depth = (start + 1).bit_length() - (k + 1).bit_length()
         self._meter.charge(0, 0, depth + (k > 0), depth + 1)
 
-    def del_min(self) -> HeapNode:
+    def del_min(self) -> tuple:
         """Pop the minimum node, restoring heap order by sift-down."""
         nodes = self._nodes
         if not nodes:

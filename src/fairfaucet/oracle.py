@@ -20,10 +20,10 @@ Cost in the number of users n (each problem indexes its weights once, so
 * ``waterfill``: O(n) when the capacity covers the total demand, which
   is then granted in full.  Otherwise, weighted: O(n log n) -- one sort
   for the continuous level, one sort of the needy users for the sub-unit
-  remainder.  Unweighted: one O(n log n) sort, then O(n) per pass.  A
-  pass that does not end the fill satisfies at least one user, so there
-  are at most n + 1 passes; on random and polynomial demand profiles at
-  n = 5000 it takes 3 to 9.
+  remainder.  Unweighted: O(n log n) to sort by (demand, id), then O(n)
+  per pass.  A pass that does not end the fill satisfies at least one
+  user, so there are at most n + 1 passes; on random and polynomial
+  demand profiles at n = 5000 it takes 3 to 9.
 * ``is_maxmin_fair``: O(n), one pass.  It compares the lowest recipient
   level (a_u + 1) / w_u over unsatisfied users u with the highest donor
   level (a_v - 1) / w_v over users v holding a unit; the witness is that
@@ -53,17 +53,17 @@ class AllocationProblem(_Record, frozen=True):
     def __init__(self, demands: Sequence[Tuple[int, int]], capacity: int,
                  weights: Optional[Sequence[int]] = None):
         super().__init__(demands, capacity, weights)
-        ids = [u for u, _ in demands]
+        ids = list(map(itemgetter(0), demands))
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate user ids")
-        if any(a < 1 for _, a in demands):
+        if min(map(itemgetter(1), demands), default=1) < 1:
             raise ValueError("demands must be >= 1")
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         if weights is not None:
             if len(weights) != len(demands):
                 raise ValueError("weights must align with demands")
-            if any(w < 1 for w in weights):
+            if min(weights, default=1) < 1:
                 raise ValueError("weights must be positive")
         weight = None if weights is None else dict(zip(ids, weights))
         object.__setattr__(self, "_weight", weight)
@@ -102,8 +102,10 @@ def waterfill(problem: AllocationProblem) -> dict:
     # same ``level``.  A pass grants at most share * len(active) <= c, so
     # no grant needs clamping to c, and a pass that does not end the fill
     # raises every active user by the share or satisfies it; the next pass
-    # filters the list instead of sorting it again.
-    active = sorted(problem.demands, key=lambda d: (d[1], d[0]))
+    # filters the list instead of sorting it again.  The order takes two
+    # sorts and no key tuples: ids are distinct, so the first sort is by
+    # id, and the second, stable, by demand alone keeps ties in id order.
+    active = sorted(sorted(problem.demands), key=itemgetter(1))
     level = 0
     c = problem.capacity
     while c > 0 and active:

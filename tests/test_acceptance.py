@@ -14,7 +14,7 @@ from pathlib import Path
 from fairfaucet.cmf import CmfDistributor
 from fairfaucet.costs import CostMeter, cost_report
 from fairfaucet.faucet import reciprocal_weight
-from fairfaucet.heap import HeapNode, MinHeap
+from fairfaucet.heap import MinHeap
 from fairfaucet.oracle import AllocationProblem, waterfill
 from fairfaucet.sim import (Scenario, load_scenario, next_demand,
                             run_scenario, trace_csv)
@@ -218,10 +218,9 @@ def test_criterion_7_heap_oracle():
             assert sift_depth() <= math.ceil(math.log2(before + 1))
             removed += 1
         else:
-            node = HeapNode(rng.randrange(1, 1_000_000),
-                            rng.randrange(0, 500))
+            node = (rng.randrange(1, 1_000_000), rng.randrange(0, 500))
             heap.insert(node)
-            heapq.heappush(oracle, (node.demand, node.user))
+            heapq.heappush(oracle, (node[0], node[1]))
             assert sift_depth() <= math.ceil(math.log2(len(heap) + 1))
             inserted += 1
     drained = []

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from fairfaucet.cmf import CmfDistributor
+from fairfaucet.heap import MinHeap
 from fairfaucet.oracle import AllocationProblem, waterfill
 from fairfaucet.sim import distributions_csv
 
@@ -73,6 +74,34 @@ def test_rejects_empty_and_duplicate_demands():
     # a new epoch starts after distribution, so the user may demand again
     dist.distribute()
     dist.submit_demand(1, 7)
+
+
+def test_heap_nodes_are_exact_tuples(monkeypatch):
+    # A heap node must be a plain tuple, not a NamedTuple or other
+    # subclass: the garbage collector can untrack an exact tuple of ints,
+    # never a subclass instance, and unpacking ``demand, user = node``
+    # takes the exact-tuple fast path only.  A subclass here keeps every
+    # node of a job GC-tracked and slows each pop's unpack several times.
+    popped = []
+    del_min = MinHeap.del_min
+
+    def recording_del_min(heap):
+        node = del_min(heap)
+        popped.append(node)
+        return node
+
+    monkeypatch.setattr(MinHeap, "del_min", recording_del_min)
+    dist = CmfDistributor(30)
+    for user, amount in enumerate([4, 11, 15], 1):
+        dist.submit_demand(user, amount)
+    queued = dist._heaps[0]._nodes
+    assert sorted(queued) == [(4, 1), (11, 2), (15, 3)]
+    assert all(type(node) is tuple for node in queued)
+    report = dist.distribute()
+    # three iterations: the last two pop remainders built by the drain
+    assert report.iterations == 3
+    assert popped == [(4, 1), (11, 2), (15, 3), (1, 2), (5, 3), (2, 3)]
+    assert all(type(node) is tuple for node in popped)
 
 
 def test_distribute_with_no_demands_still_accrues_capacity():

@@ -13,7 +13,7 @@ import pytest
 
 from fairfaucet.cmf import CmfDistributor, DistributionReport, GrantRow
 from fairfaucet.costs import CostMeter
-from fairfaucet.heap import HeapNode, MinHeap
+from fairfaucet.heap import MinHeap
 
 
 class ReferenceCmf(CmfDistributor):
@@ -35,17 +35,16 @@ class ReferenceCmf(CmfDistributor):
             while len(heaps[i]) > 0 and c > 0:
                 node = heaps[i].del_min()
                 # clamped by c so the pool can never go negative
-                granted = min(share, node.demand, c)
-                self.balances[node.user] = (
-                    self.balances.get(node.user, 0) + granted)
+                granted = min(share, node[0], c)
+                self.balances[node[1]] = (
+                    self.balances.get(node[1], 0) + granted)
                 c -= granted
-                if node.demand > share:
-                    heaps[1 - i].insert(
-                        HeapNode(node.demand - share, node.user))
-                report.rows.append(GrantRow(iteration, node.user, granted,
+                if node[0] > share:
+                    heaps[1 - i].insert((node[0] - share, node[1]))
+                report.rows.append(GrantRow(iteration, node[1], granted,
                                             share, c))
-                report.allocations[node.user] = (
-                    report.allocations.get(node.user, 0) + granted)
+                report.allocations[node[1]] = (
+                    report.allocations.get(node[1], 0) + granted)
             i = 1 - i
 
         # depletion discards whatever is left in either heap
@@ -153,7 +152,7 @@ def test_demand_sets_cover_every_exit():
 def test_from_ascending_equals_sequential_inserts(m):
     rng = random.Random(m)
     # strictly ascending (demand, user) pairs, with repeated demands
-    nodes = sorted(HeapNode(rng.randrange(1, 8), u)
+    nodes = sorted((rng.randrange(1, 8), u)
                    for u in rng.sample(range(1000), m))
     inserted_meter, built_meter = CostMeter(), CostMeter()
     inserted = MinHeap(inserted_meter)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fairfaucet.costs import CostMeter
-from fairfaucet.heap import HeapNode, MinHeap
+from fairfaucet.heap import MinHeap
 
 
 def drain(heap):
@@ -16,41 +16,41 @@ def drain(heap):
 
 def test_insert_into_empty():
     h = MinHeap()
-    h.insert(HeapNode(5, 1))
-    assert h._nodes[0].demand == 5
+    h.insert((5, 1))
+    assert h._nodes[0][0] == 5
     assert len(h) == 1
 
 
 def test_table_demands_min_is_smallest():
     h = MinHeap()
     for user, demand in enumerate((4, 11, 15), 1):
-        h.insert(HeapNode(demand, user))
-    assert h._nodes[0] == HeapNode(4, 1)
+        h.insert((demand, user))
+    assert h._nodes[0] == (4, 1)
 
 
 def test_mixed_inserts():
     h = MinHeap()
     for user, demand in enumerate((7, 3, 9, 1), 1):
-        h.insert(HeapNode(demand, user))
-    assert h._nodes[0].demand == 1
+        h.insert((demand, user))
+    assert h._nodes[0][0] == 1
 
 
 def test_zero_demand_rejected():
     h = MinHeap()
     with pytest.raises(ValueError, match="empty demand"):
-        h.insert(HeapNode(0, 1))
+        h.insert((0, 1))
     assert len(h) == 0
 
 
 def test_del_min_order_and_underflow():
     h = MinHeap()
     for demand, user in ((4, 1), (11, 2), (15, 3)):
-        h.insert(HeapNode(demand, user))
-    assert h.del_min() == HeapNode(4, 1)
+        h.insert((demand, user))
+    assert h.del_min() == (4, 1)
     assert len(h) == 2
     h2 = MinHeap()
-    h2.insert(HeapNode(9, 4))
-    assert h2.del_min() == HeapNode(9, 4)
+    h2.insert((9, 4))
+    assert h2.del_min() == (9, 4)
     assert len(h2) == 0
     with pytest.raises(IndexError, match="underflow"):
         h2.del_min()
@@ -60,7 +60,7 @@ def test_size_counts():
     h = MinHeap()
     assert len(h) == 0
     for k in range(3):
-        h.insert(HeapNode(k + 1, k))
+        h.insert((k + 1, k))
     assert len(h) == 3
     h.del_min()
     assert len(h) == 2
@@ -69,8 +69,8 @@ def test_size_counts():
 def test_equal_demands_break_ties_by_user_id():
     h = MinHeap()
     for user in (9, 2, 7, 4):
-        h.insert(HeapNode(5, user))
-    assert [n.user for n in drain(h)] == [2, 4, 7, 9]
+        h.insert((5, user))
+    assert [n[1] for n in drain(h)] == [2, 4, 7, 9]
 
 
 def test_drain_matches_sort_oracle():
@@ -78,7 +78,7 @@ def test_drain_matches_sort_oracle():
     h = MinHeap()
     inserted = []
     for _ in range(1000):
-        node = HeapNode(rng.randrange(1, 10_000), rng.randrange(0, 200))
+        node = (rng.randrange(1, 10_000), rng.randrange(0, 200))
         inserted.append(node)
         h.insert(node)
     drained = drain(h)
@@ -94,7 +94,7 @@ def test_conservation_under_interleaving():
         if len(h) and rng.random() < 0.4:
             removed.append(h.del_min())
         else:
-            node = HeapNode(rng.randrange(1, 50), rng.randrange(0, 30))
+            node = (rng.randrange(1, 50), rng.randrange(0, 30))
             inserted.append(node)
             h.insert(node)
     removed.extend(drain(h))
@@ -119,7 +119,7 @@ def test_sift_depth_stays_logarithmic():
             depth = sift_depth(meter, h.del_min)
             assert depth <= math.ceil(math.log2(before + 1))
         else:
-            node = HeapNode(rng.randrange(1, 1_000_000), rng.randrange(0, 999))
+            node = (rng.randrange(1, 1_000_000), rng.randrange(0, 999))
             depth = sift_depth(meter, h.insert, node)
             assert depth <= math.ceil(math.log2(len(h) + 1))
 
@@ -140,7 +140,7 @@ def test_meter_hook_sees_moves_and_compares():
     probe = Probe()
     h = MinHeap(meter=probe)
     for demand in (5, 3, 8, 1):
-        h.insert(HeapNode(demand, 0))
+        h.insert((demand, 0))
     drain(h)
     # four appends with three sift-up swaps, then four pops with two
     # sift-down moves; seven node comparisons in all

@@ -14,14 +14,14 @@ import random
 
 import pytest
 
-from fairfaucet.heap import HeapNode, MinHeap
+from fairfaucet.heap import MinHeap
 
 
 class ReferenceHeap(MinHeap):
 
-    def insert(self, node: HeapNode) -> None:
+    def insert(self, node: tuple) -> None:
         """Sift-up insert; zero demands are never stored."""
-        if node.demand < 1:
+        if node[0] < 1:
             raise ValueError("empty demand")
         nodes = self._nodes
         nodes.append(node)
@@ -39,7 +39,7 @@ class ReferenceHeap(MinHeap):
         # climb below the root; one move for the append and one per level
         self._meter.charge(0, 0, depth + (k > 0), depth + 1)
 
-    def del_min(self) -> HeapNode:
+    def del_min(self) -> tuple:
         """Pop the minimum node, restoring heap order by sift-down."""
         nodes = self._nodes
         if not nodes:
@@ -120,7 +120,7 @@ def key_stream(rng, keys):
     """Nodes drawn from a small key space, so equal keys are common; each
     call builds a fresh node object."""
     demands, users = keys
-    return lambda: HeapNode(rng.randrange(1, demands), rng.randrange(users))
+    return lambda: (rng.randrange(1, demands), rng.randrange(users))
 
 
 @pytest.mark.parametrize("keys", [(10_000, 10_000), (4, 3), (2, 1)],
@@ -164,7 +164,7 @@ def test_drains_of_ascending_heaps():
     for size in list(range(0, 40)) + [63, 64, 65, 127, 128, 129, 500]:
         keys = sorted({(rng.randrange(1, 3 * size + 2), u)
                        for u in range(size)})
-        pair = Pair(HeapNode(d, u) for d, u in keys)
+        pair = Pair((d, u) for d, u in keys)
         pair.drain()
         # the reference meter saw one charge per pop plus the adoption
         assert len(pair.meters[1].calls) == len(keys) + 1
@@ -176,12 +176,12 @@ def test_refilled_ascending_heaps_with_duplicate_keys():
     rng = random.Random(44)
     for _ in range(40):
         size = rng.randrange(1, 70)
-        pair = Pair(HeapNode(d, 0) for d in range(1, size + 1))
+        pair = Pair((d, 0) for d in range(1, size + 1))
         for _ in range(rng.randrange(1, 150)):
             if len(pair.heaps[1]) and rng.random() < 0.5:
                 pair.pop()
             else:
-                pair.insert(HeapNode(rng.randrange(1, size + 1), 0))
+                pair.insert((rng.randrange(1, size + 1), 0))
         pair.drain()
 
 
@@ -189,7 +189,7 @@ def test_zero_demand_is_rejected_without_a_charge():
     pair = Pair()
     for heap in pair.heaps:
         with pytest.raises(ValueError, match="empty demand"):
-            heap.insert(HeapNode(0, 1))
+            heap.insert((0, 1))
     pair.check()
     # the only charge is the empty heap's adoption
     assert pair.meters[0].calls == [(0, 0, 0, 0)]

@@ -98,6 +98,39 @@ def test_fairness_checker_rejects_infeasible_input():
         is_maxmin_fair(p, {1: -1, 2: 0})
 
 
+def test_waterfill_tie_break_is_by_id_whatever_the_input_order():
+    # 7 units over three equal demands: two each, then the last unit to
+    # the lowest id, wherever that user sits in the demand list
+    for demands in (((3, 5), (1, 5), (2, 5)), ((2, 5), (3, 5), (1, 5))):
+        assert waterfill(AllocationProblem(demands, 7)) == {1: 3, 2: 2, 3: 2}
+        weighted = AllocationProblem(demands, 7, weights=(2, 2, 2))
+        assert waterfill(weighted) == {1: 3, 2: 2, 3: 2}
+
+
+@pytest.mark.parametrize("weighted", [False, True],
+                         ids=["unweighted", "weighted"])
+def test_waterfill_does_not_depend_on_the_order_of_the_ids(weighted):
+    rng = random.Random(13)
+    for _ in range(150):
+        n = rng.randrange(1, 30)
+        ids = rng.sample(range(1000), n)
+        # few distinct demands and weights, so equal levels are common
+        demands = [rng.randrange(1, 6) for _ in range(n)]
+        weights = [rng.randrange(1, 3) for _ in range(n)] if weighted else None
+        cap = rng.randrange(0, sum(demands))
+        rows = list(zip(ids, demands, weights or [None] * n))
+        alloc = None
+        for _ in range(3):
+            rng.shuffle(rows)
+            p = AllocationProblem(
+                tuple((u, d) for u, d, _ in rows), cap,
+                tuple(w for _, _, w in rows) if weighted else None)
+            got = waterfill(p)
+            assert is_maxmin_fair(p, got) == (True, None)
+            assert alloc is None or got == alloc, (rows, cap)
+            alloc = got
+
+
 def test_problem_validation():
     with pytest.raises(ValueError, match="duplicate"):
         AllocationProblem(demands=((1, 5), (1, 6)), capacity=10)
@@ -107,3 +140,28 @@ def test_problem_validation():
         AllocationProblem(demands=((1, 5),), capacity=10, weights=(1, 2))
     with pytest.raises(ValueError, match="positive"):
         AllocationProblem(demands=((1, 5),), capacity=10, weights=(0,))
+    # duplicates are found anywhere in the list, before the demand check
+    with pytest.raises(ValueError, match="duplicate user ids"):
+        AllocationProblem(((1, 0), (2, 5), (1, 6)), 10)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="demands must be >= 1"):
+            AllocationProblem(((1, 5), (2, bad)), 10)
+    # the demands are checked before the capacity
+    with pytest.raises(ValueError, match="demands must be >= 1"):
+        AllocationProblem(((1, 0),), -1)
+    with pytest.raises(ValueError, match="capacity must be >= 0"):
+        AllocationProblem(((1, 5),), -1)
+    for weights in ((), (1,), (1, 1, 1)):
+        with pytest.raises(ValueError, match="weights must align"):
+            AllocationProblem(((1, 5), (2, 5)), 10, weights=weights)
+    # alignment is checked before positivity
+    with pytest.raises(ValueError, match="weights must align"):
+        AllocationProblem(((1, 5),), 10, weights=(0, 0))
+    for weights in ((1, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="weights must be positive"):
+            AllocationProblem(((1, 5), (2, 5)), 10, weights=weights)
+    # an empty problem is valid, weighted or not, and allocates nothing
+    for weights in (None, ()):
+        empty = AllocationProblem((), 0, weights)
+        assert waterfill(empty) == {}
+        assert is_maxmin_fair(empty, {}) == (True, None)
