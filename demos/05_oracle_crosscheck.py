@@ -11,17 +11,17 @@ import random
 from fairfaucet import (AllocationProblem, CmfDistributor, is_maxmin_fair,
                         leximin_brute_force, sorted_levels, waterfill)
 
-p = AllocationProblem(demands=((1, 4), (2, 11), (3, 15)), capacity=30)
+p = AllocationProblem(demands={1: 4, 2: 11, 3: 15}, capacity=30)
 print("demands (4, 11, 15), capacity 30 ->", waterfill(p))
 
-scarce = AllocationProblem(demands=((1, 10), (2, 10)), capacity=10)
+scarce = AllocationProblem(demands={1: 10, 2: 10}, capacity=10)
 print("\nequal demands, half the capacity ->", waterfill(scarce))
 ok, witness = is_maxmin_fair(scarce, {1: 9, 2: 1})
 print("is (9, 1) fair?", ok, "- witness: unit should move from user "
       f"{witness[1]} to user {witness[0]}")
 
-weighted = AllocationProblem(demands=((1, 10), (2, 10)), capacity=12,
-                             weights=(2, 1))
+weighted = AllocationProblem(demands={1: 10, 2: 10}, capacity=12,
+                             weights={1: 2, 2: 1})
 alloc = waterfill(weighted)
 best_vec, best_alloc = leximin_brute_force(weighted)
 print("\nweights (2, 1), capacity 12 ->", alloc)
@@ -38,7 +38,7 @@ for trial in range(200):
         dist.submit_demand(user, amount)
     report = dist.distribute()
     oracle = waterfill(AllocationProblem(
-        demands=tuple(enumerate(demands, 1)), capacity=capacity))
+        demands=dict(enumerate(demands, 1)), capacity=capacity))
     assert {u: report.allocations.get(u, 0) for u in oracle} == oracle
     agree += 1
 print(f"{agree}/200 random instances identical, two unrelated "

@@ -13,17 +13,16 @@ from typing import NamedTuple
 
 class _Record:
     """A plain record: equality compares the fields in order, and the
-    repr names them.  The fields are the ``__slots__`` whose names do not
-    start with ``_``; such a slot holds state derived from the fields.
-    ``frozen=True`` in the class statement makes instances immutable and
-    hashable by their fields, and their ``__init__`` sets the fields in
-    order through ``_Record.__init__``."""
+    repr names them.  The fields are the ``__slots__``.  ``frozen=True``
+    in the class statement makes instances immutable and hashable by
+    their fields, and their ``__init__`` sets the fields in order through
+    ``_Record.__init__``."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, frozen=False, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(s for s in cls.__slots__ if s[0] != "_")
+        cls._fields = cls.__slots__
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _Record._immutable
             cls.__hash__ = _Record._hash

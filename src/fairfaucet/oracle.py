@@ -14,8 +14,8 @@ locally (no single unit can be moved to improve the worst-off user); and
 ``leximin_brute_force`` enumerates every feasible integer allocation for
 tiny instances to validate the other two.
 
-Cost in the number of users n (each problem indexes its weights once, so
-``AllocationProblem.weight_of`` is an O(1) lookup):
+Cost in the number of users n (a problem holds user -> demand and
+user -> weight dicts, so a weight lookup is O(1)):
 
 * ``waterfill``: O(n) when the capacity covers the total demand, which
   is then granted in full.  Otherwise, weighted: O(n log n) -- one sort
@@ -38,42 +38,42 @@ package does not load ``fractions``.
 
 from itertools import product
 from operator import itemgetter
-from typing import Optional, Sequence, Tuple
 
 from .clock import _Record
 
 
-class AllocationProblem(_Record, frozen=True):
-    """Demands (user id, amount >= 1), an integer capacity and optional
-    positive weights aligned with the demands."""
+class AllocationProblem(_Record):
+    """Demands as user id -> amount >= 1, a capacity >= 0 and optional
+    weights as user id -> weight >= 1 over the same users; every amount
+    is of type ``int``, not a float or a bool.  The problem holds the
+    caller's dicts uncopied, and no function here changes them."""
 
-    # _weight: user -> weight, built once; None when unweighted
-    __slots__ = ("demands", "capacity", "weights", "_weight")
+    __slots__ = ("demands", "capacity", "weights")
 
-    def __init__(self, demands: Sequence[Tuple[int, int]], capacity: int,
-                 weights: Optional[Sequence[int]] = None):
-        super().__init__(demands, capacity, weights)
-        ids = list(map(itemgetter(0), demands))
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate user ids")
-        if min(map(itemgetter(1), demands), default=1) < 1:
+    def __init__(self, demands: dict, capacity: int, weights: dict = None):
+        self.demands = demands
+        self.capacity = capacity
+        self.weights = weights
+        if not {int}.issuperset(map(type, demands.values())):
+            raise ValueError("demands must be integers")
+        if min(demands.values(), default=1) < 1:
             raise ValueError("demands must be >= 1")
+        if type(capacity) is not int:
+            raise ValueError("capacity must be an integer")
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         if weights is not None:
-            if len(weights) != len(demands):
+            if weights.keys() != demands.keys():
                 raise ValueError("weights must align with demands")
-            if min(weights, default=1) < 1:
+            if not {int}.issuperset(map(type, weights.values())):
+                raise ValueError("weights must be integers")
+            if min(weights.values(), default=1) < 1:
                 raise ValueError("weights must be positive")
-        weight = None if weights is None else dict(zip(ids, weights))
-        object.__setattr__(self, "_weight", weight)
 
     def weight_of(self, user: int) -> int:
         """The user's weight (1 when unweighted); KeyError for a user
         without a demand in a weighted problem."""
-        if self._weight is None:
-            return 1
-        return self._weight[user]
+        return 1 if self.weights is None else self.weights[user]
 
 
 def waterfill(problem: AllocationProblem) -> dict:
@@ -92,11 +92,11 @@ def waterfill(problem: AllocationProblem) -> dict:
     goes one unit at a time to whoever sits at the lowest normalized
     level.
     """
-    if problem.capacity >= sum(map(itemgetter(1), problem.demands)):
+    if problem.capacity >= sum(problem.demands.values()):
         return dict(problem.demands)
     if problem.weights is not None:
         return _weighted_waterfill(problem)
-    alloc = {u: 0 for u, _ in problem.demands}
+    alloc = dict.fromkeys(problem.demands, 0)
     # (id, demand) pairs in ascending (demand, id) order, which is also
     # (remaining, id) order: every user still active has been granted the
     # same ``level``.  A pass grants at most share * len(active) <= c, so
@@ -105,7 +105,7 @@ def waterfill(problem: AllocationProblem) -> dict:
     # filters the list instead of sorting it again.  The order takes two
     # sorts and no key tuples: ids are distinct, so the first sort is by
     # id, and the second, stable, by demand alone keeps ties in id order.
-    active = sorted(sorted(problem.demands), key=itemgetter(1))
+    active = sorted(sorted(problem.demands.items()), key=itemgetter(1))
     level = 0
     c = problem.capacity
     while c > 0 and active:
@@ -125,9 +125,9 @@ def waterfill(problem: AllocationProblem) -> dict:
 
 
 def _weighted_waterfill(problem: AllocationProblem) -> dict:
-    demands = dict(problem.demands)
+    demands = problem.demands
     users = sorted(demands)
-    weight = problem._weight
+    weight = problem.weights
     c = problem.capacity  # below the total demand, or waterfill returned
     k = max(weight.values()) ** 2  # level keys, see the module docstring
 
@@ -175,7 +175,7 @@ def is_maxmin_fair(problem: AllocationProblem, alloc: dict):
     (ties to the lowest id on each side).  Infeasible allocations raise
     ValueError.
     """
-    demands = dict(problem.demands)
+    demands = problem.demands
     for u, a in alloc.items():
         if u not in demands:
             raise ValueError(f"allocation for unknown user {u}")
@@ -197,7 +197,7 @@ def is_maxmin_fair(problem: AllocationProblem, alloc: dict):
     if not unsatisfied or not donors:
         return True, None
     weight_of = problem.weight_of
-    k = max(problem.weights) ** 2 if problem.weights else 1
+    k = max(problem.weights.values()) ** 2 if problem.weights else 1
     u = min(unsatisfied,
             key=lambda x: ((alloc.get(x, 0) + 1) * k // weight_of(x), x))
     v = min(donors, key=lambda x: (-((alloc[x] - 1) * k // weight_of(x)), x))
@@ -215,9 +215,9 @@ def leximin_brute_force(problem: AllocationProblem):
     Levels are Fractions alloc/weight in the weighted case.
     """
     from fractions import Fraction
-    users = [u for u, _ in problem.demands]
+    users = list(problem.demands)
     weights = [problem.weight_of(u) for u in users]
-    caps = [min(a, problem.capacity) for _, a in problem.demands]
+    caps = [min(a, problem.capacity) for a in problem.demands.values()]
     best_vec = None
     best_alloc = None
     for combo in product(*(range(cap + 1) for cap in caps)):
@@ -237,4 +237,4 @@ def sorted_levels(problem: AllocationProblem, alloc: dict):
     from fractions import Fraction
     return tuple(sorted(
         Fraction(alloc.get(u, 0), problem.weight_of(u))
-        for u, _ in problem.demands))
+        for u in problem.demands))

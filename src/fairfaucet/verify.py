@@ -2,7 +2,9 @@
 
 Each claim epoch is an allocation problem of its own: the demands
 registered in the previous epoch plus the capacity in force when claims
-began.  Whatever the schedule, every epoch keeps two bounds:
+began.  The oracle reads the summary's own demand and weight dicts,
+uncopied and unsorted, and no verdict depends on their order.
+Whatever the schedule, every epoch keeps two bounds:
 
 1. each grant is in (0, demand] of its user (a grant to a user who
    demanded nothing in that problem is always a mismatch, even in an
@@ -68,13 +70,6 @@ class VerifyReport(_Record):
         return None
 
 
-def oracle_problem(summary) -> AllocationProblem:
-    demands = tuple(sorted(summary.demands.items()))
-    weights = (None if summary.weights is None
-               else [summary.weights[u] for u, _ in demands])
-    return AllocationProblem(demands, summary.capacity_start, weights)
-
-
 def verify_run(result: RunResult) -> VerifyReport:
     """Check every claim epoch of a run against its bounds and the oracle
     allocation."""
@@ -84,7 +79,8 @@ def verify_run(result: RunResult) -> VerifyReport:
 def _check(summary) -> EpochCheck:
     epoch, granted, demands = summary.epoch, summary.granted, summary.demands
     complete = bool(demands) and not summary.incomplete
-    want = waterfill(oracle_problem(summary)) if complete else {}
+    want = waterfill(AllocationProblem(
+        demands, summary.capacity_start, summary.weights)) if complete else {}
     # the oracle also lists the demanders it grants nothing; its answer
     # keeps bound 1, so an epoch that matches it skips the per-user pass
     matched = complete and (granted == want or (

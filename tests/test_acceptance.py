@@ -114,7 +114,7 @@ def test_criterion_3_oracle_equivalence():
                 want = {u: 0 for u in result.balances}
                 for summary in result.epoch_summaries:
                     problem = AllocationProblem(
-                        demands=tuple(sorted(summary.demands.items())),
+                        demands=summary.demands,
                         capacity=summary.capacity_start)
                     for user, amount in waterfill(problem).items():
                         want[user] += amount

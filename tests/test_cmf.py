@@ -136,7 +136,7 @@ def test_matches_water_filling_oracle_on_randomized_instances():
         demands, capacity = random_instance(rng)
         _, report = distribute(demands, capacity)
         oracle = waterfill(AllocationProblem(
-            demands=tuple(enumerate(demands, 1)), capacity=capacity))
+            demands=dict(enumerate(demands, 1)), capacity=capacity))
         got = {u: report.allocations.get(u, 0) for u in oracle}
         assert got == oracle, (demands, capacity)
 

@@ -7,8 +7,9 @@ from fairfaucet.oracle import (AllocationProblem, is_maxmin_fair,
 
 
 def problem(demands, capacity, weights=None):
-    return AllocationProblem(demands=tuple(enumerate(demands, 1)),
-                             capacity=capacity, weights=weights)
+    return AllocationProblem(
+        demands=dict(enumerate(demands, 1)), capacity=capacity,
+        weights=None if weights is None else dict(enumerate(weights, 1)))
 
 
 def test_fully_satisfiable_table_case():
@@ -100,10 +101,10 @@ def test_fairness_checker_rejects_infeasible_input():
 
 def test_waterfill_tie_break_is_by_id_whatever_the_input_order():
     # 7 units over three equal demands: two each, then the last unit to
-    # the lowest id, wherever that user sits in the demand list
-    for demands in (((3, 5), (1, 5), (2, 5)), ((2, 5), (3, 5), (1, 5))):
+    # the lowest id, wherever that user sits in the demands
+    for demands in ({3: 5, 1: 5, 2: 5}, {2: 5, 3: 5, 1: 5}):
         assert waterfill(AllocationProblem(demands, 7)) == {1: 3, 2: 2, 3: 2}
-        weighted = AllocationProblem(demands, 7, weights=(2, 2, 2))
+        weighted = AllocationProblem(demands, 7, dict.fromkeys(demands, 2))
         assert waterfill(weighted) == {1: 3, 2: 2, 3: 2}
 
 
@@ -123,8 +124,8 @@ def test_waterfill_does_not_depend_on_the_order_of_the_ids(weighted):
         for _ in range(3):
             rng.shuffle(rows)
             p = AllocationProblem(
-                tuple((u, d) for u, d, _ in rows), cap,
-                tuple(w for _, _, w in rows) if weighted else None)
+                {u: d for u, d, _ in rows}, cap,
+                {u: w for u, _, w in rows} if weighted else None)
             got = waterfill(p)
             assert is_maxmin_fair(p, got) == (True, None)
             assert alloc is None or got == alloc, (rows, cap)
@@ -132,36 +133,73 @@ def test_waterfill_does_not_depend_on_the_order_of_the_ids(weighted):
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError, match="duplicate"):
-        AllocationProblem(demands=((1, 5), (1, 6)), capacity=10)
     with pytest.raises(ValueError, match=">= 1"):
-        AllocationProblem(demands=((1, 0),), capacity=10)
+        AllocationProblem(demands={1: 0}, capacity=10)
     with pytest.raises(ValueError, match="align"):
-        AllocationProblem(demands=((1, 5),), capacity=10, weights=(1, 2))
+        AllocationProblem(demands={1: 5}, capacity=10, weights={1: 1, 2: 2})
     with pytest.raises(ValueError, match="positive"):
-        AllocationProblem(demands=((1, 5),), capacity=10, weights=(0,))
-    # duplicates are found anywhere in the list, before the demand check
-    with pytest.raises(ValueError, match="duplicate user ids"):
-        AllocationProblem(((1, 0), (2, 5), (1, 6)), 10)
+        AllocationProblem(demands={1: 5}, capacity=10, weights={1: 0})
     for bad in (0, -3):
         with pytest.raises(ValueError, match="demands must be >= 1"):
-            AllocationProblem(((1, 5), (2, bad)), 10)
+            AllocationProblem({1: 5, 2: bad}, 10)
     # the demands are checked before the capacity
     with pytest.raises(ValueError, match="demands must be >= 1"):
-        AllocationProblem(((1, 0),), -1)
+        AllocationProblem({1: 0}, -1)
     with pytest.raises(ValueError, match="capacity must be >= 0"):
-        AllocationProblem(((1, 5),), -1)
-    for weights in ((), (1,), (1, 1, 1)):
+        AllocationProblem({1: 5}, -1)
+    # weights name exactly the demanders: none missing, none extra, none
+    # in place of another
+    for weights in ({}, {1: 1}, {1: 1, 2: 1, 3: 1}, {1: 1, 3: 1}):
         with pytest.raises(ValueError, match="weights must align"):
-            AllocationProblem(((1, 5), (2, 5)), 10, weights=weights)
+            AllocationProblem({1: 5, 2: 5}, 10, weights=weights)
     # alignment is checked before positivity
     with pytest.raises(ValueError, match="weights must align"):
-        AllocationProblem(((1, 5),), 10, weights=(0, 0))
-    for weights in ((1, 0), (-1, 2)):
+        AllocationProblem({1: 5}, 10, weights={1: 0, 2: 0})
+    for weights in ({1: 1, 2: 0}, {1: -1, 2: 2}):
         with pytest.raises(ValueError, match="weights must be positive"):
-            AllocationProblem(((1, 5), (2, 5)), 10, weights=weights)
+            AllocationProblem({1: 5, 2: 5}, 10, weights=weights)
+    # every amount is an int: a float capacity let waterfill grant more
+    # than it, a float weight broke the integer level keys, and a bool
+    # passed for 1
+    for bad in (2.5, 5.0, True):
+        with pytest.raises(ValueError, match="demands must be integers"):
+            AllocationProblem({1: 5, 2: bad}, 10)
+        with pytest.raises(ValueError, match="capacity must be an integer"):
+            AllocationProblem({1: 5}, bad)
+        with pytest.raises(ValueError, match="weights must be integers"):
+            AllocationProblem({1: 5, 2: 5}, 10, weights={1: bad, 2: 1})
+    for capacity in (False, None, "2"):
+        with pytest.raises(ValueError, match="capacity must be an integer"):
+            AllocationProblem({1: 5}, capacity)
     # an empty problem is valid, weighted or not, and allocates nothing
-    for weights in (None, ()):
-        empty = AllocationProblem((), 0, weights)
+    for weights in (None, {}):
+        empty = AllocationProblem({}, 0, weights)
         assert waterfill(empty) == {}
         assert is_maxmin_fair(empty, {}) == (True, None)
+
+
+def test_the_oracle_leaves_the_problems_dicts_unchanged():
+    rng = random.Random(14)
+    for _ in range(60):
+        # ids out of order, so a sort or a rebuild shows
+        ids = rng.sample(range(1, 9), rng.randrange(1, 5))
+        demands = {u: rng.randrange(1, 9) for u in ids}
+        weights = None
+        if rng.random() < 0.5:
+            weights = {u: rng.randrange(1, 4) for u in ids}
+        p = AllocationProblem(
+            demands, rng.randrange(0, sum(demands.values()) + 3), weights)
+        before = (list(demands.items()),
+                  None if weights is None else list(weights.items()))
+        alloc = waterfill(p)
+        is_maxmin_fair(p, alloc)
+        _, best = leximin_brute_force(p)
+        sorted_levels(p, best)
+        # the allocation is a dict of its own, even when it grants every
+        # demand in full
+        for u in alloc:
+            alloc[u] = 0
+        # the same items in the same insertion order
+        assert (list(demands.items()),
+                None if weights is None else list(weights.items())) == before
+        assert p.demands is demands and p.weights is weights

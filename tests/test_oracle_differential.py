@@ -52,8 +52,8 @@ def reference_weighted_waterfill(problem: AllocationProblem) -> dict:
 
 
 def reference_unweighted_waterfill(problem: AllocationProblem) -> dict:
-    remaining = {u: a for u, a in problem.demands}
-    alloc = {u: 0 for u, _ in problem.demands}
+    remaining = {u: a for u, a in problem.demands.items()}
+    alloc = {u: 0 for u in problem.demands}
     c = problem.capacity
     while c > 0:
         active = sorted((u for u in remaining if remaining[u] > 0),
@@ -122,9 +122,9 @@ def random_problem(rng: random.Random, weighted: bool) -> AllocationProblem:
     capacity = rng.choice((rng.randrange(0, total + 1),
                            rng.randrange(total // 2, total + 1),
                            total - 1, total, total + rng.randrange(1, 10)))
-    return AllocationProblem(demands=tuple(enumerate(demands, 1)),
-                             capacity=max(capacity, 0),
-                             weights=tuple(weights) if weighted else None)
+    return AllocationProblem(
+        demands=dict(enumerate(demands, 1)), capacity=max(capacity, 0),
+        weights=dict(enumerate(weights, 1)) if weighted else None)
 
 
 def one_unit_moves(rng: random.Random, problem, alloc, count):
@@ -160,7 +160,7 @@ def unweighted(demands, capacity, rng=None):
     ids = list(range(1, len(demands) + 1))
     if rng is not None:
         rng.shuffle(ids)
-    return AllocationProblem(demands=tuple(zip(ids, demands)),
+    return AllocationProblem(demands=dict(zip(ids, demands)),
                              capacity=capacity)
 
 
@@ -168,7 +168,7 @@ def assert_unweighted_matches(p):
     got = waterfill(p)
     assert got == reference_unweighted_waterfill(p), p
     # same keys in the same order, so iteration over the result is too
-    assert list(got) == [u for u, _ in p.demands]
+    assert list(got) == list(p.demands)
 
 
 def test_unweighted_waterfill_matches_the_reference():
@@ -212,9 +212,9 @@ def test_waterfill_matches_the_reference_on_wamf_sized_depleted_problems():
         n = rng.randrange(20, 100)
         demands = [rng.randrange(10, 30) for _ in range(n)]
         weights = [10 ** 9 // (d + rng.randrange(0, 60)) for d in demands]
-        p = AllocationProblem(demands=tuple(enumerate(demands, 1)),
+        p = AllocationProblem(demands=dict(enumerate(demands, 1)),
                               capacity=rng.randrange(1, sum(demands)),
-                              weights=tuple(weights))
+                              weights=dict(enumerate(weights, 1)))
         assert waterfill(p) == reference_weighted_waterfill(p)
 
 
@@ -242,7 +242,7 @@ def test_maxmin_verdict_matches_the_reference():
 
 
 def test_witness_is_lowest_recipient_and_highest_donor():
-    p = AllocationProblem(demands=((1, 10), (2, 10), (3, 10), (4, 10)),
+    p = AllocationProblem(demands={1: 10, 2: 10, 3: 10, 4: 10},
                           capacity=20)
     alloc = {1: 5, 2: 1, 3: 9, 4: 5}
     # the all-pairs scan stops at the first recipient it tries
@@ -250,8 +250,8 @@ def test_witness_is_lowest_recipient_and_highest_donor():
     assert is_maxmin_fair(p, alloc) == (False, (2, 3))
     # ties on both sides go to the lowest id
     assert is_maxmin_fair(p, {1: 1, 2: 1, 3: 9, 4: 9}) == (False, (1, 3))
-    weighted = AllocationProblem(demands=((1, 10), (2, 10), (3, 10)),
-                                 capacity=7, weights=(1, 2, 4))
+    weighted = AllocationProblem(demands={1: 10, 2: 10, 3: 10},
+                                 capacity=7, weights={1: 1, 2: 2, 3: 4})
     # recipient levels 5/1, 3/2, 2/4; donor levels 3/1, 1/2, 0/4
     assert is_maxmin_fair(weighted, {1: 4, 2: 2, 3: 1}) == (False, (3, 1))
 
@@ -265,8 +265,9 @@ def test_weighted_depleted_oracle_scales_to_5000_users():
     demands = [rng.randrange(10, 30) for _ in range(n)]
     weights = [10 ** 9 // (d + rng.randrange(0, 90)) for d in demands]
     capacity = sum(demands) // 2
-    p = AllocationProblem(demands=tuple(enumerate(demands, 1)),
-                          capacity=capacity, weights=tuple(weights))
+    p = AllocationProblem(demands=dict(enumerate(demands, 1)),
+                          capacity=capacity,
+                          weights=dict(enumerate(weights, 1)))
     alloc = waterfill(p)
     assert sum(alloc.values()) == capacity
     assert is_maxmin_fair(p, alloc) == (True, None)
@@ -327,8 +328,8 @@ def tie_heavy_problems():
         ids = rng.sample(range(1, 4 * len(demands) + 1), len(demands))
         for capacity in capacities:
             problems.append(AllocationProblem(
-                demands=tuple(zip(ids, demands)), capacity=capacity,
-                weights=tuple(weights)))
+                demands=dict(zip(ids, demands)), capacity=capacity,
+                weights=dict(zip(ids, weights))))
     return problems
 
 
@@ -341,13 +342,13 @@ def test_waterfill_matches_the_reference_on_tie_heavy_problems():
 
 def test_remainder_ties_go_to_the_lowest_id():
     # level 4/9 for all three: one unit each, the leftover one to id 2
-    p = AllocationProblem(demands=((7, 10), (2, 10), (5, 10)), capacity=4,
-                          weights=(3, 3, 3))
+    p = AllocationProblem(demands={7: 10, 2: 10, 5: 10}, capacity=4,
+                          weights={7: 3, 2: 3, 5: 3})
     assert waterfill(p) == {7: 1, 2: 2, 5: 1}
     # level 2/3: floors 1/2 and 2/4 tie, and the unit goes to id 3,
     # which comes second in input order
-    p = AllocationProblem(demands=((9, 10), (3, 10)), capacity=4,
-                          weights=(2, 4))
+    p = AllocationProblem(demands={9: 10, 3: 10}, capacity=4,
+                          weights={9: 2, 3: 4})
     assert waterfill(p) == {9: 1, 3: 3} == reference_weighted_waterfill(p)
 
 

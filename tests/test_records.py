@@ -71,8 +71,6 @@ FROZEN = {
     "ClockParams": (lambda: ClockParams(3, 12, 4), "offset"),
     "CostModel": (lambda: CostModel(tx_base=100), "tx_base"),
     "WeightPolicy": (lambda: WeightPolicy.reciprocal(1000), "precision"),
-    "AllocationProblem": (
-        lambda: AllocationProblem(((1, 5), (2, 3)), 6, (2, 1)), "capacity"),
     "Scenario": (lambda: Scenario.benchmark_defaults(
         "WAMF", 4, seed=9, scripted_demands=[[1, None, 3]]), "seed"),
 }
@@ -97,14 +95,13 @@ def test_frozen_records_are_hashable_values_and_immutable(name):
     assert pickle.loads(pickle.dumps(a)) == a
 
 
-def test_allocation_problem_keeps_its_weight_index_out_of_init_and_repr():
-    problem = AllocationProblem(((1, 5), (2, 3)), 6, (2, 1))
+def test_allocation_problem_holds_three_fields_and_shows_its_dicts():
+    problem = AllocationProblem({2: 3, 1: 5}, 6, {2: 1, 1: 2})
     assert problem.weight_of(2) == 1
-    assert "_weight" not in repr(problem)
-    assert repr(problem) == ("AllocationProblem(demands=((1, 5), (2, 3)), "
-                             "capacity=6, weights=(2, 1))")
+    assert repr(problem) == ("AllocationProblem(demands={2: 3, 1: 5}, "
+                             "capacity=6, weights={2: 1, 1: 2})")
     with pytest.raises(TypeError):
-        AllocationProblem(((1, 5),), 6, None, {1: 1})
+        AllocationProblem({1: 5}, 6, None, {1: 1})
 
 
 def test_repr_names_the_fields():
@@ -128,6 +125,12 @@ def report(**changes):
     return DistributionReport(**fields)
 
 
+def problem(**changes):
+    fields = dict(demands={1: 5, 2: 3}, capacity=6, weights={1: 2, 2: 1})
+    fields.update(changes)
+    return AllocationProblem(**fields)
+
+
 def verify_report(**changes):
     fields = dict(checks=[EpochCheck(1, False, "m", (1, 1, 2, 3))])
     fields.update(changes)
@@ -139,6 +142,8 @@ def verify_report(**changes):
     (summary, "capacity_end", 0),
     (report, "epoch", 3), (report, "rows", []), (report, "capacity_after", 6),
     (verify_report, "checks", []),
+    (problem, "demands", {1: 5, 2: 4}), (problem, "capacity", 7),
+    (problem, "weights", None),
 ], ids=lambda x: getattr(x, "__name__", str(x)))
 def test_mutable_records_compare_by_field(build, field, other):
     assert build() == build()
@@ -202,8 +207,8 @@ def test_importing_the_package_loads_no_dataclasses_inspect_or_logging():
 
 def test_level_vectors_are_still_fractions():
     # fractions is imported where the two tiny-instance helpers run
-    p = AllocationProblem(demands=((1, 3), (2, 2)), capacity=3,
-                          weights=(2, 1))
+    p = AllocationProblem(demands={1: 3, 2: 2}, capacity=3,
+                          weights={1: 2, 2: 1})
     best_vec, best_alloc = leximin_brute_force(p)
     assert best_vec == (Fraction(1), Fraction(1))
     assert all(type(x) is Fraction for x in best_vec)

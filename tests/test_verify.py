@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from fairfaucet.cli import findings
 from fairfaucet.oracle import AllocationProblem, waterfill
 from fairfaucet.sim import (EpochSummary, RunResult, Scenario, load_scenario,
@@ -36,8 +38,7 @@ def test_depletion_round_is_served_in_arrival_order():
     summary = result.epoch_summaries[0]
     assert summary.depleted
     assert summary.granted == {1: 3, 2: 2}
-    oracle = waterfill(AllocationProblem(demands=((1, 9), (2, 3)),
-                                         capacity=5))
+    oracle = waterfill(AllocationProblem(demands={1: 9, 2: 3}, capacity=5))
     assert oracle == {1: 2, 2: 3}
     report = verify_run(result)
     assert report.ok
@@ -152,7 +153,7 @@ def test_a_grant_of_nothing_matches_the_oracles_zero():
     result = RunResult(scenario=None, trace=[], balances={}, reports=[],
                        epoch_summaries=[summary], final_capacity=0,
                        injected=0)
-    want = waterfill(AllocationProblem(demands=((1, 5), (2, 5), (3, 5)),
+    want = waterfill(AllocationProblem(demands={1: 5, 2: 5, 3: 5},
                                        capacity=2))
     assert want == {1: 1, 2: 1, 3: 0} != summary.granted
     report = verify_run(result)
@@ -184,3 +185,56 @@ def test_the_check_kinds_keep_their_strings():
     assert (MATCHED, MISMATCH, TOTALS_ONLY, NO_DEMANDS, EXHAUSTED) == (
         "", "allocation mismatch", "depletion round served in arrival order",
         "no demands", "rounds exhausted before completion")
+
+
+def depleted_wamf_run():
+    # capacity 10 per user: every epoch depletes, the first matches the
+    # weighted oracle user by user and the others by totals only
+    return run_scenario(Scenario.benchmark_defaults(
+        "WAMF", 20, seed=4, epochs=4, epoch_capacity=200))
+
+
+def depletion_fcfs_run():
+    return run_scenario(load_scenario(SCENARIOS / "depletion_fcfs.json"))
+
+
+def dict_items(result):
+    return [[list(d.items()) if d is not None else None
+             for d in (s.demands, s.weights, s.granted)]
+            for s in result.epoch_summaries]
+
+
+@pytest.mark.parametrize("build", [depleted_wamf_run, depletion_fcfs_run])
+def test_verify_leaves_the_summaries_dicts_unchanged(build):
+    # the oracle's problem holds the summary's own dicts
+    result = build()
+    before = dict_items(result)
+    assert verify_run(result).ok
+    assert dict_items(result) == before
+
+
+@pytest.mark.parametrize("build", [depleted_wamf_run, depletion_fcfs_run])
+def test_verify_does_not_depend_on_the_order_of_the_dicts(build):
+    # verify hands the summary's dicts to the oracle unsorted, so the
+    # insertion order of the demands and weights must not matter; the
+    # second pass adds a unit to one grant, so that the epoch fails
+    for tamper in (False, True):
+        result = build()
+        assert all(s.depleted for s in result.epoch_summaries)
+        if tamper:
+            granted = result.epoch_summaries[0].granted
+            granted[max(granted)] += 1
+        want = verify_run(result)
+        assert want.ok is not tamper
+        for s in result.epoch_summaries:
+            s.demands = dict(reversed(s.demands.items()))
+            if s.weights is not None:
+                s.weights = dict(reversed(s.weights.items()))
+        got = verify_run(result)
+        assert got.checks == want.checks
+        assert got.first_diff == want.first_diff
+
+
+def test_the_depleted_wamf_run_compares_both_ways():
+    notes = [c.note for c in verify_run(depleted_wamf_run()).checks]
+    assert notes == [MATCHED, TOTALS_ONLY, TOTALS_ONLY]
