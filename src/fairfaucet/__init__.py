@@ -7,7 +7,7 @@ simulator with abstract cost metering.
 from .clock import ClockParams
 from .cmf import CmfDistributor
 from .costs import cost_report
-from .faucet import AutonomousFaucet, WeightPolicy
+from .faucet import AutonomousFaucet
 from .oracle import (AllocationProblem, is_maxmin_fair, leximin_brute_force,
                      sorted_levels, waterfill)
 from .sim import Scenario, run_scenario, scenario_from_dict
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocationProblem", "AutonomousFaucet", "ClockParams", "CmfDistributor",
-    "Scenario", "WeightPolicy", "cost_report", "is_maxmin_fair",
-    "leximin_brute_force", "run_scenario", "scenario_from_dict",
-    "sorted_levels", "verify_run", "waterfill",
+    "Scenario", "cost_report", "is_maxmin_fair", "leximin_brute_force",
+    "run_scenario", "scenario_from_dict", "sorted_levels", "verify_run",
+    "waterfill",
 ]

@@ -16,11 +16,15 @@ themselves: a block in the current round skips the ``update_state``
 call, and its same-round row (2 reads, 4 ariths) is added to the exit
 path's one charge.  Any other block goes through ``update_state``.
 
-Weights are fixed-point reciprocals of each user's cumulative demand
-(or constant 1 in unweighted mode).  The weight captured when a demand
-is registered is stored with the slot and used for all additions to and
-subtractions from the running weight totals, keeping those totals exact
-even when the user's live weight changes in between.
+The faucet's one weight setting is ``precision``.  Without one (AMF)
+every weight is 1 at scale 1; with one (WAMF) a weight is the
+fixed-point reciprocal floor(precision / cumulative demand), so
+``precision`` must stay above any user's lifetime demand for weights to
+remain non-zero.  The weight captured when a demand is registered is
+stored with the slot and used for all additions to and subtractions
+from the running weight totals, keeping those totals exact even when
+the user's live weight changes in between; ``claim_weights`` reads the
+slots back.
 
 The faucet keeps no history of its own.  ``demand`` and ``claim`` return
 a ``DemandResult`` or ``ClaimResult`` describing the outcome (including
@@ -34,44 +38,6 @@ from typing import NamedTuple
 
 from .clock import ClockParams, _Record, locate
 from .costs import CostMeter
-
-
-def reciprocal_weight(precision: int, cumulative_demand: int) -> int:
-    """Fixed-point weight floor(precision / cumulative_demand)."""
-    if cumulative_demand < 1:
-        raise ValueError("cumulative demand must be >= 1")
-    return precision // cumulative_demand
-
-
-class WeightPolicy(_Record, frozen=True):
-    """Weighting rule: either everyone weighs 1, or weights are the
-    scaled reciprocal of lifetime demand.  ``precision`` must stay above
-    any user's lifetime demand for weights to remain non-zero."""
-
-    __slots__ = ("weighted", "precision")
-
-    def __init__(self, weighted: bool = False, precision: int = 10 ** 9):
-        super().__init__(weighted, precision)
-        if precision < 1:
-            raise ValueError("precision must be positive")
-
-    @classmethod
-    def unweighted(cls):
-        return cls(weighted=False)
-
-    @classmethod
-    def reciprocal(cls, precision: int = 10 ** 9):
-        return cls(weighted=True, precision=precision)
-
-    @property
-    def scale(self) -> int:
-        # unweighted mode degenerates to weight 1 at scale 1
-        return self.precision if self.weighted else 1
-
-    def weight_for(self, cumulative_demand: int) -> int:
-        if not self.weighted:
-            return 1
-        return reciprocal_weight(self.precision, cumulative_demand)
 
 
 class UserAccount(_Record):
@@ -127,12 +93,14 @@ class AutonomousFaucet:
     transactions applied in block order."""
 
     def __init__(self, clock: ClockParams, epoch_capacity: int,
-                 policy: WeightPolicy = None, meter: CostMeter = None):
+                 precision: int = None, meter: CostMeter = None):
         if epoch_capacity < 1:
             raise ValueError("epoch_capacity must be positive")
+        if precision is not None and precision < 1:
+            raise ValueError("precision must be positive")
         self.clock = clock
         self.epoch_capacity = epoch_capacity
-        self.policy = policy if policy is not None else WeightPolicy.unweighted()
+        self.precision = precision
         self.capacity = 0
         self.epoch = 0
         self.round = 0
@@ -144,7 +112,8 @@ class AutonomousFaucet:
         self._meter = meter if meter is not None else CostMeter()
         self._last_block = clock.offset
         self._round_end = clock.offset + clock.round_span
-        self._scale = self.policy.scale
+        # unweighted mode degenerates to weight 1 at scale 1
+        self._scale = 1 if precision is None else precision
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -172,6 +141,16 @@ class AutonomousFaucet:
         return sum(a.slot_weight[parity] for a in self.users.values()
                    if a.demand_epoch[parity] == window and a.pending[parity] > 0)
 
+    def claim_weights(self, epoch: int, users):
+        """The slot weights of ``users`` that the claims of ``epoch`` use,
+        None if unweighted.  The demands of ``epoch - 1`` stored them in
+        slot ``epoch % 2``, and the demand round of ``epoch`` writes the
+        other slot."""
+        if self.precision is None:
+            return None
+        accounts, i = self.users, epoch % 2
+        return {u: accounts[u].slot_weight[i] for u in users}
+
     # -- the three contract functions -------------------------------------
 
     def update_state(self, block: int) -> None:
@@ -193,20 +172,17 @@ class AutonomousFaucet:
         pos = locate(clock, block)
         self._round_end = (clock.offset + pos.epoch * clock.epoch_span
                            + (pos.round + 1) * clock.round_span)
+        # each advance's one charge includes the share refresh below
         if self.epoch < pos.epoch:
             self.epoch = pos.epoch
             self.round = pos.round
             self.capacity += self.epoch_capacity
             self.injections += 1
-            self._meter.charge(4, 4, 4)
+            self._meter.charge(6, 4, 6)
         else:
             self.round = pos.round
-            self._meter.charge(2, 2, 4)
-        self._refresh_share()
-
-    def _refresh_share(self):
+            self._meter.charge(4, 2, 6)
         total = self.weight_total[self.epoch % 2]
-        self._meter.charge(2, 0, 2)
         if total == 0:
             self.unit_share = 0
         else:
@@ -238,7 +214,9 @@ class AutonomousFaucet:
             return DEMAND_REPEAT
 
         acct.cumulative_demand += amount
-        weight = self.policy.weight_for(acct.cumulative_demand)
+        precision = self.precision
+        weight = (1 if precision is None
+                  else precision // acct.cumulative_demand)
         acct.pending[i] = amount
         acct.demand_epoch[i] = epoch
         acct.slot_weight[i] = weight

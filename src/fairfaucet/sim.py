@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .clock import ClockParams, _Record, locate
 from .cmf import CmfDistributor
 from .costs import CostMeter, CostModel
-from .faucet import AutonomousFaucet, WeightPolicy
+from .faucet import AutonomousFaucet
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -158,8 +158,9 @@ class Scenario(_Record, frozen=True):
     def _worst_cumulative(self) -> int:
         if self.scripted_demands is not None:
             worst = 0
+            rows = self.scripted_demands[:self.epochs]  # the rows that run
             for k in range(self.n):
-                worst = max(worst, sum(row[k] or 0 for row in self.scripted_demands
+                worst = max(worst, sum(row[k] or 0 for row in rows
                                        if k < len(row)))
             return worst
         return self.epochs * (self.demand_hi - 1)
@@ -344,9 +345,9 @@ class _Autonomous:
     central = False
 
     def __init__(self, sc, meter, demands, grants):
-        policy = (WeightPolicy.reciprocal(sc.precision)
-                  if sc.variant == "WAMF" else WeightPolicy.unweighted())
-        self.pool = AutonomousFaucet(sc.clock, sc.epoch_capacity, policy,
+        # only WAMF weighs demands; AMF's weights are all 1
+        precision = sc.precision if sc.variant == "WAMF" else None
+        self.pool = AutonomousFaucet(sc.clock, sc.epoch_capacity, precision,
                                      meter)
         # ``claim`` is handed its epoch's grants dict once per round
         self.demands = demands
@@ -365,13 +366,8 @@ class _Autonomous:
         return self.pool.final_balances()
 
     def weights(self, epoch):
-        """The weights the claims of ``epoch`` used, None if unweighted.
-        The demands of ``epoch - 1`` stored them in slot ``epoch % 2``,
-        and the demand round of ``epoch`` writes the other slot."""
-        if not self.pool.policy.weighted:
-            return None
-        users, i = self.pool.users, epoch % 2
-        return {u: users[u].slot_weight[i] for u in self.demands[epoch - 1]}
+        """The weights the claims of ``epoch`` used, None if unweighted."""
+        return self.pool.claim_weights(epoch, self.demands[epoch - 1])
 
     def register(self, base, block):
         uid = self.pool.register()

@@ -11,9 +11,10 @@ import random
 import time
 from pathlib import Path
 
+from fairfaucet.clock import ClockParams
 from fairfaucet.cmf import CmfDistributor
 from fairfaucet.costs import CostMeter, cost_report
-from fairfaucet.faucet import reciprocal_weight
+from fairfaucet.faucet import AutonomousFaucet
 from fairfaucet.heap import MinHeap
 from fairfaucet.oracle import AllocationProblem, waterfill
 from fairfaucet.sim import (Scenario, load_scenario, next_demand,
@@ -157,10 +158,14 @@ def test_criterion_4_weighted_degeneracy():
 def test_criterion_5_fixed_point_weights():
     started = time.time()
     rng = random.Random(20240809)
+    clock = ClockParams(0, 12, 3)
     for _ in range(10_000):
         precision = rng.randrange(1, 10 ** 12)
         demand_total = rng.randrange(1, precision + 1)
-        w = reciprocal_weight(precision, demand_total)
+        # the weight the faucet gives a first demand of demand_total
+        faucet = AutonomousFaucet(clock, 1, precision)
+        faucet.register()
+        w = faucet.demand(1, demand_total, 0).weight
         assert w * demand_total <= precision < (w + 1) * demand_total
     elapsed = time.time() - started
     assert elapsed < 1.0

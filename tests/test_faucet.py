@@ -5,15 +5,14 @@ import pytest
 import fairfaucet.faucet as faucet_module
 from fairfaucet.clock import ClockParams, locate
 from fairfaucet.costs import CostMeter
-from fairfaucet.faucet import (AutonomousFaucet, ClaimResult, DemandResult,
-                               WeightPolicy, reciprocal_weight)
+from fairfaucet.faucet import AutonomousFaucet, ClaimResult, DemandResult
 from fairfaucet.sim import Scenario, run_scenario
 
 CLOCK = ClockParams(offset=0, epoch_span=12, round_span=3)
 
 
-def three_user_faucet(policy=None, epoch_capacity=30):
-    faucet = AutonomousFaucet(CLOCK, epoch_capacity, policy)
+def three_user_faucet(precision=None, epoch_capacity=30):
+    faucet = AutonomousFaucet(CLOCK, epoch_capacity, precision)
     for _ in range(3):
         faucet.register()
     return faucet
@@ -95,7 +94,7 @@ def test_demand_guards():
 
 
 def test_weighted_weights_follow_cumulative_demand():
-    faucet = AutonomousFaucet(CLOCK, 30, WeightPolicy.reciprocal(1000))
+    faucet = AutonomousFaucet(CLOCK, 30, 1000)
     faucet.register()
     first = faucet.demand(1, 10, 9)
     assert first.weight == 100  # 1000 // 10
@@ -103,13 +102,38 @@ def test_weighted_weights_follow_cumulative_demand():
     assert second.weight == 50  # 1000 // 20
 
 
+def first_demand_weight(precision, amount):
+    """The weight a faucet with ``precision`` gives a first demand."""
+    faucet = AutonomousFaucet(CLOCK, 1, precision)
+    faucet.register()
+    return faucet.demand(1, amount, 0).weight
+
+
 def test_reciprocal_weight_fixed_point_bound():
     rng = random.Random(8)
     for _ in range(500):
         precision = rng.randrange(1, 10 ** 12)
         demand_total = rng.randrange(1, precision + 1)
-        w = reciprocal_weight(precision, demand_total)
+        w = first_demand_weight(precision, demand_total)
         assert w * demand_total <= precision < (w + 1) * demand_total
+
+
+def test_precision_must_be_positive():
+    with pytest.raises(ValueError, match="precision must be positive"):
+        AutonomousFaucet(CLOCK, 30, 0)
+
+
+def test_claim_weights_are_the_slots_the_claims_use():
+    # None without a precision; with one, the weights stored by the
+    # previous epoch's demands, untouched by this epoch's
+    amf = three_user_faucet()
+    submit_epoch_demands(amf, 0, (4, 11, 15))
+    assert amf.claim_weights(1, (1, 2, 3)) is None
+    wamf = three_user_faucet(precision=1000)
+    submit_epoch_demands(wamf, 0, (4, 10, None))
+    submit_epoch_demands(wamf, 1, (6, None, 8))
+    assert wamf.claim_weights(1, (1, 2)) == {1: 250, 2: 100}
+    assert wamf.claim_weights(2, (1, 3)) == {1: 100, 3: 125}
 
 
 def test_claim_guards_and_round_idempotence():
@@ -193,7 +217,7 @@ def test_fresh_state_balances_are_zero_and_stay_zero_without_claims():
 def test_weight_total_matches_recomputation_throughout_a_run():
     rng = random.Random(400)
     clock = ClockParams(0, 20, 5)
-    faucet = AutonomousFaucet(clock, 90, WeightPolicy.reciprocal(10 ** 9))
+    faucet = AutonomousFaucet(clock, 90, 10 ** 9)
     users = [faucet.register() for _ in range(5)]
     for epoch in range(6):
         for rnd in range(4):
@@ -215,7 +239,7 @@ def test_weighted_share_floor_guarantees_progress():
     # one user with a huge cumulative demand gets a tiny weight; the floor
     # still hands out one unit per round
     clock = ClockParams(0, 8, 2)
-    faucet = AutonomousFaucet(clock, 1000, WeightPolicy.reciprocal(10 ** 6))
+    faucet = AutonomousFaucet(clock, 1000, 10 ** 6)
     u1 = faucet.register()
     u2 = faucet.register()
     faucet.demand(u1, 400_000, 6)
@@ -231,7 +255,7 @@ def test_weighted_share_floor_guarantees_progress():
 
 def test_unweighted_share_floor_under_starvation():
     clock = ClockParams(0, 8, 2)
-    faucet = AutonomousFaucet(clock, 2, WeightPolicy.unweighted())
+    faucet = AutonomousFaucet(clock, 2, None)
     for _ in range(3):
         faucet.register()
     for user in (1, 2, 3):

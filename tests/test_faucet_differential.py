@@ -5,14 +5,16 @@ replaced.
 they were before ``demand`` and ``claim`` checked the round themselves:
 both called ``update_state`` first, which charged its row on its own.
 The faucet now pays the same-round row inside the exit path's one
-charge.  Seeded call sequences replay on both faucets, with both weight
-policies and the offset clocks of ``test_faucet``, over block gaps of
+charge.  Seeded call sequences replay on both faucets, unweighted and
+weighted, with the offset clocks of ``test_faucet``, over block gaps of
 0, 1, a round, to the next round or epoch and multi-epoch jumps, with
 unregistered users, zero and negative amounts, repeats and backward
 blocks.  After every call the result, the faucet and account state and
 the charged (reads, writes, heap_moves, ariths) must agree; a backward
-block must raise ``ValueError`` on both and change nothing.  Both
-faucets share ``_refresh_share``, which the change left as it was.
+block must raise ``ValueError`` on both and change nothing.  The
+reference keeps its own ``_refresh_share``, which charged the share
+refresh as a second row after the advance's; the faucet's
+``update_state`` now charges each advance's total once.
 """
 
 import copy
@@ -26,7 +28,7 @@ from fairfaucet.faucet import (CLAIM_DEPLETED, CLAIM_NO_DEMAND, CLAIM_REPEAT,
                                CLAIM_SATISFIED, CLAIM_UNREGISTERED,
                                DEMAND_EMPTY, DEMAND_REPEAT,
                                DEMAND_UNREGISTERED, AutonomousFaucet,
-                               ClaimResult, DemandResult, WeightPolicy)
+                               ClaimResult, DemandResult)
 
 
 class ReferenceFaucet(AutonomousFaucet):
@@ -61,6 +63,14 @@ class ReferenceFaucet(AutonomousFaucet):
             self._meter.charge(2, 2, 4)
         self._refresh_share()
 
+    def _refresh_share(self):
+        total = self.weight_total[self.epoch % 2]
+        self._meter.charge(2, 0, 2)
+        if total == 0:
+            self.unit_share = 0
+        else:
+            self.unit_share = (self.capacity * self._scale) // total
+
     def demand(self, user: int, amount: int, block: int) -> DemandResult:
         """Register a demand for the next epoch.  One demand per user per
         epoch; repeats, zero amounts and unknown users are rejected
@@ -80,7 +90,9 @@ class ReferenceFaucet(AutonomousFaucet):
             return DEMAND_REPEAT
 
         acct.cumulative_demand += amount
-        weight = self.policy.weight_for(acct.cumulative_demand)
+        precision = self.precision
+        weight = (1 if precision is None
+                  else precision // acct.cumulative_demand)
         acct.pending[i] = amount
         acct.demand_epoch[i] = self.epoch
         acct.slot_weight[i] = weight
@@ -152,7 +164,7 @@ CLOCKS = [
 ]
 # a small precision floors shares and, past 1000 units of lifetime
 # demand, gives weight 0
-POLICIES = [WeightPolicy.unweighted(), WeightPolicy.reciprocal(1000)]
+PRECISIONS = [None, 1000]
 SEEDS = range(20)
 CALLS = 120
 USERS = 3
@@ -228,17 +240,17 @@ def calls(rng, clock):
         yield last + (False,)
 
 
-@pytest.mark.parametrize("policy", POLICIES,
+@pytest.mark.parametrize("precision", PRECISIONS,
                          ids=["unweighted", "reciprocal"])
 @pytest.mark.parametrize("clock", CLOCKS,
                          ids=lambda c: f"offset{c.offset}")
-def test_entry_points_match_the_reference(clock, policy):
+def test_entry_points_match_the_reference(clock, precision):
     reached = set()
     for seed in SEEDS:
         rng = random.Random(seed)
         capacity = rng.choice((1, 4, 30, 200))
-        fast = AutonomousFaucet(clock, capacity, policy, CostMeter())
-        ref = ReferenceFaucet(clock, capacity, policy, CostMeter())
+        fast = AutonomousFaucet(clock, capacity, precision, CostMeter())
+        ref = ReferenceFaucet(clock, capacity, precision, CostMeter())
         for faucet in (fast, ref):
             for _ in range(USERS):
                 faucet.register()

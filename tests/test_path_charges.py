@@ -16,7 +16,7 @@ import pytest
 from fairfaucet.clock import ClockParams
 from fairfaucet.cmf import CmfDistributor
 from fairfaucet.costs import CostMeter
-from fairfaucet.faucet import AutonomousFaucet, WeightPolicy
+from fairfaucet.faucet import AutonomousFaucet
 
 CLOCK = ClockParams(offset=0, epoch_span=12, round_span=3)  # 4 rounds
 
@@ -31,11 +31,11 @@ def metered(meter, call, *args):
     return charges(meter)
 
 
-def faucet_with_demands(amounts, epoch_capacity=30, policy=None):
+def faucet_with_demands(amounts, epoch_capacity=30, precision=None):
     """Users 1..len(amounts) registered; each non-None amount demanded in
     the last round of epoch 0."""
     meter = CostMeter()
-    faucet = AutonomousFaucet(CLOCK, epoch_capacity, policy, meter)
+    faucet = AutonomousFaucet(CLOCK, epoch_capacity, precision, meter)
     for user, amount in enumerate(amounts, 1):
         faucet.register()
         if amount is not None:
@@ -62,6 +62,46 @@ def test_update_state_multi_epoch_jump_charges_one_epoch_advance():
     assert (faucet.epoch, faucet.round) == (3, 1)
 
 
+class CountingMeter(CostMeter):
+    """A meter that also counts its ``charge`` calls."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def charge(self, *args, **kwargs):
+        self.calls += 1
+        super().charge(*args, **kwargs)
+
+
+def test_each_exit_path_charges_once():
+    # update_state charges one row on each of its three paths; a demand
+    # or claim inside the round charges once, and one that crosses a
+    # round twice: the update_state row, then the exit path
+    meter = CountingMeter()
+    faucet = AutonomousFaucet(CLOCK, 30, None, meter)
+    for _ in range(3):
+        faucet.register()
+
+    def calls(call, *args):
+        meter.calls = 0
+        call(*args)
+        return meter.calls
+
+    assert calls(faucet.update_state, 1) == 1    # same round
+    assert calls(faucet.update_state, 3) == 1    # round advance
+    assert calls(faucet.demand, 1, 4, 4) == 1
+    assert calls(faucet.demand, 1, 4, 5) == 1    # a repeat
+    assert calls(faucet.demand, 2, 11, 9) == 2   # into the last round
+    assert calls(faucet.update_state, 12) == 1   # epoch advance
+    assert calls(faucet.claim, 1, 13) == 1
+    assert calls(faucet.claim, 3, 14) == 1       # no demand
+    assert calls(faucet.claim, 2, 15) == 2       # into the next round
+    assert calls(faucet.claim, 2, 24) == 2       # into the next epoch
+
+
 # -- register and demand ---------------------------------------------------
 
 def test_register_charges_two_writes():
@@ -70,10 +110,10 @@ def test_register_charges_two_writes():
     assert metered(meter, faucet.register) == (0, 2, 0, 0)
 
 
-@pytest.mark.parametrize("policy", [None, WeightPolicy.reciprocal(1000)])
-def test_demand_paths(policy):
+@pytest.mark.parametrize("precision", [None, 1000])
+def test_demand_paths(precision):
     meter = CostMeter()
-    faucet = AutonomousFaucet(CLOCK, 30, policy, meter)
+    faucet = AutonomousFaucet(CLOCK, 30, precision, meter)
     for _ in range(2):
         faucet.register()
     # the first block of the last round: round-advance row plus exit path
@@ -88,9 +128,9 @@ def test_demand_paths(policy):
 
 # -- claim -----------------------------------------------------------------
 
-@pytest.mark.parametrize("policy", [None, WeightPolicy.reciprocal(1000)])
-def test_claim_paths(policy):
-    faucet, meter = faucet_with_demands((4, 11, 15, None), policy=policy)
+@pytest.mark.parametrize("precision", [None, 1000])
+def test_claim_paths(precision):
+    faucet, meter = faucet_with_demands((4, 11, 15, None), precision=precision)
     cases = [
         # the first block of an epoch: epoch-advance row plus exit path
         ((4, 12), (10, 4, 0, 7), "no demand from previous epoch"),
@@ -112,12 +152,12 @@ def test_claim_paths(policy):
     assert faucet.users[3].pending[1] > 0
 
 
-@pytest.mark.parametrize("policy", [None, WeightPolicy.reciprocal(1000)])
-def test_epoch_zero_claim_has_no_previous_demand(policy):
+@pytest.mark.parametrize("precision", [None, 1000])
+def test_epoch_zero_claim_has_no_previous_demand(precision):
     # epoch 0 has no previous epoch, so a user who never demanded must
     # not pass the demand check and read as depleted
     meter = CostMeter()
-    faucet = AutonomousFaucet(CLOCK, 30, policy, meter)
+    faucet = AutonomousFaucet(CLOCK, 30, precision, meter)
     faucet.register()
     assert faucet.demand(1, 4, 0).accepted
     for block in (1, 2):

@@ -17,7 +17,7 @@ import pytest
 from fairfaucet.clock import ClockParams
 from fairfaucet.cmf import DistributionReport, GrantRow
 from fairfaucet.costs import ActionStats, CostModel, CostSummary
-from fairfaucet.faucet import UserAccount, WeightPolicy
+from fairfaucet.faucet import UserAccount
 from fairfaucet.oracle import (AllocationProblem, leximin_brute_force,
                                sorted_levels)
 from fairfaucet.sim import EpochSummary, RunResult, Scenario, ScenarioError
@@ -33,7 +33,6 @@ SIGNATURES = {
     CostSummary: "by_action claim_by_round over_budget",
     DistributionReport: "epoch shares rows allocations capacity_before "
                         "capacity_after",
-    WeightPolicy: "weighted precision",
     UserAccount: "uid balance pending demand_epoch slot_weight "
                  "last_claim_epoch last_claim_round cumulative_demand",
     AllocationProblem: "demands capacity weights",
@@ -54,7 +53,6 @@ def test_constructor_parameters_keep_their_names_and_order(cls):
 
 def test_scalar_defaults():
     assert CostModel() == CostModel(800, 5000, 800, 5, 21000, 8_000_000)
-    assert WeightPolicy() == WeightPolicy(False, 10 ** 9)
     sc = Scenario("AMF", 3, 60, 12, 3)
     assert (sc.demand_lo, sc.demand_hi, sc.epochs, sc.seed, sc.precision,
             sc.cost_model, sc.scripted_demands) == (
@@ -70,7 +68,6 @@ def test_scalar_defaults():
 FROZEN = {
     "ClockParams": (lambda: ClockParams(3, 12, 4), "offset"),
     "CostModel": (lambda: CostModel(tx_base=100), "tx_base"),
-    "WeightPolicy": (lambda: WeightPolicy.reciprocal(1000), "precision"),
     "Scenario": (lambda: Scenario.benchmark_defaults(
         "WAMF", 4, seed=9, scripted_demands=[[1, None, 3]]), "seed"),
 }

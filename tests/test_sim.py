@@ -97,6 +97,16 @@ def test_scenario_rejects_bad_parameters():
         Scenario.benchmark_defaults("WAMF", 10, epochs=4, precision=100)
 
 
+def test_precision_bound_counts_only_the_scripted_rows_that_run():
+    # one epoch runs only the first row: 50 units stay below 100
+    sc = Scenario(variant="WAMF", n=1, epoch_capacity=10, epoch_span=4,
+                  round_span=2, epochs=1, precision=100,
+                  scripted_demands=[[50], [60]])
+    assert sc.epochs == 1
+    with pytest.raises(ScenarioError, match="precision must exceed"):
+        sc._replace(epochs=2)
+
+
 BAD_FIELDS = [("n", 2.5), ("n", True), ("epochs", 4.0), ("epochs", True),
               ("seed", 1.5), ("seed", False), ("demand_lo", 10.0),
               ("demand_lo", True), ("scripted_demands", [[1, 2], 3]),

@@ -28,7 +28,7 @@ from fairfaucet import cli
 from fairfaucet.clock import locate
 from fairfaucet.cmf import CmfDistributor
 from fairfaucet.costs import CostMeter, CostModel
-from fairfaucet.faucet import AutonomousFaucet, WeightPolicy
+from fairfaucet.faucet import AutonomousFaucet
 from fairfaucet.sim import (AUTHORITY, EpochSummary, RunResult, Scenario,
                             TraceRow, _demand_plan, run_scenario)
 
@@ -73,9 +73,8 @@ class _ReferenceAutonomous:
     central = False
 
     def __init__(self, sc, meter, demands, weights, grants):
-        policy = (WeightPolicy.reciprocal(sc.precision)
-                  if sc.variant == "WAMF" else WeightPolicy.unweighted())
-        self.pool = AutonomousFaucet(sc.clock, sc.epoch_capacity, policy,
+        precision = sc.precision if sc.variant == "WAMF" else None
+        self.pool = AutonomousFaucet(sc.clock, sc.epoch_capacity, precision,
                                      meter)
         self.demands, self.weights, self.grants = demands, weights, grants
         self.reports = []
