@@ -23,7 +23,6 @@ per-user allocations only; the balances take those totals once per user
 after the loop.
 """
 
-from functools import partial
 from typing import NamedTuple
 
 from .clock import _Record
@@ -37,11 +36,6 @@ class GrantRow(NamedTuple):
     granted: int
     share: int
     capacity_after: int
-
-
-# tuple.__new__ builds a row at half its NamedTuple constructor's cost;
-# the drain builds one row per grant
-_new_row = partial(tuple.__new__, GrantRow)
 
 
 class DistributionReport(_Record):
@@ -113,6 +107,7 @@ class CmfDistributor:
         # ``rest`` is the array its inserts would build, charged as they are.
         heaps = self._heaps
         add_row, allocations = report.rows.append, report.allocations
+        new = tuple.__new__  # a row at half its NamedTuple constructor's cost
         c = self.capacity
         i = 0
         iteration = 0
@@ -134,7 +129,7 @@ class CmfDistributor:
                 if granted > c:
                     granted = c
                 c -= granted
-                add_row(_new_row((iteration, user, granted, share, c)))
+                add_row(new(GrantRow, (iteration, user, granted, share, c)))
                 allocations[user] = allocations.get(user, 0) + granted
                 if c == 0:
                     break

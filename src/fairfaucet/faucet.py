@@ -26,15 +26,12 @@ from the running weight totals, keeping those totals exact even when
 the user's live weight changes in between; ``claim_weights`` reads the
 slots back.
 
-The faucet keeps no history of its own.  ``demand`` and ``claim`` return
-a ``DemandResult`` or ``ClaimResult`` describing the outcome (including
-the reason for a rejection or no-op); the simulator turns those into its
-per-block records.  A rejection or no-op carries no per-call data,
-so each fixed reason is one shared module-level constant.
+The faucet keeps no history of its own.  ``demand`` returns the plain
+tuple (accepted, reason, weight) and ``claim`` (granted, reason, share,
+floored, satisfied), which build and unpack faster than NamedTuples;
+``reason`` is "" unless the call was a rejection or no-op, and each
+fixed reason is one shared module-level constant.
 """
-
-from functools import partial
-from typing import NamedTuple
 
 from .clock import ClockParams, _Record, locate
 from .costs import CostMeter
@@ -60,32 +57,14 @@ class UserAccount(_Record):
         self.cumulative_demand = cumulative_demand
 
 
-class DemandResult(NamedTuple):
-    accepted: bool
-    reason: str = ""
-    weight: int = 0
-
-
-class ClaimResult(NamedTuple):
-    granted: int = 0
-    reason: str = ""
-    share: int = 0
-    floored: bool = False
-    satisfied: bool = False
-
-
-DEMAND_UNREGISTERED = DemandResult(False, "unregistered user")
-DEMAND_EMPTY = DemandResult(False, "empty demand")
-DEMAND_REPEAT = DemandResult(False, "already demanded this epoch")
-CLAIM_UNREGISTERED = ClaimResult(0, "unregistered user")
-CLAIM_NO_DEMAND = ClaimResult(0, "no demand from previous epoch")
-CLAIM_DEPLETED = ClaimResult(0, "capacity depleted")
-CLAIM_SATISFIED = ClaimResult(0, "demand already satisfied")
-CLAIM_REPEAT = ClaimResult(0, "already claimed this round")
-
-# tuple.__new__ builds a result at half its NamedTuple constructor's cost
-_new_demand = partial(tuple.__new__, DemandResult)
-_new_claim = partial(tuple.__new__, ClaimResult)
+DEMAND_UNREGISTERED = (False, "unregistered user", 0)
+DEMAND_EMPTY = (False, "empty demand", 0)
+DEMAND_REPEAT = (False, "already demanded this epoch", 0)
+CLAIM_UNREGISTERED = (0, "unregistered user", 0, False, False)
+CLAIM_NO_DEMAND = (0, "no demand from previous epoch", 0, False, False)
+CLAIM_DEPLETED = (0, "capacity depleted", 0, False, False)
+CLAIM_SATISFIED = (0, "demand already satisfied", 0, False, False)
+CLAIM_REPEAT = (0, "already claimed this round", 0, False, False)
 
 
 class AutonomousFaucet:
@@ -127,19 +106,6 @@ class AutonomousFaucet:
 
     def final_balances(self) -> dict:
         return {uid: acct.balance for uid, acct in sorted(self.users.items())}
-
-    def live_weight(self, parity: int) -> int:
-        """Recompute the weight total for a parity slot from first
-        principles: snapshot weights of the most recent demand window for
-        that parity, counting only still-unsatisfied demands.  Reference
-        implementation for invariant checks."""
-        epochs = [a.demand_epoch[parity] for a in self.users.values()
-                  if a.demand_epoch[parity] >= 0]
-        if not epochs:
-            return 0
-        window = max(epochs)
-        return sum(a.slot_weight[parity] for a in self.users.values()
-                   if a.demand_epoch[parity] == window and a.pending[parity] > 0)
 
     def claim_weights(self, epoch: int, users):
         """The slot weights of ``users`` that the claims of ``epoch`` use,
@@ -188,7 +154,7 @@ class AutonomousFaucet:
         else:
             self.unit_share = (self.capacity * self._scale) // total
 
-    def demand(self, user: int, amount: int, block: int) -> DemandResult:
+    def demand(self, user: int, amount: int, block: int) -> tuple:
         """Register a demand for the next epoch.  One demand per user per
         epoch; repeats, zero amounts and unknown users are rejected
         without state changes."""
@@ -228,16 +194,16 @@ class AutonomousFaucet:
         else:
             self.weight_total[i] += weight
             m.charge(reads + 5, 5, ariths + 2)
-        return _new_demand((True, "", weight))
+        return True, "", weight
 
-    def claim(self, user: int, block: int) -> ClaimResult:
+    def claim(self, user: int, block: int) -> tuple:
         """Claim this round's share of the demand registered last epoch.
 
         All failure paths are explicit no-ops with a reason.  A passing
         claim grants min(remaining demand, user share, capacity); the user
         share is the unit share scaled by the slot's snapshot weight, with
         a floor of one unit so a live demand always makes progress (the
-        result's ``floored`` marks it)."""
+        result's ``floored`` field marks it)."""
         # the same-round path of update_state, paid in the exit's charge
         if self._last_block <= block < self._round_end:
             self._last_block = block
@@ -289,4 +255,4 @@ class AutonomousFaucet:
             m.charge(reads + 12, 6, ariths + 3)
         else:
             m.charge(reads + 11, 5, ariths + 3)
-        return _new_claim((granted, "", share, floored, satisfied))
+        return granted, "", share, floored, satisfied

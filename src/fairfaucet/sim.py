@@ -16,16 +16,16 @@ replays the canonical block schedule, which all three variants share:
 ``run_scenario`` walks that schedule one round at a time: the geometry
 fixes each round's one kind of transaction and how many of its first
 blocks run it; a small adapter per design (autonomous for AMF/WAMF,
-central for CMF) runs those, and the rest of the round is idle.  Every
-block is recorded as one ``TraceRow``, which also carries the receipt's
-summary; ``trace.csv`` and ``receipts.csv`` are two renderings of the same
-records.  An idle block is a no-op that costs ``tx_base`` and leaves the
-pool as it was.  Equal summaries and equal costs within a run are one
-shared object each.  Identical scenarios produce bit-identical records.
+central for CMF) hands back the round's block step that runs those, and
+the rest of the round is idle.  Every block is recorded as one
+``TraceRow``, which also carries the receipt's summary; ``trace.csv`` and
+``receipts.csv`` are two renderings of the same records.  An idle block
+is a no-op that costs ``tx_base`` and leaves the pool as it was.  Equal
+summaries and equal costs within a run are one shared object each.
+Identical scenarios produce bit-identical records.
 """
 
 import json
-from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -212,10 +212,11 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid scenario JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
+    # bad JSON, or an int or a nesting past CPython's limits
+    except (ValueError, RecursionError) as exc:
+        raise ScenarioError(f"invalid scenario JSON: {exc}") from exc
     return scenario_from_dict(data)
 
 
@@ -314,14 +315,14 @@ def _demand_plan(sc: Scenario):
     return plan
 
 
-# A variant adapter runs one transaction on its state machine (``pool``,
-# which has a ``capacity``) and returns (actor, action, amount, share,
-# summary).  Its transaction methods end in (base, block): ``base`` is
-# the block before the round's first, so user ``block - base`` acts.  It
-# records accepted demands and the grants in the schedule's per-epoch
-# dicts, and counts the pool's top-ups.  Summaries that repeat come from
-# per-run tables keyed by their values, so equal summaries are one object
-# and each text is formatted once.
+# A variant adapter runs transactions on its state machine (``pool``,
+# which has a ``capacity``).  Each round method takes the round's context
+# and returns the block step: a plain closure, one inlined call per block,
+# that returns (actor, action, amount, share, summary).  ``base`` is the
+# block before the round's first, so user ``block - base`` acts.  The
+# adapter records accepted demands and grants in the per-epoch dicts and
+# counts the pool's top-ups.  Equal summaries come from per-run tables
+# keyed by their values: each text is formatted once and is one object.
 
 class _Table(dict):
     """Value per key, made by ``make(key)`` the first time the key is
@@ -369,38 +370,50 @@ class _Autonomous:
         """The weights the claims of ``epoch`` used, None if unweighted."""
         return self.pool.claim_weights(epoch, self.demands[epoch - 1])
 
-    def register(self, base, block):
-        uid = self.pool.register()
-        return uid, "register", 0, 0, f"user={uid}"
+    def register(self, base):
+        def step(block):
+            uid = self.pool.register()
+            return uid, "register", 0, 0, f"user={uid}"
+        return step
 
-    def demand(self, epoch, amounts, base, block):
-        user = block - base
-        amount = amounts[user - 1]
-        if amount is None:
-            return self.noop()
-        accepted, reason, weight = self.pool.demand(user, amount, block)
-        if not accepted:
-            return user, "demand", 0, 0, self.rejected[reason]
-        self.demands[epoch][user] = amount
-        # plain nested dicts: a tuple key per text or a table object per
-        # weight would add GC-tracked objects that live as long as the run
-        texts = self.accepted.get(weight)
-        if texts is None:
-            texts = self.accepted[weight] = {}
-        summary = texts.get(amount)
-        if summary is None:
-            summary = texts[amount] = f"amount={amount} weight={weight}"
-        return user, "demand", amount, 0, summary
+    def demand(self, epoch, amounts, base):
+        demand, demands = self.pool.demand, self.demands[epoch]
+        accepted = self.accepted
 
-    def claim(self, grants, base, block):
-        user = block - base
-        granted, reason, share, floored, _ = self.pool.claim(user, block)
-        if granted:
-            grants[user] = grants.get(user, 0) + granted
-            summary = (self.floored if floored else self.granted)[granted]
-        else:
-            summary = self.no_op[reason]
-        return user, "claim", granted, share, summary
+        def step(block):
+            user = block - base
+            amount = amounts[user - 1]
+            if amount is None:
+                return self.noop()
+            ok, reason, weight = demand(user, amount, block)
+            if not ok:
+                return user, "demand", 0, 0, self.rejected[reason]
+            demands[user] = amount
+            # plain nested dicts: a tuple key per text or a table object per
+            # weight would add GC-tracked objects that live as long as the run
+            texts = accepted.get(weight)
+            if texts is None:
+                texts = accepted[weight] = {}
+            summary = texts.get(amount)
+            if summary is None:
+                summary = texts[amount] = f"amount={amount} weight={weight}"
+            return user, "demand", amount, 0, summary
+        return step
+
+    def claim(self, grants, base):
+        claim, no_op = self.pool.claim, self.no_op
+        granted_text, floored_text = self.granted, self.floored
+
+        def step(block):
+            user = block - base
+            granted, reason, share, floored, _ = claim(user, block)
+            if granted:
+                grants[user] = grants.get(user, 0) + granted
+                summary = (floored_text if floored else granted_text)[granted]
+            else:
+                summary = no_op[reason]
+            return user, "claim", granted, share, summary
+        return step
 
     def noop(self):
         return AUTHORITY, "noop", 0, self.pool.unit_share, ""
@@ -430,27 +443,36 @@ class _Central:
     def weights(self, epoch):
         return None
 
-    def register(self, base, block):
-        user = block - base
-        self.pool.register(user)
-        return user, "register", 0, 0, f"user={user}"
+    def register(self, base):
+        def step(block):
+            user = block - base
+            self.pool.register(user)
+            return user, "register", 0, 0, f"user={user}"
+        return step
 
-    def demand(self, epoch, amounts, base, block):
-        user = block - base
-        amount = amounts[user - 1]
-        if amount is None:
-            return self.noop()
-        self.pool.submit_demand(user, amount)
-        self.demands[epoch][user] = amount
-        return user, "demand", amount, 0, self.accepted[amount]
+    def demand(self, epoch, amounts, base):
+        submit, demands = self.pool.submit_demand, self.demands[epoch]
+        accepted = self.accepted
 
-    def distribute(self, epoch, base, block):
-        report = self.pool.distribute(epoch=epoch)
-        self.reports.append(report)
-        self.grants[epoch] = report.allocations  # the epoch's grants, uncopied
-        total = report.total_granted()
-        return (AUTHORITY, "distribute", total, 0,
-                self.distributed[total, report.iterations])
+        def step(block):
+            user = block - base
+            amount = amounts[user - 1]
+            if amount is None:
+                return self.noop()
+            submit(user, amount)
+            demands[user] = amount
+            return user, "demand", amount, 0, accepted[amount]
+        return step
+
+    def distribute(self, epoch):
+        def step(block):
+            report = self.pool.distribute(epoch=epoch)
+            self.reports.append(report)
+            self.grants[epoch] = report.allocations  # uncopied
+            total = report.total_granted()
+            return (AUTHORITY, "distribute", total, 0,
+                    self.distributed[total, report.iterations])
+        return step
 
     def noop(self):
         return AUTHORITY, "noop", 0, 0, ""
@@ -480,7 +502,7 @@ def run_scenario(sc: Scenario) -> RunResult:
     trace = []
     add_row = trace.append
     # tuple.__new__ builds a record at half its NamedTuple constructor's cost
-    new_row = partial(tuple.__new__, TraceRow)
+    new = tuple.__new__
     summaries = []
     injections = capacity_end = 0
 
@@ -491,32 +513,31 @@ def run_scenario(sc: Scenario) -> RunResult:
             base = round_start - 1
             # the round's transaction runs in its first ``busy`` blocks
             if epoch == 0 and rnd == 0:
-                step, busy = partial(adapter.register, base), n
+                step, busy = adapter.register(base), n
             elif rnd == rounds - 1:
-                step, busy = partial(adapter.demand, epoch, plan[epoch],
-                                     base), n
+                step, busy = adapter.demand(epoch, plan[epoch], base), n
             elif epoch == 0 or (central and rnd > 0):
                 step, busy = None, 0
             elif central:
-                step, busy = partial(adapter.distribute, epoch, base), 1
+                step, busy = adapter.distribute(epoch), 1
             else:
-                step, busy = partial(adapter.claim, grants[epoch], base), n
+                step, busy = adapter.claim(grants[epoch], base), n
             for block in range(round_start, round_start + busy):
                 actor, action, amount, share, summary = step(block)
                 cost = priced(model) + tx_base
                 cost = shared_cost(cost, cost)
                 over = cost > budget
-                add_row(new_row((block, pos_epoch, pos_round, actor, action,
-                                 amount, share, pool.capacity, cost, over,
-                                 summary)))
+                add_row(new(TraceRow, (block, pos_epoch, pos_round, actor,
+                                       action, amount, share, pool.capacity,
+                                       cost, over, summary)))
             # the idle rest of the round leaves the pool as it was; the
             # model keeps tx_base below the block budget
             idle = range(round_start + busy, round_start + sc.round_span)
             actor, action, amount, share, summary = adapter.noop()
             capacity = pool.capacity
-            trace.extend([new_row((b, pos_epoch, pos_round, actor, action,
-                                   amount, share, capacity, tx_base, False,
-                                   summary))
+            trace.extend([new(TraceRow, (b, pos_epoch, pos_round, actor,
+                                         action, amount, share, capacity,
+                                         tx_base, False, summary))
                           for b in idle])
         # an epoch with a top-up is a claim epoch: CMF tops up in its
         # distribute block even without users, AMF only on a transaction

@@ -165,7 +165,7 @@ def test_criterion_5_fixed_point_weights():
         # the weight the faucet gives a first demand of demand_total
         faucet = AutonomousFaucet(clock, 1, precision)
         faucet.register()
-        w = faucet.demand(1, demand_total, 0).weight
+        _, _, w = faucet.demand(1, demand_total, 0)
         assert w * demand_total <= precision < (w + 1) * demand_total
     elapsed = time.time() - started
     assert elapsed < 1.0

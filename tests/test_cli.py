@@ -76,6 +76,26 @@ def test_verify_bad_scenario_exits_two_without_traceback(tmp_path, case):
     assert_cli_exits_two_without_traceback("verify", "--scenario", str(path))
 
 
+# json.load raises RecursionError on nesting past the recursion limit and
+# ValueError on an integer past CPython's int-string digit limit
+PARSER_LIMIT_SCENARIOS = {
+    "nested_past_recursion_limit": b"[" * 100000 + b"]" * 100000,
+    "seed_past_int_digit_limit":
+        b'{"variant": "AMF", "n": 3, "seed": ' + b"7" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "run", "cost-report"])
+@pytest.mark.parametrize("case", sorted(PARSER_LIMIT_SCENARIOS))
+def test_scenario_past_a_parser_limit_exits_two(tmp_path, case, command):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(PARSER_LIMIT_SCENARIOS[case])
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    err = assert_cli_exits_two_without_traceback(
+        command, "--scenario", str(path), *out)
+    assert err.startswith("error: invalid scenario JSON: ")
+
+
 def test_unwritable_output_exits_two_without_traceback(tmp_path):
     blocker = tmp_path / "file"  # --out names an existing file
     blocker.write_text("")

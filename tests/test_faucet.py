@@ -5,7 +5,7 @@ import pytest
 import fairfaucet.faucet as faucet_module
 from fairfaucet.clock import ClockParams, locate
 from fairfaucet.costs import CostMeter
-from fairfaucet.faucet import AutonomousFaucet, ClaimResult, DemandResult
+from fairfaucet.faucet import AutonomousFaucet
 from fairfaucet.sim import Scenario, run_scenario
 
 CLOCK = ClockParams(offset=0, epoch_span=12, round_span=3)
@@ -23,8 +23,8 @@ def submit_epoch_demands(faucet, epoch, amounts):
     base = epoch * 12 + 9
     for user, amount in enumerate(amounts, 1):
         if amount is not None:
-            res = faucet.demand(user, amount, base + user - 1)
-            assert res.accepted, res.reason
+            accepted, reason, _ = faucet.demand(user, amount, base + user - 1)
+            assert accepted, reason
 
 
 def claim_round(faucet, epoch, rnd):
@@ -72,8 +72,8 @@ def test_blocks_must_not_go_backwards():
 
 def test_first_demand_of_epoch_resets_weight_total():
     faucet = three_user_faucet()
-    res = faucet.demand(1, 4, 9)
-    assert res.accepted and res.weight == 1
+    accepted, _, weight = faucet.demand(1, 4, 9)
+    assert accepted and weight == 1
     assert faucet.weight_total[1] == 1  # parity slot for epoch-0 demands
     assert faucet.reset_epoch == 0
     faucet.demand(2, 11, 10)
@@ -82,12 +82,12 @@ def test_first_demand_of_epoch_resets_weight_total():
 
 def test_demand_guards():
     faucet = three_user_faucet()
-    assert not faucet.demand(9, 5, 9).accepted          # unregistered
-    assert not faucet.demand(1, 0, 9).accepted          # empty demand
-    assert faucet.demand(1, 5, 9).accepted
-    repeat = faucet.demand(1, 7, 10)
-    assert not repeat.accepted
-    assert "already demanded" in repeat.reason
+    assert not faucet.demand(9, 5, 9)[0]          # unregistered
+    assert not faucet.demand(1, 0, 9)[0]          # empty demand
+    assert faucet.demand(1, 5, 9)[0]
+    accepted, reason, _ = faucet.demand(1, 7, 10)
+    assert not accepted
+    assert "already demanded" in reason
     # no state change on the rejected repeat
     assert faucet.users[1].pending[1] == 5
     assert faucet.weight_total[1] == 1
@@ -96,17 +96,18 @@ def test_demand_guards():
 def test_weighted_weights_follow_cumulative_demand():
     faucet = AutonomousFaucet(CLOCK, 30, 1000)
     faucet.register()
-    first = faucet.demand(1, 10, 9)
-    assert first.weight == 100  # 1000 // 10
-    second = faucet.demand(1, 10, 21)  # next epoch's window
-    assert second.weight == 50  # 1000 // 20
+    _, _, first = faucet.demand(1, 10, 9)
+    assert first == 100  # 1000 // 10
+    _, _, second = faucet.demand(1, 10, 21)  # next epoch's window
+    assert second == 50  # 1000 // 20
 
 
 def first_demand_weight(precision, amount):
     """The weight a faucet with ``precision`` gives a first demand."""
     faucet = AutonomousFaucet(CLOCK, 1, precision)
     faucet.register()
-    return faucet.demand(1, amount, 0).weight
+    _, _, weight = faucet.demand(1, amount, 0)
+    return weight
 
 
 def test_reciprocal_weight_fixed_point_bound():
@@ -139,22 +140,22 @@ def test_claim_weights_are_the_slots_the_claims_use():
 def test_claim_guards_and_round_idempotence():
     faucet = three_user_faucet()
     submit_epoch_demands(faucet, 0, (4, 11, 15))
-    res = faucet.claim(3, 12)
-    assert res.granted == 10  # demand 15 capped by the unit share
-    again = faucet.claim(3, 13)
-    assert again.granted == 0
-    assert "already claimed" in again.reason
+    granted, *_ = faucet.claim(3, 12)
+    assert granted == 10  # demand 15 capped by the unit share
+    granted, reason, *_ = faucet.claim(3, 13)
+    assert granted == 0
+    assert "already claimed" in reason
     assert (faucet.capacity, faucet.users[3].balance) == (20, 10)
     # a fully satisfied demand hits the emptiness guard instead
-    assert faucet.claim(1, 13).granted == 4
-    drained = faucet.claim(1, 14)
-    assert drained.granted == 0
-    assert "already satisfied" in drained.reason
+    assert faucet.claim(1, 13)[0] == 4
+    granted, reason, *_ = faucet.claim(1, 14)
+    assert granted == 0
+    assert "already satisfied" in reason
     # user without a demand last epoch is a no-op
     faucet2 = three_user_faucet()
-    noop = faucet2.claim(1, 12)
-    assert noop.granted == 0
-    assert "no demand" in noop.reason
+    granted, reason, *_ = faucet2.claim(1, 12)
+    assert granted == 0
+    assert "no demand" in reason
 
 
 def test_worked_example_replay():
@@ -172,9 +173,10 @@ def test_worked_example_replay():
         rows, shares, caps = expected[epoch]
         for rnd in range(3):
             results = claim_round(faucet, epoch, rnd)
-            grants = tuple(r.granted for r in results)
+            grants = tuple(granted for granted, *_ in results)
             assert grants == rows[rnd], (epoch, rnd, grants)
-            live_shares = [r.share for r in results if r.granted]
+            live_shares = [share for granted, _, share, _, _ in results
+                           if granted]
             if rows[rnd] != (0, 0, 0):
                 assert set(live_shares) == {shares[rnd]}, (epoch, rnd)
             assert faucet.capacity == caps[rnd], (epoch, rnd)
@@ -188,23 +190,68 @@ def test_worked_example_replay():
 
 def test_results_report_demands_claims_and_noops():
     faucet = three_user_faucet()
-    assert faucet.demand(1, 4, 9) == DemandResult(True, weight=1)
+    assert faucet.demand(1, 4, 9) == (True, "", 1)
     assert (faucet.epoch, faucet.round, faucet.capacity) == (0, 3, 0)
     assert faucet.users[1].pending[1] == 4
-    assert faucet.demand(2, 11, 10).accepted
-    assert faucet.demand(3, 15, 11).accepted
-    assert faucet.demand(1, 5, 11) == DemandResult(
-        False, "already demanded this epoch")
+    assert faucet.demand(2, 11, 10)[0]
+    assert faucet.demand(3, 15, 11)[0]
+    assert faucet.demand(1, 5, 11) == (
+        False, "already demanded this epoch", 0)
     assert faucet.users[1].pending[1] == 4
-    assert faucet.claim(1, 12) == ClaimResult(granted=4, share=10,
-                                              satisfied=True)
+    assert faucet.claim(1, 12) == (4, "", 10, False, True)
     assert (faucet.epoch, faucet.round, faucet.capacity) == (1, 0, 26)
     faucet.claim(2, 13)
     faucet.claim(3, 14)
-    assert faucet.claim(1, 14) == ClaimResult(
-        reason="demand already satisfied")
+    assert faucet.claim(1, 14) == (
+        0, "demand already satisfied", 0, False, False)
     assert (faucet.epoch, faucet.round, faucet.capacity) == (1, 0, 6)
     assert faucet.final_balances()[1] == 4
+
+
+def test_results_are_exact_tuples_on_every_exit_path():
+    # ``demand`` and ``claim`` return plain tuples, not a NamedTuple or
+    # other subclass: a tuple display builds one for a fraction of a
+    # NamedTuple constructor call, and the caller's ``granted, reason,
+    # ... = faucet.claim(...)`` takes the exact-tuple fast path of the
+    # unpack only.  Each is in the field order the module docstring gives.
+    faucet = three_user_faucet()
+    results = [
+        # (accepted, reason, weight)
+        faucet.demand(9, 5, 9),
+        faucet.demand(1, 0, 9),
+        faucet.demand(1, 4, 9),
+        faucet.demand(1, 7, 10),
+        faucet.demand(2, 40, 10),
+        # (granted, reason, share, floored, satisfied)
+        faucet.claim(9, 12),
+        faucet.claim(3, 12),
+        faucet.claim(1, 12),
+        faucet.claim(1, 13),
+        faucet.claim(2, 13),
+        faucet.claim(2, 14),
+        faucet.claim(2, 15),
+        faucet.claim(2, 18),
+    ]
+    assert results == [
+        (False, "unregistered user", 0),
+        (False, "empty demand", 0),
+        (True, "", 1),
+        (False, "already demanded this epoch", 0),
+        (True, "", 1),
+        (0, "unregistered user", 0, False, False),
+        (0, "no demand from previous epoch", 0, False, False),
+        (4, "", 15, False, True),
+        (0, "demand already satisfied", 0, False, False),
+        (15, "", 15, False, False),
+        (0, "already claimed this round", 0, False, False),
+        (11, "", 11, False, False),
+        (0, "capacity depleted", 0, False, False),
+    ]
+    assert all(type(r) is tuple for r in results)
+    constants = [getattr(faucet_module, name) for name in dir(faucet_module)
+                 if name.startswith(("DEMAND_", "CLAIM_"))]
+    assert len(constants) == 8
+    assert all(type(c) is tuple for c in constants)
 
 
 def test_fresh_state_balances_are_zero_and_stay_zero_without_claims():
@@ -212,6 +259,20 @@ def test_fresh_state_balances_are_zero_and_stay_zero_without_claims():
     assert faucet.final_balances() == {1: 0, 2: 0, 3: 0}
     submit_epoch_demands(faucet, 0, (4, 11, 15))
     assert faucet.final_balances() == {1: 0, 2: 0, 3: 0}
+
+
+def live_weight(faucet, parity):
+    """Recompute the weight total for a parity slot from first principles:
+    snapshot weights of the most recent demand window for that parity,
+    counting only still-unsatisfied demands."""
+    accounts = faucet.users.values()
+    epochs = [a.demand_epoch[parity] for a in accounts
+              if a.demand_epoch[parity] >= 0]
+    if not epochs:
+        return 0
+    window = max(epochs)
+    return sum(a.slot_weight[parity] for a in accounts
+               if a.demand_epoch[parity] == window and a.pending[parity] > 0)
 
 
 def test_weight_total_matches_recomputation_throughout_a_run():
@@ -232,7 +293,8 @@ def test_weight_total_matches_recomputation_throughout_a_run():
                 else:
                     faucet.update_state(block)
                 for parity in (0, 1):
-                    assert faucet.weight_total[parity] == faucet.live_weight(parity)
+                    assert (faucet.weight_total[parity]
+                            == live_weight(faucet, parity))
 
 
 def test_weighted_share_floor_guarantees_progress():
@@ -244,12 +306,12 @@ def test_weighted_share_floor_guarantees_progress():
     u2 = faucet.register()
     faucet.demand(u1, 400_000, 6)
     faucet.demand(u2, 2, 7)
-    res1 = faucet.claim(u1, 8)
-    assert res1.granted > 0
-    res2 = faucet.claim(u2, 9)
+    granted1, *_ = faucet.claim(u1, 8)
+    assert granted1 > 0
+    granted2, *_ = faucet.claim(u2, 9)
     # weight(u2)/weight(u1) is enormous, so u2's scaled share collapses to
     # the floor of one unit only when shares invert; either way progress
-    assert res2.granted >= 1
+    assert granted2 >= 1
     assert faucet.capacity < 1000
 
 
@@ -261,10 +323,11 @@ def test_unweighted_share_floor_under_starvation():
     for user in (1, 2, 3):
         faucet.demand(user, 10, 4 + user)
     results = [faucet.claim(user, 8 + user - 1) for user in (1, 2, 3)]
-    grants = [r.granted for r in results]
+    grants = [granted for granted, *_ in results]
     assert grants == [1, 1, 0]  # two units, arrival order, then depletion
-    assert results[0].floored and results[1].floored
-    assert "depleted" in results[2].reason
+    floored = [floored for _, _, _, floored, _ in results]
+    assert floored[0] and floored[1]
+    assert "depleted" in results[2][1]
 
 
 @pytest.mark.parametrize("variant", ["AMF", "WAMF"])
@@ -302,7 +365,7 @@ def test_multi_epoch_jump_tops_up_once():
                                                 jump_to % 12 // 3)
         assert (faucet.capacity, faucet.injections) == (30, 1)
         # the demands of epoch 0 are no longer claimable
-        assert faucet.claim(1, jump_to).reason == (
+        assert faucet.claim(1, jump_to)[1] == (
             "no demand from previous epoch")
 
 

@@ -19,16 +19,41 @@ refresh as a second row after the advance's; the faucet's
 
 import copy
 import random
+from typing import NamedTuple
 
 import pytest
 
 from fairfaucet.clock import ClockParams, locate
 from fairfaucet.costs import CostMeter
-from fairfaucet.faucet import (CLAIM_DEPLETED, CLAIM_NO_DEMAND, CLAIM_REPEAT,
-                               CLAIM_SATISFIED, CLAIM_UNREGISTERED,
-                               DEMAND_EMPTY, DEMAND_REPEAT,
-                               DEMAND_UNREGISTERED, AutonomousFaucet,
-                               ClaimResult, DemandResult)
+from fairfaucet.faucet import AutonomousFaucet
+
+
+# The result records and rejection constants the faucet returned before
+# its results became plain tuples, verbatim; a plain tuple compares equal
+# to the record with the same fields.
+
+class DemandResult(NamedTuple):
+    accepted: bool
+    reason: str = ""
+    weight: int = 0
+
+
+class ClaimResult(NamedTuple):
+    granted: int = 0
+    reason: str = ""
+    share: int = 0
+    floored: bool = False
+    satisfied: bool = False
+
+
+DEMAND_UNREGISTERED = DemandResult(False, "unregistered user")
+DEMAND_EMPTY = DemandResult(False, "empty demand")
+DEMAND_REPEAT = DemandResult(False, "already demanded this epoch")
+CLAIM_UNREGISTERED = ClaimResult(0, "unregistered user")
+CLAIM_NO_DEMAND = ClaimResult(0, "no demand from previous epoch")
+CLAIM_DEPLETED = ClaimResult(0, "capacity depleted")
+CLAIM_SATISFIED = ClaimResult(0, "demand already satisfied")
+CLAIM_REPEAT = ClaimResult(0, "already claimed this round")
 
 
 class ReferenceFaucet(AutonomousFaucet):
@@ -180,15 +205,15 @@ def charges(meter):
 
 
 def outcome(faucet, op, args):
-    """((type name, result), charges) of one call; a ``ValueError``
-    gives the result ("raised", its message)."""
+    """(result, charges) of one call; a ``ValueError`` gives the result
+    ("raised", its message)."""
     meter = faucet._meter
     meter.reset()
     try:
         res = getattr(faucet, op)(*args)
     except ValueError as exc:
         res = ("raised", str(exc))
-    return (type(res).__name__, res), charges(meter)
+    return res, charges(meter)
 
 
 def next_block(rng, clock, block):
@@ -260,12 +285,18 @@ def test_entry_points_match_the_reference(clock, precision):
             want = outcome(ref, op, args)
             where = (seed, step, op, args)
             assert got == want, where
+            # the faucet returns a plain tuple where the reference
+            # returned one of its records, equal field for field
+            if isinstance(want[0], (DemandResult, ClaimResult)):
+                assert type(got[0]) is tuple, where
+            else:
+                assert type(got[0]) is type(want[0]), where
             assert state(fast) == state(ref), where
             if backward:
-                assert want[0][1][0] == "raised", where
+                assert want[0][0] == "raised", where
                 assert state(ref) == before, where
             if op in ("demand", "claim"):
-                reached.add((op, want[0][1][1]))
+                reached.add((op, want[0][1]))
     # the sequences reach every exit path of demand and claim
     assert reached == {
         ("demand", ""), ("demand", DEMAND_UNREGISTERED.reason),

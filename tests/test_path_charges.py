@@ -39,7 +39,8 @@ def faucet_with_demands(amounts, epoch_capacity=30, precision=None):
     for user, amount in enumerate(amounts, 1):
         faucet.register()
         if amount is not None:
-            assert faucet.demand(user, amount, 9).accepted
+            accepted, _, _ = faucet.demand(user, amount, 9)
+            assert accepted
     return faucet, meter
 
 
@@ -145,8 +146,8 @@ def test_claim_paths(precision):
     ]
     for args, want, reason in cases:
         meter.reset()
-        res = faucet.claim(*args)
-        assert (charges(meter), res.reason) == (want, reason), args
+        _, got, *_ = faucet.claim(*args)
+        assert (charges(meter), got) == (want, reason), args
     assert faucet.users[1].pending[1] == 0
     assert faucet.users[2].pending[1] > 0
     assert faucet.users[3].pending[1] > 0
@@ -159,11 +160,12 @@ def test_epoch_zero_claim_has_no_previous_demand(precision):
     meter = CostMeter()
     faucet = AutonomousFaucet(CLOCK, 30, precision, meter)
     faucet.register()
-    assert faucet.demand(1, 4, 0).accepted
+    accepted, _, _ = faucet.demand(1, 4, 0)
+    assert accepted
     for block in (1, 2):
         meter.reset()
-        res = faucet.claim(1, block)
-        assert (charges(meter), res.reason) == (
+        _, reason, *_ = faucet.claim(1, block)
+        assert (charges(meter), reason) == (
             (6, 0, 0, 5), "no demand from previous epoch"), block
 
 
@@ -174,13 +176,13 @@ def test_claim_floor_and_depletion_paths():
     faucet.update_state(12)
     assert faucet.unit_share == 0
     meter.reset()
-    res = faucet.claim(1, 12)
-    assert res.floored and res.granted == 1 and not res.satisfied
+    granted, _, _, floored, satisfied = faucet.claim(1, 12)
+    assert floored and granted == 1 and not satisfied
     assert charges(meter) == (13, 5, 0, 7)
     faucet.claim(2, 13)
     meter.reset()
-    res = faucet.claim(3, 14)
-    assert res.reason == "capacity depleted"
+    _, reason, *_ = faucet.claim(3, 14)
+    assert reason == "capacity depleted"
     assert charges(meter) == (6, 0, 0, 5)
 
 
@@ -188,8 +190,8 @@ def test_floored_claim_that_satisfies():
     faucet, meter = faucet_with_demands((1, 10, 10), epoch_capacity=2)
     faucet.update_state(12)
     meter.reset()
-    res = faucet.claim(1, 12)
-    assert res.floored and res.satisfied
+    _, _, _, floored, satisfied = faucet.claim(1, 12)
+    assert floored and satisfied
     assert charges(meter) == (14, 6, 0, 7)
 
 

@@ -91,25 +91,25 @@ class _ReferenceAutonomous:
         return uid, "register", 0, 0, f"user={uid}"
 
     def demand(self, epoch, block, user, amount):
-        res = self.pool.demand(user, amount, block)
-        if not res.accepted:
-            return user, "demand", 0, 0, f"rejected: {res.reason}"
+        accepted, reason, weight = self.pool.demand(user, amount, block)
+        if not accepted:
+            return user, "demand", 0, 0, f"rejected: {reason}"
         self.demands[epoch][user] = amount
-        self.weights[epoch][user] = res.weight
+        self.weights[epoch][user] = weight
         return (user, "demand", amount, 0,
-                f"amount={amount} weight={res.weight}")
+                f"amount={amount} weight={weight}")
 
     def claim(self, epoch, block, user):
-        res = self.pool.claim(user, block)
-        if res.granted:
+        granted, reason, share, floored, _ = self.pool.claim(user, block)
+        if granted:
             grants = self.grants[epoch]
-            grants[user] = grants.get(user, 0) + res.granted
-            summary = f"granted={res.granted}"
-            if res.floored:
+            grants[user] = grants.get(user, 0) + granted
+            summary = f"granted={granted}"
+            if floored:
                 summary += " floor1"
         else:
-            summary = f"no-op: {res.reason}"
-        return user, "claim", res.granted, res.share, summary
+            summary = f"no-op: {reason}"
+        return user, "claim", granted, share, summary
 
     def noop(self):
         return AUTHORITY, "noop", 0, self.pool.unit_share, ""
