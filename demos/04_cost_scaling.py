@@ -9,7 +9,7 @@ because satisfied users' calls return early.
 
 from fairfaucet import Scenario, cost_report, run_scenario
 
-BUDGET = Scenario.benchmark_defaults("AMF", 10).cost_model.block_budget
+BUDGET = Scenario("AMF", 10).cost_model.block_budget
 
 print(f"block budget: {BUDGET}\n")
 print(f"{'n':>6} {'AMF claim mean':>15} {'rounds 1/2/3':>24} "
@@ -17,9 +17,8 @@ print(f"{'n':>6} {'AMF claim mean':>15} {'rounds 1/2/3':>24} "
 
 for n in (10, 50, 100, 200, 500):
     amf = cost_report(run_scenario(
-        Scenario.benchmark_defaults("AMF", n, seed=42, epochs=4)).receipts)
-    cmf_result = run_scenario(
-        Scenario.benchmark_defaults("CMF", n, seed=42, epochs=4))
+        Scenario("AMF", n, seed=42, epochs=4)).receipts)
+    cmf_result = run_scenario(Scenario("CMF", n, seed=42, epochs=4))
     cmf = cost_report(cmf_result.receipts)
     rounds = "/".join(f"{amf.claim_by_round[r].mean:.0f}" for r in (0, 1, 2))
     over = any(r.over_budget for r in cmf_result.receipts)

@@ -141,15 +141,14 @@ def cmd_cost_report(args) -> int:
     if sc.scripted_demands is not None:
         raise ScenarioError("sweep requires a PRNG-driven scenario")
     sizes = _parse_sweep(args.sweep)
+    # every rescaled scenario is checked before the first line prints
+    pairs = [(s._replace(variant="AMF") if s.variant == "CMF" else s,
+              s._replace(variant="CMF")) for s in map(sc.with_n, sizes)]
     print(f"{'n':>6} {'claim mean':>12} {'demand mean':>12} "
           f"{'distribute mean':>16} {'over budget':>12}")
     claim_means = {}
     distribute_means = {}
-    for n in sizes:
-        autonomous = sc.with_n(n)
-        if autonomous.variant == "CMF":
-            autonomous = autonomous._replace(variant="AMF")
-        central = sc.with_n(n)._replace(variant="CMF")
+    for n, (autonomous, central) in zip(sizes, pairs):
         auto_summary = cost_report(run_scenario(autonomous).receipts)
         central_result = run_scenario(central)
         central_summary = cost_report(central_result.receipts)

@@ -74,37 +74,41 @@ def _require_int(name, value):
         raise ScenarioError(f"{name} must be an integer, got {value!r}")
 
 
-def _geometry(n: int) -> dict:
-    """The n-coupled part of the benchmark parameterization: capacity 20n,
-    epoch span 4n, round span n."""
-    _require_int("n", n)
-    return dict(epoch_capacity=20 * n, epoch_span=4 * n, round_span=n)
+# The most blocks a run may ask for; it admits WAMF at n = 10**5 (1.6 *
+# 10**6 blocks).  A run keeps a record of about 230 B per block until it
+# returns, plus a CSV's text while it renders: WAMF at n = 20000 (320,000
+# blocks) keeps 74 MB, peaks at 128 MB and takes 1.7 s to run, verify and
+# render, so the limit costs about 460 MB of records and 11 s.  Revisit
+# it once records stream.
+MAX_BLOCKS = 2_000_000
 
 
 class Scenario(_Record, frozen=True):
-    """Declarative experiment description.  ``scripted_demands`` (one row
-    per epoch, one entry per user, None meaning no demand) replaces the
-    PRNG stream entirely when present; epochs beyond the scripted rows
-    get no demands."""
+    """Declarative experiment description.  Geometry left out (or None)
+    takes the benchmark parameterization, which scales with n: capacity
+    20n, epoch span 4n, round span n.  ``scripted_demands`` (one row per
+    epoch, one entry per user, None meaning no demand) replaces the PRNG
+    stream entirely when present; epochs beyond the scripted rows get no
+    demands.  The constructor checks every value, and rejects a run of
+    more than ``MAX_BLOCKS`` blocks before any of it runs."""
 
     __slots__ = ("variant", "n", "epoch_capacity", "epoch_span",
                  "round_span", "demand_lo", "demand_hi", "epochs", "seed",
                  "precision", "cost_model", "scripted_demands")
 
-    @classmethod
-    def benchmark_defaults(cls, variant: str, n: int, **overrides):
-        """The benchmark parameterization: the n-coupled geometry of
-        ``_geometry`` and demands from [10, 30)."""
-        params = dict(variant=variant, n=n, **_geometry(n))
-        params.update(overrides)
-        return cls(**params)
-
-    def __init__(self, variant: str, n: int, epoch_capacity: int,
-                 epoch_span: int, round_span: int, demand_lo: int = 10,
-                 demand_hi: int = 30, epochs: int = 4, seed: int = 0,
-                 precision: int = 10 ** 9,
+    def __init__(self, variant: str, n: int, epoch_capacity: int = None,
+                 epoch_span: int = None, round_span: int = None,
+                 demand_lo: int = 10, demand_hi: int = 30, epochs: int = 4,
+                 seed: int = 0, precision: int = 10 ** 9,
                  cost_model: CostModel = CostModel(),  # frozen, so shared
                  scripted_demands: tuple = None):
+        _require_int("n", n)  # before the geometry that scales with it
+        if epoch_capacity is None:
+            epoch_capacity = 20 * n
+        if epoch_span is None:
+            epoch_span = 4 * n
+        if round_span is None:
+            round_span = n
         super().__init__(variant, n, epoch_capacity, epoch_span, round_span,
                          demand_lo, demand_hi, epochs, seed, precision,
                          cost_model, scripted_demands)
@@ -130,6 +134,12 @@ class Scenario(_Record, frozen=True):
         if self.round_span < self.n:
             raise ScenarioError("round_span must be >= n so every user "
                                 "gets a block per round")
+        # at least one epoch's worth, as a run of no epochs still builds a
+        # balance per user and n <= round_span <= epoch_span
+        blocks = max(self.epochs, 1) * self.epoch_span
+        if blocks > MAX_BLOCKS:
+            raise ScenarioError(f"the run needs {blocks} blocks, more than "
+                                f"the limit of {MAX_BLOCKS}")
         if self.demand_lo < 1 or self.demand_hi <= self.demand_lo:
             raise ScenarioError("demand range must satisfy 1 <= lo < hi")
         if not (0 <= self.seed <= MASK64):
@@ -170,25 +180,16 @@ class Scenario(_Record, frozen=True):
         return ClockParams(0, self.epoch_span, self.round_span)
 
     def with_n(self, n: int):
-        """Rescale to a different user count, rederiving the n-coupled
-        geometry."""
-        return self._replace(n=n, **_geometry(n))
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    out = dict(zip(sc._fields, sc._values()))
-    model = sc.cost_model
-    out["cost_model"] = dict(zip(model._fields, model._values()))
-    if sc.scripted_demands is None:
-        del out["scripted_demands"]
-    else:
-        out["scripted_demands"] = [list(row) for row in sc.scripted_demands]
-    return out
+        """Rescale to a different user count, rederiving the geometry that
+        scales with it."""
+        return self._replace(n=n, epoch_capacity=None, epoch_span=None,
+                             round_span=None)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a scenario from its JSON object.  Omitted geometry takes the
-    benchmark parameterization; the constructor checks every value."""
+    """Build a scenario from its JSON object, whose keys are the
+    constructor's: omitted or null geometry takes the benchmark
+    parameterization, and the constructor checks every value."""
     if not isinstance(data, dict):
         raise ScenarioError("a scenario must be a JSON object")
     unknown = data.keys() - Scenario._fields
@@ -196,7 +197,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
     if "variant" not in data or "n" not in data:
         raise ScenarioError("scenario requires 'variant' and 'n'")
-    kwargs = {**_geometry(data["n"]), **data}
+    kwargs = dict(data)
     model = kwargs.pop("cost_model", None)
     if model is not None:
         if not isinstance(model, dict):

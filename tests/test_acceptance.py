@@ -95,7 +95,7 @@ def test_criterion_3_oracle_equivalence():
     exact = fcfs_epochs = four_round_epochs = runs = 0
     for n in (10, 50, 100):
         for seed in range(100):
-            sc = Scenario.benchmark_defaults("AMF", n, seed=seed, epochs=3)
+            sc = Scenario("AMF", n, seed=seed, epochs=3)
             result = run_scenario(sc)
             runs += 1
             CONSERVATION_LOG.append(result.conservation_ok())
@@ -177,7 +177,7 @@ def test_criterion_6_cost_scaling():
     started = time.time()
     claim_means = {}
     for n in (10, 50, 100, 500):
-        sc = Scenario.benchmark_defaults("AMF", n, seed=42, epochs=4)
+        sc = Scenario("AMF", n, seed=42, epochs=4)
         summary = cost_report(run_scenario(sc).receipts)
         claim_means[n] = summary.mean("claim")
         rounds = summary.claim_by_round
@@ -187,7 +187,7 @@ def test_criterion_6_cost_scaling():
     assert spread <= 1.15, claim_means
     distribute_means = {}
     for n in (20, 200):
-        sc = Scenario.benchmark_defaults("CMF", n, seed=42, epochs=4)
+        sc = Scenario("CMF", n, seed=42, epochs=4)
         summary = cost_report(run_scenario(sc).receipts)
         distribute_means[n] = summary.mean("distribute")
     growth = distribute_means[200] / distribute_means[20]
@@ -245,7 +245,7 @@ def test_criterion_8_determinism():
     started = time.time()
     digests = []
     for variant in ("AMF", "WAMF", "CMF"):
-        sc = Scenario.benchmark_defaults(variant, 12, seed=31415, epochs=3)
+        sc = Scenario(variant, 12, seed=31415, epochs=3)
         pair = [hashlib.sha256(trace_csv(run_scenario(sc)).encode()).hexdigest()
                 for _ in range(2)]
         assert pair[0] == pair[1], variant
@@ -262,7 +262,7 @@ def test_criterion_9_conservation():
         # criteria 3-4 did not run in this session; draw a fresh sample
         for seed in range(30):
             result = run_scenario(
-                Scenario.benchmark_defaults("AMF", 10, seed=seed, epochs=3))
+                Scenario("AMF", 10, seed=seed, epochs=3))
             CONSERVATION_LOG.append(result.conservation_ok())
     assert all(CONSERVATION_LOG)
     _pass(9, f"balances + remaining capacity == injected capacity in all "

@@ -8,7 +8,7 @@ import pytest
 
 from fairfaucet import cli
 from fairfaucet.cli import main
-from fairfaucet.sim import run_scenario
+from fairfaucet.sim import MAX_BLOCKS, run_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -54,15 +54,17 @@ BAD_SCENARIOS = {
 }
 
 
-def assert_cli_exits_two_without_traceback(*args):
+def assert_cli_exits_two_without_traceback(*args, timeout=60):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "fairfaucet.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
     return proc.stderr
 
 
@@ -94,6 +96,47 @@ def test_scenario_past_a_parser_limit_exits_two(tmp_path, case, command):
     err = assert_cli_exits_two_without_traceback(
         command, "--scenario", str(path), *out)
     assert err.startswith("error: invalid scenario JSON: ")
+
+
+# Scenarios that pass every other check but ask for more blocks than a run
+# may keep, with the block count: the default geometry scaled to 10**8
+# users, huge spans, many epochs, and a CMF run of no epochs, which counts
+# as one since it still builds a balance per user.
+OVERSIZED_SCENARIOS = {
+    "n_1e8": ({"variant": "AMF", "n": 10 ** 8}, 16 * 10 ** 8),
+    "epoch_span_1e12": ({"variant": "AMF", "n": 1, "epoch_span": 10 ** 12,
+                         "round_span": 1}, 4 * 10 ** 12),
+    "epochs_1e9": ({"variant": "AMF", "n": 1, "epochs": 10 ** 9},
+                   4 * 10 ** 9),
+    "round_span_1e12": ({"variant": "AMF", "n": 1,
+                         "epoch_span": 2 * 10 ** 12,
+                         "round_span": 10 ** 12}, 8 * 10 ** 12),
+    "cmf_n_1e8_no_epochs": ({"variant": "CMF", "n": 10 ** 8, "epochs": 0},
+                            4 * 10 ** 8),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "run", "cost-report"])
+@pytest.mark.parametrize("case", sorted(OVERSIZED_SCENARIOS))
+def test_oversized_scenario_exits_two_before_it_runs(tmp_path, case,
+                                                      command):
+    keys, blocks = OVERSIZED_SCENARIOS[case]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(keys))
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    err = assert_cli_exits_two_without_traceback(
+        command, "--scenario", str(path), *out, timeout=10)
+    assert err == (f"error: the run needs {blocks} blocks, more than the "
+                   f"limit of {MAX_BLOCKS}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_oversized_sweep_size_exits_two_before_printing():
+    # the n = 5 row would run and print before n = 10**8 was checked
+    err = assert_cli_exits_two_without_traceback(
+        "cost-report", "--scenario", str(SCENARIOS / "amf_n10.json"),
+        "--sweep", "n=5,100000000", timeout=10)
+    assert "more than the limit" in err
 
 
 def test_unwritable_output_exits_two_without_traceback(tmp_path):

@@ -52,8 +52,7 @@ def test_empty_receipts_make_an_empty_summary():
 
 def test_over_budget_flag_reflects_budget():
     tight = CostModel(block_budget=22000)  # barely above tx_base
-    sc = Scenario.benchmark_defaults("AMF", 4, seed=5, epochs=2,
-                                 cost_model=tight)
+    sc = Scenario("AMF", 4, seed=5, epochs=2, cost_model=tight)
     result = run_scenario(sc)
     flagged = result.over_budget_receipts()
     assert flagged, "claims must exceed a tight budget"
@@ -66,7 +65,7 @@ def test_over_budget_flag_reflects_budget():
 def test_claim_means_nearly_constant_in_user_count():
     means = {}
     for n in (10, 500):
-        sc = Scenario.benchmark_defaults("AMF", n, seed=42, epochs=4)
+        sc = Scenario("AMF", n, seed=42, epochs=4)
         means[n] = cost_report(run_scenario(sc).receipts).mean("claim")
     assert max(means.values()) <= 1.10 * min(means.values()), means
 
@@ -76,21 +75,20 @@ def test_budget_threshold_separates_cmf_from_amf():
     # central distribute no longer fits in a block while claims always do
     threshold = None
     for n in (50, 100, 200, 400, 800):
-        sc = Scenario.benchmark_defaults("CMF", n, seed=9, epochs=3)
+        sc = Scenario("CMF", n, seed=9, epochs=3)
         result = run_scenario(sc)
         if any(r.kind == "distribute" and r.over_budget
                for r in result.receipts):
             threshold = n
             break
     assert threshold is not None
-    amf = run_scenario(Scenario.benchmark_defaults("AMF", threshold, seed=9,
-                                               epochs=3))
+    amf = run_scenario(Scenario("AMF", threshold, seed=9, epochs=3))
     assert not [r for r in amf.receipts
                 if r.kind == "claim" and r.over_budget]
 
 
 def test_first_transaction_of_an_epoch_carries_the_update_cost():
-    sc = Scenario.benchmark_defaults("AMF", 8, seed=2, epochs=3)
+    sc = Scenario("AMF", 8, seed=2, epochs=3)
     result = run_scenario(sc)
     claims = [r for r in result.receipts if r.kind == "claim" and r.epoch == 1]
     first_of_round = {}
@@ -135,7 +133,7 @@ METERING = {
                          + ["cmf_benchmark_n200_seed5"])
 def test_metering_is_pinned(name):
     if name == "cmf_benchmark_n200_seed5":
-        sc = Scenario.benchmark_defaults("CMF", 200, seed=5)
+        sc = Scenario("CMF", 200, seed=5)
     else:
         sc = load_scenario(SCENARIOS / f"{name}.json")
     summary = cost_report(run_scenario(sc).receipts)

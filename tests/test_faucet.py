@@ -409,7 +409,7 @@ def test_faucet_locates_at_most_once_per_round(monkeypatch, variant):
         return real_locate(clock, block)
 
     monkeypatch.setattr(faucet_module, "locate", counting_locate)
-    sc = Scenario.benchmark_defaults(variant, 5, seed=3, epochs=4)
+    sc = Scenario(variant, 5, seed=3, epochs=4)
     run_scenario(sc)
     rounds = sc.epochs * sc.epoch_span // sc.round_span
     assert 0 < len(calls) <= rounds

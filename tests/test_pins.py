@@ -38,9 +38,9 @@ PRICED = dict(n=40, epoch_capacity=800, epoch_span=180, round_span=45,
 
 RUNS = {
     "wamf_benchmark_n200_seed5":
-        lambda: Scenario.benchmark_defaults("WAMF", 200, seed=5),
+        lambda: Scenario("WAMF", 200, seed=5),
     "cmf_benchmark_n200_seed5":
-        lambda: Scenario.benchmark_defaults("CMF", 200, seed=5),
+        lambda: Scenario("CMF", 200, seed=5),
     "amf_filler_n3": lambda: Scenario(variant="AMF", **FILLER),
     "wamf_filler_n3": lambda: Scenario(variant="WAMF", **FILLER),
     "cmf_filler_n3": lambda: Scenario(variant="CMF", **FILLER),

@@ -68,7 +68,7 @@ def test_scalar_defaults():
 FROZEN = {
     "ClockParams": (lambda: ClockParams(3, 12, 4), "offset"),
     "CostModel": (lambda: CostModel(tx_base=100), "tx_base"),
-    "Scenario": (lambda: Scenario.benchmark_defaults(
+    "Scenario": (lambda: Scenario(
         "WAMF", 4, seed=9, scripted_demands=[[1, None, 3]]), "seed"),
 }
 
@@ -177,8 +177,8 @@ def test_mutable_defaults_are_fresh_per_instance():
 
 
 def test_with_n_validates_through_the_constructor():
-    sc = Scenario.benchmark_defaults("AMF", 4, seed=5)
-    assert sc.with_n(6) == Scenario.benchmark_defaults("AMF", 6, seed=5)
+    sc = Scenario("AMF", 4, seed=5)
+    assert sc.with_n(6) == Scenario("AMF", 6, seed=5)
     with pytest.raises(ScenarioError):
         sc.with_n(-1)
 

@@ -20,7 +20,7 @@ from fairfaucet.cli import main
 from fairfaucet.cmf import DistributionReport, GrantRow
 from fairfaucet.sim import (CHUNK, RunResult, Scenario, TraceRow,
                             balances_csv, distributions_csv, receipts_csv,
-                            run_scenario, scenario_to_dict, trace_csv)
+                            run_scenario, trace_csv)
 
 # -- reference: the renderers before chunking ---------------------------------
 
@@ -103,14 +103,15 @@ def test_renderers_match_reference_on_synthetic_results(rows, render,
     assert render(result) == reference(result)
 
 
-# one run per variant; each trace spans at least two chunks, and the CMF
-# demands from [1, 100) give it more than one chunk of grant rows
-RUNS = {
-    "AMF": Scenario.benchmark_defaults("AMF", 150, seed=4),
-    "WAMF": Scenario.benchmark_defaults("WAMF", 150, seed=4),
-    "CMF": Scenario.benchmark_defaults("CMF", 200, seed=4, demand_lo=1,
-                                       demand_hi=100),
+# one run per variant, from keys that a scenario file takes as they are;
+# each trace spans at least two chunks, and the CMF demands from [1, 100)
+# give it more than one chunk of grant rows
+KEYS = {
+    "AMF": dict(variant="AMF", n=150, seed=4),
+    "WAMF": dict(variant="WAMF", n=150, seed=4),
+    "CMF": dict(variant="CMF", n=200, seed=4, demand_lo=1, demand_hi=100),
 }
+RUNS = {variant: Scenario(**keys) for variant, keys in KEYS.items()}
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +134,7 @@ def test_rendering_peak_memory_is_bounded_by_the_text():
     text they returned (a string per line, the join and a copy with the
     final newline); the chunked ones hold the chunks and their join, about
     twice the length."""
-    result = run_scenario(Scenario.benchmark_defaults("AMF", 600, seed=2))
+    result = run_scenario(Scenario("AMF", 600, seed=2))
     assert len(result.trace) >= 8 * CHUNK
     tracemalloc.start()
     try:
@@ -166,7 +167,7 @@ def test_equal_summaries_and_costs_are_one_object(runs, variant):
 @pytest.mark.parametrize("variant", ["AMF", "CMF"])
 def test_cli_run_writes_the_renderers_bytes(runs, variant, tmp_path):
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(scenario_to_dict(RUNS[variant])))
+    scenario.write_text(json.dumps(KEYS[variant]))
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
     result = runs[variant]

@@ -1,15 +1,16 @@
 import hashlib
 import json
+import pickle
 from pathlib import Path
 
 import pytest
 
 from fairfaucet.clock import locate
 from fairfaucet.costs import CostModel
-from fairfaucet.sim import (MASK64, Scenario, ScenarioError, TraceRow,
-                            balances_csv, load_scenario, next_demand,
-                            run_scenario, scenario_from_dict,
-                            scenario_to_dict, trace_csv)
+from fairfaucet.sim import (MASK64, MAX_BLOCKS, VARIANTS, Scenario,
+                            ScenarioError, TraceRow, balances_csv,
+                            load_scenario, next_demand, run_scenario,
+                            scenario_from_dict, trace_csv)
 from fairfaucet.verify import verify_run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -77,14 +78,45 @@ def test_empty_range_rejected():
 
 # -- scenario validation and serialization ----------------------------------
 
-def test_benchmark_defaults_follow_n():
-    sc = Scenario.benchmark_defaults("AMF", 50)
-    assert (sc.epoch_capacity, sc.epoch_span, sc.round_span) == (1000, 200, 50)
+def scenario_to_dict(sc: Scenario) -> dict:
+    out = dict(zip(sc._fields, sc._values()))
+    model = sc.cost_model
+    out["cost_model"] = dict(zip(model._fields, model._values()))
+    if sc.scripted_demands is None:
+        del out["scripted_demands"]
+    else:
+        out["scripted_demands"] = [list(row) for row in sc.scripted_demands]
+    return out
+
+
+GEOMETRY = ("epoch_capacity", "epoch_span", "round_span")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_omitted_geometry_follows_n_on_every_path(variant, tmp_path):
+    # capacity 20n, epoch span 4n, round span n, the same in Python and
+    # from a file, and stored as the ints themselves
+    keys = dict(variant=variant, n=50, seed=7, epochs=3)
+    sc = Scenario(**keys)
+    assert sc._values()[2:5] == (1000, 200, 50)
+    assert all(type(getattr(sc, name)) is int for name in GEOMETRY)
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(keys))
+    other_n = dict(keys, n=10, epoch_capacity=7, epoch_span=40,
+                   round_span=10)
+    built = [scenario_from_dict(keys), load_scenario(path),
+             Scenario(**other_n).with_n(50),
+             scenario_from_dict(json.loads(json.dumps(
+                 dict(keys, **dict.fromkeys(GEOMETRY))))),
+             pickle.loads(pickle.dumps(sc)), sc._replace()]
+    built += [scenario_from_dict(json.loads(json.dumps({**keys, name: None})))
+              for name in GEOMETRY]
+    assert built == [sc] * len(built)
 
 
 def test_scenario_rejects_bad_parameters():
     with pytest.raises(ScenarioError, match="variant"):
-        Scenario.benchmark_defaults("XMF", 10)
+        Scenario("XMF", 10)
     with pytest.raises(ScenarioError, match="round_span"):
         Scenario(variant="AMF", n=10, epoch_capacity=200, epoch_span=36,
                  round_span=9)
@@ -92,9 +124,9 @@ def test_scenario_rejects_bad_parameters():
         Scenario(variant="AMF", n=5, epoch_capacity=100, epoch_span=5,
                  round_span=5)
     with pytest.raises(ScenarioError, match="demand range"):
-        Scenario.benchmark_defaults("AMF", 10, demand_lo=20, demand_hi=20)
+        Scenario("AMF", 10, demand_lo=20, demand_hi=20)
     with pytest.raises(ScenarioError, match="precision"):
-        Scenario.benchmark_defaults("WAMF", 10, epochs=4, precision=100)
+        Scenario("WAMF", 10, epochs=4, precision=100)
 
 
 def test_precision_bound_counts_only_the_scripted_rows_that_run():
@@ -117,7 +149,7 @@ BAD_FIELDS = [("n", 2.5), ("n", True), ("epochs", 4.0), ("epochs", True),
 def test_every_path_rejects_the_same_bad_field(field, value):
     # the constructor is the one validator: _replace, with_n and the JSON
     # path all build through it
-    sc = Scenario.benchmark_defaults("AMF", 3)
+    sc = Scenario("AMF", 3)
     fields = dict(zip(sc._fields, sc._values()), **{field: value})
     with pytest.raises(ScenarioError, match=field):
         Scenario(**fields)
@@ -128,6 +160,37 @@ def test_every_path_rejects_the_same_bad_field(field, value):
     if field == "n":
         with pytest.raises(ScenarioError, match="n must be an integer"):
             sc.with_n(value)
+
+
+def test_every_path_rejects_an_oversized_run():
+    # each asks for twice the limit: epochs of 4 blocks at n = 1, or the
+    # 4 epochs of 4n blocks of the default geometry
+    too_many = (f"the run needs {2 * MAX_BLOCKS} blocks, more than the "
+                f"limit of {MAX_BLOCKS}")
+    epochs = MAX_BLOCKS // 2
+    sc = Scenario("AMF", 1)
+    with pytest.raises(ScenarioError, match=too_many):
+        Scenario("AMF", 1, epochs=epochs)
+    with pytest.raises(ScenarioError, match=too_many):
+        sc._replace(epochs=epochs)
+    with pytest.raises(ScenarioError, match=too_many):
+        scenario_from_dict({"variant": "AMF", "n": 1, "epochs": epochs})
+    with pytest.raises(ScenarioError, match=too_many):
+        sc.with_n(MAX_BLOCKS // 8)
+
+
+def test_the_block_limit_counts_at_least_one_epoch():
+    # a run of no epochs still builds a balance per user
+    at_limit = dict(n=1, epoch_span=MAX_BLOCKS, round_span=1)
+    assert Scenario("AMF", epochs=1, **at_limit).epoch_span == MAX_BLOCKS
+    assert Scenario("AMF", epochs=0, **at_limit).epochs == 0
+    with pytest.raises(ScenarioError, match="more than the limit"):
+        Scenario("AMF", epochs=1, **dict(at_limit, epoch_span=MAX_BLOCKS + 1))
+    with pytest.raises(ScenarioError, match="more than the limit"):
+        Scenario("CMF", MAX_BLOCKS // 4 + 1, epochs=0)
+    # WAMF at n = 10**5, 1.6 * 10**6 blocks, builds
+    sc = Scenario("WAMF", 10 ** 5)
+    assert sc.epochs * sc.epoch_span == 1_600_000
 
 
 @pytest.mark.parametrize("value", [800.0, True])
@@ -142,8 +205,8 @@ def test_every_path_rejects_a_non_integer_price(value):
 
 
 def test_scenario_json_round_trip(tmp_path):
-    sc = Scenario.benchmark_defaults("WAMF", 12, seed=9,
-                                 cost_model=CostModel(storage_write=7000))
+    sc = Scenario("WAMF", 12, seed=9,
+                  cost_model=CostModel(storage_write=7000))
     data = scenario_to_dict(sc)
     assert scenario_from_dict(json.loads(json.dumps(data))) == sc
     path = tmp_path / "sc.json"
@@ -168,7 +231,7 @@ def test_scripted_rows_validated():
 # -- the block schedule ------------------------------------------------------
 
 def test_one_tx_per_block_and_consecutive_numbering():
-    sc = Scenario.benchmark_defaults("AMF", 7, seed=3, epochs=3)
+    sc = Scenario("AMF", 7, seed=3, epochs=3)
     result = run_scenario(sc)
     blocks = [r.block for r in result.trace]
     assert blocks == list(range(sc.epochs * sc.epoch_span))
@@ -177,7 +240,7 @@ def test_one_tx_per_block_and_consecutive_numbering():
 
 @pytest.mark.parametrize("variant", ["AMF", "WAMF", "CMF"])
 def test_each_block_is_one_record_that_is_also_its_receipt(variant):
-    sc = Scenario.benchmark_defaults(variant, 5, seed=8, epochs=3)
+    sc = Scenario(variant, 5, seed=8, epochs=3)
     result = run_scenario(sc)
     assert result.receipts is result.trace
     assert ([r.block for r in result.trace]
@@ -210,7 +273,7 @@ def test_trace_positions_match_the_clock(variant):
 
 
 def test_zero_epochs_is_an_empty_run():
-    sc = Scenario.benchmark_defaults("AMF", 4, epochs=0)
+    sc = Scenario("AMF", 4, epochs=0)
     result = run_scenario(sc)
     assert result.trace == []
     assert result.receipts == []
@@ -241,7 +304,7 @@ def test_runs_without_users(variant, spans, injected):
 
 
 def test_registration_then_filler_then_demands_in_epoch_zero():
-    sc = Scenario.benchmark_defaults("AMF", 5, seed=1, epochs=2)
+    sc = Scenario("AMF", 5, seed=1, epochs=2)
     result = run_scenario(sc)
     first_epoch = [r for r in result.trace if r.epoch == 0]
     kinds = [r.action for r in first_epoch]
@@ -254,8 +317,8 @@ def test_amf_cmf_totals_align_modulo_round_exhaustion():
     # the same PRNG stream drives both variants; the autonomous run can
     # only fall short of the central one when its claim rounds run out
     for seed in range(6):
-        amf = Scenario.benchmark_defaults("AMF", 20, seed=seed, epochs=3)
-        cmf = Scenario.benchmark_defaults("CMF", 20, seed=seed, epochs=3)
+        amf = Scenario("AMF", 20, seed=seed, epochs=3)
+        cmf = Scenario("CMF", 20, seed=seed, epochs=3)
         res_a, res_c = run_scenario(amf), run_scenario(cmf)
         assert res_a.conservation_ok()
         assert res_c.conservation_ok()
@@ -301,7 +364,7 @@ def test_amf_worked_example_reaches_the_expected_balances():
 
 
 def test_identical_scenarios_produce_identical_bytes():
-    sc = Scenario.benchmark_defaults("WAMF", 9, seed=123, epochs=3)
+    sc = Scenario("WAMF", 9, seed=123, epochs=3)
     first = run_scenario(sc)
     second = run_scenario(sc)
     h1 = hashlib.sha256(trace_csv(first).encode()).hexdigest()
@@ -311,7 +374,7 @@ def test_identical_scenarios_produce_identical_bytes():
 
 
 def test_epoch_summaries_describe_claim_epochs():
-    sc = Scenario.benchmark_defaults("AMF", 6, seed=10, epochs=3)
+    sc = Scenario("AMF", 6, seed=10, epochs=3)
     result = run_scenario(sc)
     assert [s.epoch for s in result.epoch_summaries] == [1, 2]
     for summary in result.epoch_summaries:
@@ -324,7 +387,7 @@ def test_epoch_summaries_describe_claim_epochs():
 def test_only_wamf_summaries_carry_weights(variant):
     # a WAMF summary holds the weights its demand receipts recorded, in
     # demand order; the faucet's slots are read when the epoch closes
-    sc = Scenario.benchmark_defaults(variant, 6, seed=10, epochs=4)
+    sc = Scenario(variant, 6, seed=10, epochs=4)
     result = run_scenario(sc)
     assert [s.epoch for s in result.epoch_summaries] == [1, 2, 3]
     for summary in result.epoch_summaries:

@@ -96,7 +96,7 @@ def test_tampered_grants_fail_verification():
 
 def test_wamf_runs_verify_against_the_weighted_oracle():
     for seed in (1, 2, 3):
-        sc = Scenario.benchmark_defaults("WAMF", 15, seed=seed, epochs=3)
+        sc = Scenario("WAMF", 15, seed=seed, epochs=3)
         result = run_scenario(sc)
         assert result.conservation_ok()
         report = verify_run(result)
@@ -108,8 +108,7 @@ def test_changed_weight_fails_the_per_user_comparison():
     # by user; doubling user 3's weight moves the oracle's answer, so the
     # epoch falls back to the totals-only check that depletion allows
     # (both sides hand out the whole pool, so the totals still agree)
-    sc = Scenario.benchmark_defaults("WAMF", 3, seed=1, epochs=3,
-                                     demand_lo=10, demand_hi=60)
+    sc = Scenario("WAMF", 3, seed=1, epochs=3, demand_lo=10, demand_hi=60)
     result = run_scenario(sc)
     summary = result.epoch_summaries[0]
     assert summary.epoch == 1 and summary.depleted
@@ -190,7 +189,7 @@ def test_the_check_kinds_keep_their_strings():
 def depleted_wamf_run():
     # capacity 10 per user: every epoch depletes, the first matches the
     # weighted oracle user by user and the others by totals only
-    return run_scenario(Scenario.benchmark_defaults(
+    return run_scenario(Scenario(
         "WAMF", 20, seed=4, epochs=4, epoch_capacity=200))
 
 
