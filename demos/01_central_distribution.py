@@ -17,8 +17,9 @@ report = distributor.distribute(epoch=1)
 print(f"\npool at distribution time: {report.capacity_before}")
 for iteration in range(1, report.iterations + 1):
     share = report.shares[iteration - 1]
-    rows = [r for r in report.rows if r.iteration == iteration]
-    grants = ", ".join(f"user {r.user} gets {r.granted}" for r in rows)
+    grants = ", ".join(f"user {user} gets {granted}"
+                       for it, user, granted, _, _ in report.rows
+                       if it == iteration)
     print(f"iteration {iteration}: unit share {share}: {grants}")
 
 print("\nfinal balances:", dict(sorted(distributor.balances.items())))

@@ -8,8 +8,6 @@ so the functions are safe to call from anywhere.
 this module imports nothing else of the package.
 """
 
-from typing import NamedTuple
-
 
 class _Record:
     """A plain record: equality compares the fields in order, and the
@@ -86,13 +84,8 @@ class ClockParams(_Record, frozen=True):
         return self.epoch_span // self.round_span
 
 
-class ClockPosition(NamedTuple):
-    epoch: int
-    round: int
-
-
-def locate(params: ClockParams, block: int) -> ClockPosition:
-    """Return the epoch and round of ``block``.
+def locate(params: ClockParams, block: int) -> tuple:
+    """Return the plain pair (epoch, round) of ``block``.
 
     Raises ValueError for blocks before the deployment offset.
     """
@@ -101,4 +94,4 @@ def locate(params: ClockParams, block: int) -> ClockPosition:
     since = block - params.offset
     epoch = since // params.epoch_span
     rnd = (since % params.epoch_span) // params.round_span
-    return ClockPosition(epoch, rnd)
+    return epoch, rnd

@@ -1,46 +1,38 @@
-"""Authority-driven max-min distribution over two alternating min-heaps.
+"""Authority-driven max-min distribution over one demand heap.
 
-Demands accumulate in the working heap during an epoch.  At the epoch
+Demands accumulate in the demand heap during an epoch.  At the epoch
 boundary the authority runs :meth:`CmfDistributor.distribute`, which tops
-up the capacity pool and then repeatedly drains the active heap in
-ascending demand order, granting each user the minimum of the iteration's
-unit share and the user's remaining demand.  The remainders of partially
-served demands, still in drain order, become the other heap in one step;
-the heaps swap roles until every demand is met or the pool is empty.
-Demand still unserved then is discarded; leftover capacity carries over.
+up the capacity pool and then repeatedly drains the heap in ascending
+demand order, granting each user the minimum of the iteration's unit
+share and the user's remaining demand.  The remainders of partially
+served demands, still in drain order, become the next iteration's heap in
+one step, until every demand is met or the pool is empty.  Demand still
+unserved then is discarded; leftover capacity carries over.
 
 Each entry point charges its cost meter once per exit path, with that
 path's total of storage reads, writes and arithmetic operations;
 ``distribute`` adds its per-grant and per-iteration terms once, after
-the drain loop.  The heaps charge their own node moves and comparisons,
+the drain loop.  The heap charges its own node moves and comparisons,
 the remainder heap as the inserts it replaces.  The drain pops once per
-grant through ``MinHeap.del_min`` and builds each grant row positionally,
-through ``tuple.__new__``.  Every heap node, queued or a remainder, is a
-plain ``(demand, user)`` tuple: the garbage collector untracks such a
-tuple of ints, never a tuple subclass, and unpacking one takes the
-exact-tuple fast path.  The drain adds each grant to the report's
-per-user allocations only; the balances take those totals once per user
-after the loop.
+grant through ``MinHeap.del_min``.  Every heap node, queued or a
+remainder, is a plain ``(demand, user)`` tuple and every grant row a
+plain ``(iteration, user, granted, share, capacity_after)`` tuple: the
+garbage collector untracks such a tuple of ints, never a tuple subclass,
+and unpacking one takes the exact-tuple fast path.  The drain adds each
+grant to the report's per-user allocations only; the balances take
+those totals once per user after the loop.
 """
-
-from typing import NamedTuple
 
 from .clock import _Record
 from .costs import CostMeter
 from .heap import MinHeap
 
 
-class GrantRow(NamedTuple):
-    iteration: int  # 1-based within one distribution
-    user: int
-    granted: int
-    share: int
-    capacity_after: int
-
-
 class DistributionReport(_Record):
     """Everything one distribution did: the per-iteration unit shares,
-    one row per individual grant and the per-user totals."""
+    one row per individual grant and the per-user totals.  A row is the
+    tuple (iteration, user, granted, share, capacity_after), its
+    iteration 1-based within the distribution."""
 
     __slots__ = ("epoch", "shares", "rows", "allocations", "capacity_before",
                  "capacity_after")
@@ -64,7 +56,7 @@ class DistributionReport(_Record):
 
 
 class CmfDistributor:
-    """Serial state machine holding the demand heaps, the capacity pool
+    """Serial state machine holding the demand heap, the capacity pool
     and the user balances."""
 
     def __init__(self, epoch_capacity: int, meter: CostMeter = None):
@@ -74,7 +66,7 @@ class CmfDistributor:
         self.capacity = 0
         self.balances: dict = {}
         self._meter = meter if meter is not None else CostMeter()
-        self._heaps = [MinHeap(self._meter), MinHeap(self._meter)]
+        self._queue = MinHeap(self._meter)
         self._demanded: set = set()
 
     def register(self, user: int) -> None:
@@ -90,7 +82,7 @@ class CmfDistributor:
             raise ValueError("already demanded")
         self._demanded.add(user)
         self._meter.charge(1, 1)
-        self._heaps[0].insert((amount, user))
+        self._queue.insert((amount, user))
 
     def distribute(self, epoch: int = 0) -> DistributionReport:
         """Run one full distribution; returns the report.  ``epoch`` only
@@ -101,22 +93,18 @@ class CmfDistributor:
 
         # The drain pops in ascending (demand, user) order; subtracting one
         # share keeps that order and user ids are distinct, so ``rest`` is
-        # strictly ascending.  The other heap is empty by then (only
-        # submit_demand fills heap 0, each drain empties its heap and a
-        # depletion ends the loop), and an ascending append never climbs, so
-        # ``rest`` is the array its inserts would build, charged as they are.
-        heaps = self._heaps
+        # strictly ascending: the array its inserts into an empty heap would
+        # build, charged as they are.
+        heap = self._queue
         add_row, allocations = report.rows.append, report.allocations
-        new = tuple.__new__  # a row at half its NamedTuple constructor's cost
         c = self.capacity
-        i = 0
         iteration = 0
-        while len(heaps[i]) > 0 and c > 0:
+        while len(heap) > 0 and c > 0:
             iteration += 1
-            size = len(heaps[i])
+            size = len(heap)
             share = 1 if c < size else c // size
             report.shares.append(share)
-            del_min = heaps[i].del_min
+            del_min = heap.del_min
             rest = []
             for _ in range(size):
                 demand, user = del_min()
@@ -129,19 +117,18 @@ class CmfDistributor:
                 if granted > c:
                     granted = c
                 c -= granted
-                add_row(new(GrantRow, (iteration, user, granted, share, c)))
+                add_row((iteration, user, granted, share, c))
                 allocations[user] = allocations.get(user, 0) + granted
                 if c == 0:
                     break
-            heaps[1 - i] = MinHeap.from_ascending(rest, self._meter)
-            i = 1 - i
+            heap = MinHeap.from_ascending(rest, self._meter)
 
         balances = self.balances
         for user, granted in allocations.items():
             balances[user] = balances.get(user, 0) + granted
-        # depletion discards whatever is left in either heap
+        # depletion discards whatever is left in the heap
         m = self._meter
-        self._heaps = [MinHeap(m), MinHeap(m)]
+        self._queue = MinHeap(m)
         self._demanded.clear()
         self.capacity = c
         report.capacity_after = c

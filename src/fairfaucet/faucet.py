@@ -135,18 +135,18 @@ class AutonomousFaucet:
             self._meter.charge(2, 0, 4)
             return
         clock = self.clock
-        pos = locate(clock, block)
-        self._round_end = (clock.offset + pos.epoch * clock.epoch_span
-                           + (pos.round + 1) * clock.round_span)
+        epoch, rnd = locate(clock, block)
+        self._round_end = (clock.offset + epoch * clock.epoch_span
+                           + (rnd + 1) * clock.round_span)
         # each advance's one charge includes the share refresh below
-        if self.epoch < pos.epoch:
-            self.epoch = pos.epoch
-            self.round = pos.round
+        if self.epoch < epoch:
+            self.epoch = epoch
+            self.round = rnd
             self.capacity += self.epoch_capacity
             self.injections += 1
             self._meter.charge(6, 4, 6)
         else:
-            self.round = pos.round
+            self.round = rnd
             self._meter.charge(4, 2, 6)
         total = self.weight_total[self.epoch % 2]
         if total == 0:

@@ -86,11 +86,12 @@ MAX_BLOCKS = 2_000_000
 class Scenario(_Record, frozen=True):
     """Declarative experiment description.  Geometry left out (or None)
     takes the benchmark parameterization, which scales with n: capacity
-    20n, epoch span 4n, round span n.  ``scripted_demands`` (one row per
-    epoch, one entry per user, None meaning no demand) replaces the PRNG
-    stream entirely when present; epochs beyond the scripted rows get no
-    demands.  The constructor checks every value, and rejects a run of
-    more than ``MAX_BLOCKS`` blocks before any of it runs."""
+    20n, epoch span 4n, round span n; at n = 0 it must be given.
+    ``scripted_demands`` (one row per epoch, one entry per user, None
+    meaning no demand) replaces the PRNG stream entirely when present;
+    epochs beyond the scripted rows get no demands.  The constructor
+    checks every value, and rejects a run of more than ``MAX_BLOCKS``
+    blocks before any of it runs."""
 
     __slots__ = ("variant", "n", "epoch_capacity", "epoch_span",
                  "round_span", "demand_lo", "demand_hi", "epochs", "seed",
@@ -103,6 +104,13 @@ class Scenario(_Record, frozen=True):
                  cost_model: CostModel = CostModel(),  # frozen, so shared
                  scripted_demands: tuple = None):
         _require_int("n", n)  # before the geometry that scales with it
+        geometry = (epoch_capacity, epoch_span, round_span)
+        if n == 0 and None in geometry:
+            left_out = ", ".join(name for name, value in zip(
+                self._fields[2:5], geometry) if value is None)
+            raise ScenarioError(f"n = 0 scales the left-out {left_out} to 0; "
+                                f"a run without users needs its geometry "
+                                f"given")
         if epoch_capacity is None:
             epoch_capacity = 20 * n
         if epoch_span is None:
@@ -611,7 +619,7 @@ def balances_chunks(result: RunResult):
 def distributions_chunks(result: RunResult):
     yield "epoch,iteration,user,allocated,share,remaining_capacity\n"
     for report in result.reports:
-        # the epoch, then GrantRow's fields
+        # the epoch, then the grant row's fields
         yield from _rows(f"{report.epoch},%d,%d,%d,%d,%d", report.rows)
 
 

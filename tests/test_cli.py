@@ -131,6 +131,16 @@ def test_oversized_scenario_exits_two_before_it_runs(tmp_path, case,
     assert not (tmp_path / "out").exists()
 
 
+def test_no_users_without_geometry_exits_two_naming_n(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"variant": "AMF", "n": 0}))
+    err = assert_cli_exits_two_without_traceback(
+        "verify", "--scenario", str(path))
+    assert err == ("error: n = 0 scales the left-out epoch_capacity, "
+                   "epoch_span, round_span to 0; a run without users needs "
+                   "its geometry given\n")
+
+
 def test_oversized_sweep_size_exits_two_before_printing():
     # the n = 5 row would run and print before n = 10**8 was checked
     err = assert_cli_exits_two_without_traceback(

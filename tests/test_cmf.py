@@ -1,3 +1,4 @@
+import gc
 import random
 from types import SimpleNamespace
 
@@ -20,8 +21,8 @@ def grant_matrix(report, users):
     """Per-iteration grants for the given user order, zeros filled in;
     the layout of a distribution table."""
     grants = [{} for _ in range(report.iterations)]
-    for r in report.rows:
-        grants[r.iteration - 1][r.user] = r.granted
+    for iteration, user, granted, _, _ in report.rows:
+        grants[iteration - 1][user] = granted
     return [[row.get(u, 0) for u in users] for row in grants]
 
 
@@ -94,7 +95,7 @@ def test_heap_nodes_are_exact_tuples(monkeypatch):
     dist = CmfDistributor(30)
     for user, amount in enumerate([4, 11, 15], 1):
         dist.submit_demand(user, amount)
-    queued = dist._heaps[0]._nodes
+    queued = dist._queue._nodes
     assert sorted(queued) == [(4, 1), (11, 2), (15, 3)]
     assert all(type(node) is tuple for node in queued)
     report = dist.distribute()
@@ -102,6 +103,17 @@ def test_heap_nodes_are_exact_tuples(monkeypatch):
     assert report.iterations == 3
     assert popped == [(4, 1), (11, 2), (15, 3), (1, 2), (5, 3), (2, 3)]
     assert all(type(node) is tuple for node in popped)
+
+
+def test_grant_rows_are_exact_tuples_the_collector_untracks():
+    # A grant row must be a plain tuple of ints: the garbage collector
+    # untracks such a tuple once it has seen it, never a NamedTuple or
+    # other subclass instance, and a job keeps every row until it ends.
+    _, report = distribute([4, 11, 15], 30)
+    assert report.rows[0] == (1, 1, 4, 10, 26)
+    assert all(type(row) is tuple for row in report.rows)
+    gc.collect()
+    assert not any(gc.is_tracked(row) for row in report.rows)
 
 
 def test_distribute_with_no_demands_still_accrues_capacity():
@@ -116,7 +128,7 @@ def test_unsatisfied_demands_are_discarded_on_depletion():
     dist, report = distribute([10, 10], 5)
     assert dist.capacity == 0
     assert sum(report.allocations.values()) == 5
-    assert len(dist._heaps[0]) == 0
+    assert len(dist._queue) == 0
     # next epoch starts from a clean slate
     dist.submit_demand(1, 3)
     second = dist.distribute()

@@ -3,17 +3,29 @@ predecessor.
 
 ``ReferenceCmf.distribute`` is the distribute loop as it was before the
 remainders of an iteration became the next heap in one step: it inserts
-every remainder into the other heap on its own.  Both must agree on the
-report, the balances, the carried capacity and every meter charge.
+every remainder into the other heap on its own, the demand heap being
+its heap 0.  Both must agree on the report, the balances, the carried
+capacity and every meter charge.  ``GrantRow`` is the row record the
+distributor built before its rows became plain tuples, verbatim; a plain
+tuple compares equal to the record with the same fields.
 """
 
 import random
+from typing import NamedTuple
 
 import pytest
 
-from fairfaucet.cmf import CmfDistributor, DistributionReport, GrantRow
+from fairfaucet.cmf import CmfDistributor, DistributionReport
 from fairfaucet.costs import CostMeter
 from fairfaucet.heap import MinHeap
+
+
+class GrantRow(NamedTuple):
+    iteration: int  # 1-based within one distribution
+    user: int
+    granted: int
+    share: int
+    capacity_after: int
 
 
 class ReferenceCmf(CmfDistributor):
@@ -23,7 +35,7 @@ class ReferenceCmf(CmfDistributor):
         report = DistributionReport(epoch=epoch,
                                     capacity_before=self.capacity)
 
-        heaps = self._heaps
+        heaps = [self._queue, MinHeap(self._meter)]
         c = self.capacity
         i = 0
         iteration = 0
@@ -49,7 +61,7 @@ class ReferenceCmf(CmfDistributor):
 
         # depletion discards whatever is left in either heap
         m = self._meter
-        self._heaps = [MinHeap(m), MinHeap(m)]
+        self._queue = MinHeap(m)
         self._demanded.clear()
         self.capacity = c
         report.capacity_after = c
@@ -131,6 +143,7 @@ def test_demand_sets_cover_every_exit():
         epoch_capacity, epochs = demand_sets(seed)
         runs = observed(CmfDistributor, epoch_capacity, epochs)
         for demands, (shares, rows, *_) in zip(epochs, runs):
+            rows = list(map(GrantRow._make, rows))
             values = sorted(demands.values())
             if not values:
                 seen.add("no demands")

@@ -30,7 +30,13 @@ from fairfaucet.faucet import AutonomousFaucet
 
 # The result records and rejection constants the faucet returned before
 # its results became plain tuples, verbatim; a plain tuple compares equal
-# to the record with the same fields.
+# to the record with the same fields.  ``locate`` returned a
+# ``ClockPosition`` before it returned a plain pair.
+
+class ClockPosition(NamedTuple):
+    epoch: int
+    round: int
+
 
 class DemandResult(NamedTuple):
     accepted: bool
@@ -74,7 +80,7 @@ class ReferenceFaucet(AutonomousFaucet):
             self._meter.charge(2, 0, 4)
             return
         clock = self.clock
-        pos = locate(clock, block)
+        pos = ClockPosition(*locate(clock, block))
         self._round_end = (clock.offset + pos.epoch * clock.epoch_span
                            + (pos.round + 1) * clock.round_span)
         if self.epoch < pos.epoch:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from fairfaucet.clock import ClockParams
-from fairfaucet.cmf import DistributionReport, GrantRow
+from fairfaucet.cmf import DistributionReport
 from fairfaucet.costs import ActionStats, CostModel, CostSummary
 from fairfaucet.faucet import UserAccount
 from fairfaucet.oracle import (AllocationProblem, leximin_brute_force,
@@ -116,7 +116,7 @@ def summary(**changes):
 
 
 def report(**changes):
-    fields = dict(epoch=2, shares=[3], rows=[GrantRow(1, 1, 3, 3, 7)],
+    fields = dict(epoch=2, shares=[3], rows=[(1, 1, 3, 3, 7)],
                   allocations={1: 3}, capacity_before=10, capacity_after=7)
     fields.update(changes)
     return DistributionReport(**fields)
@@ -160,7 +160,7 @@ def test_mutable_defaults_are_fresh_per_instance():
     r1, r2 = DistributionReport(epoch=1), DistributionReport(epoch=1)
     assert r1.rows is not r2.rows and r1.shares is not r2.shares
     assert r1.allocations is not r2.allocations
-    r1.rows.append(GrantRow(1, 1, 1, 1, 0))
+    r1.rows.append((1, 1, 1, 1, 0))
     assert r2.rows == []
     a1, a2 = UserAccount(1), UserAccount(2)
     for name in ("pending", "demand_epoch", "slot_weight"):

@@ -17,7 +17,7 @@ import tracemalloc
 import pytest
 
 from fairfaucet.cli import main
-from fairfaucet.cmf import DistributionReport, GrantRow
+from fairfaucet.cmf import DistributionReport
 from fairfaucet.sim import (CHUNK, RunResult, Scenario, TraceRow,
                             balances_csv, distributions_csv, receipts_csv,
                             run_scenario, trace_csv)
@@ -54,7 +54,7 @@ def reference_balances_csv(result: RunResult) -> str:
 def reference_distributions_csv(result: RunResult) -> str:
     lines = ["epoch,iteration,user,allocated,share,remaining_capacity"]
     for report in result.reports:
-        row = f"{report.epoch},%d,%d,%d,%d,%d"  # then GrantRow's fields
+        row = f"{report.epoch},%d,%d,%d,%d,%d"  # then the grant row's fields
         lines.extend(row % r for r in report.rows)
     return "\n".join(lines) + "\n"
 
@@ -81,8 +81,8 @@ def synthetic(rows: int) -> RunResult:
         trace.append(TraceRow(k, k // 40, k % 4, k % 13, action, k % 29,
                               k % 5, 10 ** 6 - k, cost, over,
                               f"granted={k % 29}" if k % 3 else ""))
-        grants.append(GrantRow(1 + k // 50, k % 97 + 1, k % 17, k % 23,
-                               10 ** 5 - k))
+        grants.append((1 + k // 50, k % 97 + 1, k % 17, k % 23,
+                       10 ** 5 - k))
     reports = [DistributionReport(epoch=1),
                DistributionReport(epoch=2, rows=grants[:rows // 3]),
                DistributionReport(epoch=3, rows=grants[rows // 3:])]

@@ -179,6 +179,24 @@ def test_every_path_rejects_an_oversized_run():
         sc.with_n(MAX_BLOCKS // 8)
 
 
+@pytest.mark.parametrize("given, left_out", [
+    ({}, "epoch_capacity, epoch_span, round_span"),
+    ({"epoch_capacity": 10, "epoch_span": None}, "epoch_span, round_span"),
+    ({"epoch_capacity": 10, "epoch_span": 4}, "round_span"),
+])
+def test_no_users_and_left_out_geometry_names_n_and_the_key(given, left_out):
+    # the derived geometry would be 0; the message must not blame a key
+    # the caller never gave
+    message = (f"n = 0 scales the left-out {left_out} to 0; a run without "
+               f"users needs its geometry given")
+    with pytest.raises(ScenarioError) as exc:
+        Scenario("AMF", 0, **given)
+    assert str(exc.value) == message
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict({"variant": "AMF", "n": 0, **given})
+    assert str(exc.value) == message
+
+
 def test_the_block_limit_counts_at_least_one_epoch():
     # a run of no epochs still builds a balance per user
     at_limit = dict(n=1, epoch_span=MAX_BLOCKS, round_span=1)
@@ -260,8 +278,8 @@ def test_trace_positions_match_the_clock(variant):
     result = run_scenario(sc)
     for row, receipt in zip(result.trace, result.receipts, strict=True):
         pos = locate(sc.clock, row.block)
-        assert (row.epoch, row.round) == (pos.epoch, pos.round), row
-        assert (receipt.epoch, receipt.round) == (pos.epoch, pos.round)
+        assert (row.epoch, row.round) == pos, row
+        assert (receipt.epoch, receipt.round) == pos
     actions = {r.block: r.action for r in result.trace}
     # users 2 and 1 demand None in epochs 0 and 1; offsets 3 and 4 of
     # every round are filler
