@@ -42,7 +42,7 @@ MUTANTS = [
      "a floored share is 2, not 1", "survives"),
     ("cmf.py", "MinHeap.from_ascending(rest, self._meter)",
      "MinHeap.from_ascending(rest[::-1], self._meter)",
-     "the remainder heap is built from rest[::-1]", "survives"),
+     "the remainder heap is built from rest[::-1]", "killed"),
 ]
 
 

@@ -20,10 +20,10 @@ user -> weight dicts, so a weight lookup is O(1)):
 * ``waterfill``: O(n) when the capacity covers the total demand, which
   is then granted in full.  Otherwise, weighted: O(n log n) -- one sort
   for the continuous level, one sort of the needy users for the sub-unit
-  remainder.  Unweighted: O(n log n) to sort by (demand, id), then O(n)
-  per pass.  A pass that does not end the fill satisfies at least one
-  user, so there are at most n + 1 passes; on random and polynomial
-  demand profiles at n = 5000 it takes 3 to 9.
+  remainder.  Unweighted: O(n log n), one sort by (demand, id) and its
+  prefix sums, then O(log n) per pass, one bisection for the users the
+  pass satisfies.  A pass that does not end the fill satisfies at least
+  one user, so there are at most n + 1 passes, O(n log n) in all.
 * ``is_maxmin_fair``: O(n), one pass.  It compares the lowest recipient
   level (a_u + 1) / w_u over unsatisfied users u with the highest donor
   level (a_v - 1) / w_v over users v holding a unit; the witness is that
@@ -36,8 +36,8 @@ user -> weight dicts, so a weight lookup is O(1)):
 package does not load ``fractions``.
 """
 
-from itertools import product
-from operator import itemgetter
+from bisect import bisect_right
+from itertools import accumulate, product
 
 from .clock import _Record
 
@@ -84,7 +84,7 @@ def waterfill(problem: AllocationProblem) -> dict:
     ascending (remaining, id) order, each granting min(quantum, remaining,
     capacity) where the quantum is floor(c / active count) at pass start,
     dropping to one unit when c is smaller than the active count.  The
-    demands are sorted once; each later pass costs O(n).
+    demands are sorted once; each of at most n + 1 passes is one bisection.
 
     Weighted: the exact continuous water level is solved in integer
     arithmetic (multiply before divide, no precision scaling), each user
@@ -96,31 +96,30 @@ def waterfill(problem: AllocationProblem) -> dict:
         return dict(problem.demands)
     if problem.weights is not None:
         return _weighted_waterfill(problem)
-    alloc = dict.fromkeys(problem.demands, 0)
-    # (id, demand) pairs in ascending (demand, id) order, which is also
-    # (remaining, id) order: every user still active has been granted the
-    # same ``level``.  A pass grants at most share * len(active) <= c, so
-    # no grant needs clamping to c, and a pass that does not end the fill
-    # raises every active user by the share or satisfies it; the next pass
-    # filters the list instead of sorting it again.  The order takes two
-    # sorts and no key tuples: ids are distinct, so the first sort is by
-    # id, and the second, stable, by demand alone keeps ties in id order.
-    active = sorted(sorted(problem.demands.items()), key=itemgetter(1))
-    level = 0
+    demands = problem.demands
+    # ids in ascending (demand, id) order, also (remaining, id) order as
+    # every active user holds the same ``level``: sorted by id, then stably
+    # by demand alone.  ``taken[j]`` sums the first j of their ``sizes``.
+    ids = sorted(sorted(demands), key=demands.__getitem__)
+    sizes = list(map(demands.__getitem__, ids))
+    taken = list(accumulate(sizes, initial=0))
+    n = len(ids)
+    i = level = 0  # ids[i:] are active
     c = problem.capacity
-    while c > 0 and active:
-        share = 1 if c < len(active) else c // len(active)
-        for u, demand in active:
-            grant = demand - level
-            if grant > share:
-                grant = share
-            alloc[u] += grant
-            c -= grant
-            if c == 0:
-                break
-        else:
-            level += share
-            active = [d for d in active if d[1] > level]
+    # A full pass satisfies ids[i:j], whose demands are <= level + share,
+    # and raises the rest by the share, at most share * (n - i) <= c in
+    # all; one that satisfies no user leaves c below the active count, so
+    # at most n + 1 run.  Some user stays active (c < total demand), and
+    # the last pass gives one unit each to the first c active users.
+    while c >= n - i:
+        share = c // (n - i)
+        j = bisect_right(sizes, level + share, i)
+        c -= taken[j] - taken[i] - level * (j - i) + share * (n - j)
+        level += share
+        i = j
+    alloc = dict.fromkeys(demands, level)
+    alloc.update(zip(ids[:i], sizes[:i]))
+    alloc.update(dict.fromkeys(ids[i:i + c], level + 1))
     return alloc
 
 

@@ -34,3 +34,16 @@ def test_a_retired_mutant_exits_two(capsys):
 def test_the_grid_has_397_distinct_runs():
     names = [name for name, _ in gate.grid()]
     assert len(names) == len(set(names)) == 397
+
+
+def test_the_marks_are_pinned():
+    # a mutant that verify kills stays marked so: the gate exits 1 if it
+    # survives, so a mark flipped back would hide a weaker referee
+    marks = {note: expected for _, _, _, note, expected in gate.MUTANTS}
+    assert marks == {
+        "WAMF weight from the current demand, not the cumulative one":
+            "survives",
+        "a satisfied user's weight stays in the total": "survives",
+        "a floored share is 2, not 1": "survives",
+        "the remainder heap is built from rest[::-1]": "killed",
+    }

@@ -7,6 +7,7 @@ users on every pass; every recipient against every donor) as the
 behaviour the faster oracle must reproduce.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -204,6 +205,100 @@ def test_unweighted_waterfill_matches_the_reference_at_5000_users():
     p = unweighted(demands, sum(demands) // 3, rng)
     assert_unweighted_matches(p)
     assert sum(waterfill(p).values()) == p.capacity
+
+
+def full_passes(demands, capacity):
+    """How many passes of ``capacity`` // active units the unweighted
+    fill makes over ``demands`` before the capacity runs out or drops
+    below the active count."""
+    active, level, c, passes = list(demands), 0, capacity, 0
+    while active and c >= len(active):
+        share = c // len(active)
+        c -= sum(min(share, d - level) for d in active)
+        level += share
+        active = [d for d in active if d > level]
+        passes += 1
+    return passes, c
+
+
+def test_unweighted_capacity_below_the_user_count_makes_no_full_pass():
+    rng = random.Random(39)
+    for n in (1, 2, 5, 17, 60):
+        demands = [rng.randrange(1, 20) for _ in range(n)]
+        for capacity in range(n):
+            assert full_passes(demands, capacity) == (0, capacity)
+            assert_unweighted_matches(unweighted(demands, capacity, rng))
+
+
+def test_unweighted_capacity_that_runs_out_at_the_end_of_a_full_pass():
+    # 14 units: a share of 3 satisfies the 2 and leaves 3 for the three
+    # active users, whose second pass spends them exactly
+    assert full_passes([2, 5, 5, 5], 14) == (2, 0)
+    p = AllocationProblem(demands={4: 5, 1: 2, 3: 5, 2: 5}, capacity=14)
+    assert waterfill(p) == {4: 4, 1: 2, 3: 4, 2: 4}
+    assert_unweighted_matches(p)
+    rng = random.Random(40)
+    checked = 0
+    for _ in range(80):
+        demands = [rng.randrange(1, 30) for _ in range(rng.randrange(1, 30))]
+        for capacity in range(sum(demands)):
+            if full_passes(demands, capacity)[1] == 0:
+                assert_unweighted_matches(unweighted(demands, capacity, rng))
+                checked += 1
+    assert checked > 1000
+
+
+def one_user_per_pass(n, capacity):
+    """Demands on which each full pass of the unweighted fill satisfies
+    exactly one user, the smallest active one, with half a share to
+    spare, until the last user takes all that is left: n full passes,
+    one short of the n + 1 bound."""
+    demands, level, c = [], 0, capacity
+    for m in range(n, 1, -1):
+        share = c // m
+        demands.append(level + share - share // 2)
+        c -= share * m - share // 2
+        level += share
+    return demands + [level + c + 1]
+
+
+def test_unweighted_profile_that_needs_many_passes():
+    rng = random.Random(41)
+    # demands 1..n near the total: each pass satisfies the few smallest
+    # of the users still active
+    demands = list(range(1, 301))
+    total = sum(demands)
+    for capacity in (total - 1, total - 7, total - 300, total - 900):
+        assert full_passes(demands, capacity)[0] >= 5
+        assert_unweighted_matches(unweighted(demands, capacity, rng))
+    # one user per pass, in ids shuffled against the demand order
+    for n in (2, 5, 40):
+        capacity = 3 ** n * math.factorial(n)
+        demands = one_user_per_pass(n, capacity)
+        assert sum(demands) > capacity
+        assert full_passes(demands, capacity) == (n, 0)
+        assert_unweighted_matches(unweighted(demands, capacity, rng))
+
+
+def test_unweighted_equal_demands_split_at_the_one_unit_boundary():
+    # a share of 2 each leaves 2 units for 4 users: the lowest ids win
+    p = AllocationProblem(demands={9: 5, 3: 5, 7: 5, 1: 5}, capacity=10)
+    assert waterfill(p) == {9: 2, 3: 3, 7: 2, 1: 3}
+    assert_unweighted_matches(p)
+    # the same below a satisfied user, whose units drop out first
+    p = AllocationProblem(demands={8: 6, 5: 1, 6: 6, 2: 6}, capacity=9)
+    assert waterfill(p) == {8: 2, 5: 1, 6: 3, 2: 3}
+    assert_unweighted_matches(p)
+
+
+def test_unweighted_allocation_keys_follow_the_demands_order():
+    # satisfied, one-unit and level users interleaved in the dict
+    demands = {50: 1, 10: 9, 40: 2, 20: 9, 30: 9, 60: 9}
+    p = AllocationProblem(demands=demands, capacity=14)
+    got = waterfill(p)
+    assert got == {50: 1, 10: 3, 40: 2, 20: 3, 30: 3, 60: 2}
+    assert list(got) == list(demands)
+    assert_unweighted_matches(p)
 
 
 def test_waterfill_matches_the_reference_on_wamf_sized_depleted_problems():

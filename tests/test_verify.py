@@ -45,6 +45,43 @@ def test_depletion_round_is_served_in_arrival_order():
     assert report.checks == [EpochCheck(1, True, TOTALS_ONLY)]
 
 
+def depleted_cmf_run():
+    # pool of 20 for demands 3, 9, 12, 8: a share of 5 satisfies user 1,
+    # and the last 2 units go one each to users 4 and 2
+    result = run_scenario(Scenario("CMF", 4, epoch_capacity=20, epochs=2,
+                                   scripted_demands=((3, 9, 12, 8),)))
+    summary = result.epoch_summaries[0]
+    assert summary.depleted
+    assert summary.granted == {1: 3, 4: 6, 2: 6, 3: 5}
+    assert verify_run(result).checks == [EpochCheck(1, True)]
+    # verify tells CMF from the run's reports, not from its scenario
+    result.scenario = None
+    return result, summary
+
+
+def test_a_depleted_cmf_epoch_is_compared_user_by_user():
+    # one unit moved from user 2 to user 3 keeps every bound and the
+    # totals; the drain is the water-fill, so no arrival order excuses it
+    result, summary = depleted_cmf_run()
+    summary.granted[2] -= 1
+    summary.granted[3] += 1
+    report = verify_run(result)
+    assert not report.ok
+    assert report.checks == [EpochCheck(1, False, MISMATCH, (1, 2, 5, 6))]
+
+
+def test_a_cmf_epoch_with_capacity_left_is_compared_user_by_user():
+    # one unit kept back from user 3: the grants still sum to the capacity
+    # spent, yet a CMF distribute has no claim rounds to run out of
+    result, summary = depleted_cmf_run()
+    summary.granted[3] -= 1
+    summary.capacity_end += 1
+    assert summary.incomplete
+    report = verify_run(result)
+    assert not report.ok
+    assert report.checks == [EpochCheck(1, False, MISMATCH, (1, 3, 4, 5))]
+
+
 def test_a_grant_above_demand_fails_a_depleted_epoch():
     # the totals still match the oracle's, so only bound 1 catches it
     result = run_scenario(load_scenario(SCENARIOS / "depletion_fcfs.json"))
