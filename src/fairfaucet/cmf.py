@@ -9,11 +9,11 @@ served demands, still in drain order, become the next iteration's heap in
 one step, until every demand is met or the pool is empty.  Demand still
 unserved then is discarded; leftover capacity carries over.
 
-Each entry point charges its cost meter once per exit path, with that
-path's total of storage reads, writes and arithmetic operations;
-``distribute`` adds its per-grant and per-iteration terms once, after
-the drain loop.  The heap charges its own node moves and comparisons,
-the remainder heap as the inserts it replaces.  The drain pops once per
+Each exit path adds its priced row of ``PATH_CHARGES`` to the meter's
+``units``, with no meter call; ``distribute`` adds its per-call row and
+its per-grant and per-iteration rows times their counts once, after the
+drain loop.  The heap charges its own node moves and comparisons, the
+remainder heap as the inserts it replaces.  The drain pops once per
 grant through ``MinHeap.del_min``.  Every heap node, queued or a
 remainder, is a plain ``(demand, user)`` tuple and every grant row a
 plain ``(iteration, user, granted, share, capacity_after)`` tuple: the
@@ -70,18 +70,20 @@ class CmfDistributor:
         self._demanded: set = set()
 
     def register(self, user: int) -> None:
-        self._meter.charge(writes=2)  # account bookkeeping
+        m = self._meter
+        m.units += m.paths["register"]  # account bookkeeping
 
     def submit_demand(self, user: int, amount: int) -> None:
         """Queue one demand for the next distribution.  A user may demand
         once per epoch and zero demands are rejected outright."""
         if amount < 1:
             raise ValueError("empty demand")
+        m = self._meter
         if user in self._demanded:
-            self._meter.charge(reads=1)
+            m.units += m.paths["submit_repeat"]
             raise ValueError("already demanded")
         self._demanded.add(user)
-        self._meter.charge(1, 1)
+        m.units += m.paths["submit_accepted"]
         self._queue.insert((amount, user))
 
     def distribute(self, epoch: int = 0) -> DistributionReport:
@@ -132,8 +134,8 @@ class CmfDistributor:
         self._demanded.clear()
         self.capacity = c
         report.capacity_after = c
-        # 3 reads, 2 writes and 1 arith per call, 2 ariths per iteration,
-        # 1 read, 1 write and 2 ariths per grant
-        grants = len(report.rows)
-        m.charge(3 + grants, 2 + grants, 1 + 2 * iteration + 2 * grants)
+        paths = m.paths
+        m.units += (paths["distribute"]
+                    + iteration * paths["distribute_iteration"]
+                    + len(report.rows) * paths["distribute_grant"])
         return report

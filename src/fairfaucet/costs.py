@@ -6,6 +6,14 @@ any chain-specific gas definition.  Only the relative magnitudes matter:
 storage writes dwarf reads, reads and heap moves are comparable, and
 arithmetic is nearly free.  A block budget caps what a single simulated
 transaction may cost before it is flagged infeasible.
+
+``PATH_CHARGES`` is the one table of the contracts' fixed exit paths,
+each a (reads, writes, ariths) row of the README's cost model.  A
+``CostMeter`` prices that table once, for its model, into ``paths``;
+a contract exit adds its priced row to ``units`` with no method call,
+and only the variable amounts (the heap's compares and moves) go
+through ``charge``.  Integer pricing distributes over the sum, so a
+transaction's units equal its counts priced at the end.
 """
 
 from .clock import _Record
@@ -31,35 +39,61 @@ class CostModel(_Record, frozen=True):
             raise ValueError("block_budget must exceed tx_base")
 
 
+# exit path -> (reads, writes, ariths); the README's cost model table
+# names each row by its key
+PATH_CHARGES = {
+    "register": (0, 2, 0),
+    "update_same_round": (2, 0, 4),
+    "update_round_advance": (4, 2, 6),
+    "update_epoch_advance": (6, 4, 6),
+    "demand_rejected": (1, 0, 1),
+    "demand_repeat": (2, 0, 1),
+    "demand_first": (4, 6, 2),
+    "demand_accepted": (5, 5, 2),
+    "claim_unregistered": (1, 0, 1),
+    "claim_no_op": (4, 0, 1),
+    "claim_repeat": (6, 0, 1),
+    "claim_granted": (11, 5, 3),
+    "claim_satisfied": (12, 6, 3),
+    "submit_empty": (0, 0, 0),
+    "submit_repeat": (1, 0, 0),
+    "submit_accepted": (1, 1, 0),
+    "distribute": (3, 2, 1),
+    "distribute_iteration": (0, 0, 2),
+    "distribute_grant": (1, 1, 2),
+}
+
+
 class CostMeter:
-    """Counts primitive operations; converted to cost units by a model.
-    The flat ``tx_base`` is the caller's to add to each ``total``."""
+    """A running total of cost units at one model's prices.  Exit paths
+    add their row of ``paths`` to ``units`` themselves; the flat
+    ``tx_base`` is the caller's to add to each ``total``."""
 
-    __slots__ = ("reads", "writes", "heap_moves", "ariths")
+    __slots__ = ("paths", "units", "_read", "_write", "_move", "_arith")
 
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        self.reads = self.writes = self.heap_moves = self.ariths = 0
+    def __init__(self, model: CostModel = CostModel()):
+        self._read = model.storage_read
+        self._write = model.storage_write
+        self._move = model.heap_move
+        self._arith = model.arithmetic_op
+        self.paths = {name: self._read * reads + self._write * writes
+                      + self._arith * ariths
+                      for name, (reads, writes, ariths)
+                      in PATH_CHARGES.items()}
+        self.units = 0
 
     def charge(self, reads=0, writes=0, ariths=0, heap_moves=0):
-        """Add a code path's read, write, arith and heap-move totals."""
-        self.reads += reads
-        self.writes += writes
-        self.ariths += ariths
-        if heap_moves:  # only the heap moves nodes; spare the faucet paths
-            self.heap_moves += heap_moves
+        """Add a variable amount of reads, writes, ariths and heap moves,
+        priced at once."""
+        self.units += (reads * self._read + writes * self._write
+                       + ariths * self._arith + heap_moves * self._move)
 
-    def total(self, model: CostModel) -> int:
-        """Price what was charged since the last ``total`` or ``reset``
-        and zero the counts for the next transaction."""
-        cost = (self.reads * model.storage_read
-                + self.writes * model.storage_write
-                + self.heap_moves * model.heap_move
-                + self.ariths * model.arithmetic_op)
-        self.reads = self.writes = self.heap_moves = self.ariths = 0
-        return cost
+    def total(self) -> int:
+        """The units added since the last ``total``; zeroes them for the
+        next transaction."""
+        units = self.units
+        self.units = 0
+        return units
 
 
 class ActionStats(_Record):

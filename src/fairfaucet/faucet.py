@@ -7,14 +7,13 @@ claimed.  Every public entry point first refreshes the epoch/round
 counters from the block number; the unit share is recomputed only at
 epoch and round boundaries, exactly as a contract would do it.
 
-Each entry point charges its cost meter once per exit path, with that
-path's total of storage reads, writes and arithmetic operations (the
-README's cost model tables them; ``demand`` and ``claim`` also pay for
-the ``update_state`` they start with).  Almost every transaction lands
-inside the current round, so ``demand`` and ``claim`` check that
-themselves: a block in the current round skips the ``update_state``
-call, and its same-round row (2 reads, 4 ariths) is added to the exit
-path's one charge.  Any other block goes through ``update_state``.
+Each exit path adds its priced row of ``PATH_CHARGES`` (the README's
+cost model) to the meter's ``units``, with no meter call; ``demand`` and
+``claim`` also pay for the ``update_state`` they start with.  Almost
+every transaction lands inside the current round, so ``demand`` and
+``claim`` check that themselves: a block in the current round skips the
+``update_state`` call, and its same-round row is added with the exit
+path's row.  Any other block goes through ``update_state``.
 
 The faucet's one weight setting is ``precision``.  Without one (AMF)
 every weight is 1 at scale 1; with one (WAMF) a weight is the
@@ -101,7 +100,8 @@ class AutonomousFaucet:
         order starting at 1."""
         uid = len(self.users) + 1
         self.users[uid] = UserAccount(uid)
-        self._meter.charge(writes=2)
+        m = self._meter
+        m.units += m.paths["register"]
         return uid
 
     def final_balances(self) -> dict:
@@ -131,23 +131,24 @@ class AutonomousFaucet:
         # blocks never go backwards, so epoch and round always equal
         # locate(clock, last block): a block before the end of the
         # current round is still in it
+        m = self._meter
         if block < self._round_end:
-            self._meter.charge(2, 0, 4)
+            m.units += m.paths["update_same_round"]
             return
         clock = self.clock
         epoch, rnd = locate(clock, block)
         self._round_end = (clock.offset + epoch * clock.epoch_span
                            + (rnd + 1) * clock.round_span)
-        # each advance's one charge includes the share refresh below
+        # each advance's row includes the share refresh below
         if self.epoch < epoch:
             self.epoch = epoch
             self.round = rnd
             self.capacity += self.epoch_capacity
             self.injections += 1
-            self._meter.charge(6, 4, 6)
+            m.units += m.paths["update_epoch_advance"]
         else:
             self.round = rnd
-            self._meter.charge(4, 2, 6)
+            m.units += m.paths["update_round_advance"]
         total = self.weight_total[self.epoch % 2]
         if total == 0:
             self.unit_share = 0
@@ -158,25 +159,26 @@ class AutonomousFaucet:
         """Register a demand for the next epoch.  One demand per user per
         epoch; repeats, zero amounts and unknown users are rejected
         without state changes."""
-        # the same-round path of update_state, paid in the exit's charge
+        # the same-round path of update_state, paid with the exit's row
+        m = self._meter
+        paths = m.paths
         if self._last_block <= block < self._round_end:
             self._last_block = block
-            reads, ariths = 2, 4
+            same = paths["update_same_round"]
         else:
             self.update_state(block)
-            reads = ariths = 0
-        m = self._meter
+            same = 0
         epoch = self.epoch
         i = (epoch + 1) % 2
         acct = self.users.get(user)
         if acct is None:
-            m.charge(reads + 1, 0, ariths + 1)
+            m.units += same + paths["demand_rejected"]
             return DEMAND_UNREGISTERED
         if amount < 1:
-            m.charge(reads + 1, 0, ariths + 1)
+            m.units += same + paths["demand_rejected"]
             return DEMAND_EMPTY
         if acct.demand_epoch[i] == epoch:
-            m.charge(reads + 2, 0, ariths + 1)
+            m.units += same + paths["demand_repeat"]
             return DEMAND_REPEAT
 
         acct.cumulative_demand += amount
@@ -190,10 +192,10 @@ class AutonomousFaucet:
             # first accepted demand of the epoch starts a fresh total
             self.weight_total[i] = weight
             self.reset_epoch = epoch
-            m.charge(reads + 4, 6, ariths + 2)
+            m.units += same + paths["demand_first"]
         else:
             self.weight_total[i] += weight
-            m.charge(reads + 5, 5, ariths + 2)
+            m.units += same + paths["demand_accepted"]
         return True, "", weight
 
     def claim(self, user: int, block: int) -> tuple:
@@ -204,34 +206,35 @@ class AutonomousFaucet:
         share is the unit share scaled by the slot's snapshot weight, with
         a floor of one unit so a live demand always makes progress (the
         result's ``floored`` field marks it)."""
-        # the same-round path of update_state, paid in the exit's charge
+        # the same-round path of update_state, paid with the exit's row
+        m = self._meter
+        paths = m.paths
         if self._last_block <= block < self._round_end:
             self._last_block = block
-            reads, ariths = 2, 4
+            same = paths["update_same_round"]
         else:
             self.update_state(block)
-            reads = ariths = 0
-        m = self._meter
+            same = 0
         epoch = self.epoch
         i = epoch % 2
         acct = self.users.get(user)
         if acct is None:
-            m.charge(reads + 1, 0, ariths + 1)
+            m.units += same + paths["claim_unregistered"]
             return CLAIM_UNREGISTERED
         if acct.demand_epoch[i] != epoch - 1:
-            m.charge(reads + 4, 0, ariths + 1)
+            m.units += same + paths["claim_no_op"]
             return CLAIM_NO_DEMAND
         capacity = self.capacity
         if capacity == 0:
-            m.charge(reads + 4, 0, ariths + 1)
+            m.units += same + paths["claim_no_op"]
             return CLAIM_DEPLETED
         pending = acct.pending[i]
         if pending == 0:
-            m.charge(reads + 4, 0, ariths + 1)
+            m.units += same + paths["claim_no_op"]
             return CLAIM_SATISFIED
         rnd = self.round
         if acct.last_claim_epoch == epoch and acct.last_claim_round == rnd:
-            m.charge(reads + 6, 0, ariths + 1)
+            m.units += same + paths["claim_repeat"]
             return CLAIM_REPEAT
         acct.last_claim_epoch = epoch
         acct.last_claim_round = rnd
@@ -252,7 +255,7 @@ class AutonomousFaucet:
         satisfied = pending == 0
         if satisfied:
             self.weight_total[i] -= weight
-            m.charge(reads + 12, 6, ariths + 3)
+            m.units += same + paths["claim_satisfied"]
         else:
-            m.charge(reads + 11, 5, ariths + 3)
+            m.units += same + paths["claim_granted"]
         return granted, "", share, floored, satisfied

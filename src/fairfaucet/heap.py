@@ -6,15 +6,16 @@ deterministic.  The array layout is a complete binary tree, which keeps
 every sift path logarithmic regardless of insertion order.
 
 A node is a plain ``(demand, user)`` tuple, so it is its own sort key;
-the heap reads it only by index and by comparison.  Each heap operation
-charges its comparisons and node moves to a meter in one
-``charge(reads, writes, ariths, heap_moves)`` call (a ``CostMeter`` unless
-the caller passes another object with that method); the simulator shares
-one meter across a transaction to charge abstract per-operation costs.
-The sifts read each node once per level and count nothing as they go:
-node i sits on level ``(i + 1).bit_length() - 1``, so the moves follow
-from the index where the sifted node lands, and a sift-down's compares
-from that level and whether two children, one or none stopped it.
+the heap reads it only by index and by comparison.  The compares and
+moves of an operation vary with where its node lands, so they are the
+one variable amount the heap adds to its ``CostMeter``: one
+``charge(0, 0, compares, moves)`` call per operation, which prices a
+compare as one arith.  The simulator shares one meter across a
+transaction.  The sifts read each node once per level and count nothing
+as they go: node i sits on level ``(i + 1).bit_length() - 1``, so the
+moves follow from the index where the sifted node lands, and a
+sift-down's compares from that level and whether two children, one or
+none stopped it.
 """
 
 from .costs import CostMeter

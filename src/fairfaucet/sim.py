@@ -495,7 +495,7 @@ def run_scenario(sc: Scenario) -> RunResult:
     model = sc.cost_model
     budget = model.block_budget
     tx_base = model.tx_base
-    meter = CostMeter()
+    meter = CostMeter(model)
     priced = meter.total
     # one int object per distinct cost; idle blocks cost tx_base itself
     shared_cost = {tx_base: tx_base}.setdefault
@@ -533,7 +533,7 @@ def run_scenario(sc: Scenario) -> RunResult:
                 step, busy = adapter.claim(grants[epoch], base), n
             for block in range(round_start, round_start + busy):
                 actor, action, amount, share, summary = step(block)
-                cost = priced(model) + tx_base
+                cost = priced() + tx_base
                 cost = shared_cost(cost, cost)
                 over = cost > budget
                 add_row(new(TraceRow, (block, pos_epoch, pos_round, actor,

@@ -6,20 +6,24 @@ stream, so every run of this module checks identical instances.
 """
 
 import hashlib
+import itertools
 import math
 import random
 import time
+from operator import add
 from pathlib import Path
 
 from fairfaucet.clock import ClockParams
 from fairfaucet.cmf import CmfDistributor
-from fairfaucet.costs import CostMeter, cost_report
+from fairfaucet.costs import PATH_CHARGES, CostModel, cost_report
 from fairfaucet.faucet import AutonomousFaucet
 from fairfaucet.heap import MinHeap
 from fairfaucet.oracle import AllocationProblem, waterfill
 from fairfaucet.sim import (Scenario, load_scenario, next_demand,
                             run_scenario, trace_csv)
 from fairfaucet.verify import verify_run
+from meter_counts import counting_meter, counts
+from test_pins import PRICES
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -204,15 +208,15 @@ def test_criterion_7_heap_oracle():
 
     started = time.time()
     rng = random.Random(7777)
-    meter = CostMeter()
+    meter = counting_meter()
     heap = MinHeap(meter)
     oracle = []  # stdlib heap as the independent sort oracle
     inserted = removed = 0
 
     def sift_depth():
         # an operation moves one node, plus one per level it sifts
-        depth = meter.heap_moves - 1
-        meter.reset()
+        depth = counts(meter)[2] - 1
+        meter.units = 0
         return depth
 
     for _ in range(10_000):
@@ -267,3 +271,42 @@ def test_criterion_9_conservation():
     assert all(CONSERVATION_LOG)
     _pass(9, f"balances + remaining capacity == injected capacity in all "
              f"{len(CONSERVATION_LOG)} logged runs")
+
+
+def worst_autonomous_transaction(model):
+    """The costliest AMF/WAMF transaction that ``PATH_CHARGES`` allows: a
+    register on its own, or one ``update_state`` row plus one demand or
+    claim exit.  Returns its (reads, writes, ariths) and its cost with
+    ``tx_base``; no row depends on the user count."""
+    def cost(row):
+        reads, writes, ariths = row
+        return (reads * model.storage_read + writes * model.storage_write
+                + ariths * model.arithmetic_op + model.tx_base)
+
+    updates = [row for name, row in PATH_CHARGES.items()
+               if name.startswith("update_")]
+    exits = [row for name, row in PATH_CHARGES.items()
+             if name.startswith(("demand_", "claim_"))]
+    rows = [PATH_CHARGES["register"]]
+    rows += [tuple(map(add, update, exit_row))
+             for update in updates for exit_row in exits]
+    worst = max(rows, key=cost)
+    return worst, cost(worst)
+
+
+def test_criterion_10_constant_transaction_bound():
+    started = time.time()
+    # a claim granted and satisfied in the block that advances the epoch
+    assert worst_autonomous_transaction(CostModel()) == ((18, 10, 9), 85_445)
+    worst, bound = worst_autonomous_transaction(PRICES)
+    assert worst == (18, 10, 9)
+    tops = {}
+    for variant, n in itertools.product(("AMF", "WAMF"), (10, 100, 1000)):
+        result = run_scenario(Scenario(variant, n, cost_model=PRICES))
+        tops[variant, n] = max(r.cost for r in result.receipts)
+    # no receipt above the bound, and every run reaches it
+    assert set(tops.values()) == {bound}, (bound, tops)
+    elapsed = time.time() - started
+    assert elapsed < 10.0
+    _pass(10, f"the costliest AMF/WAMF receipt is the table's bound "
+              f"{bound} at n = 10, 100 and 1000 in {elapsed:.1f}s")

@@ -16,8 +16,8 @@ from typing import NamedTuple
 import pytest
 
 from fairfaucet.cmf import CmfDistributor, DistributionReport
-from fairfaucet.costs import CostMeter
 from fairfaucet.heap import MinHeap
+from meter_counts import counting_meter, counts
 
 
 class GrantRow(NamedTuple):
@@ -72,24 +72,20 @@ class ReferenceCmf(CmfDistributor):
         return report
 
 
-def charges(meter):
-    return (meter.reads, meter.writes, meter.heap_moves, meter.ariths)
-
-
 def observed(cls, epoch_capacity, epochs):
     """Run ``epochs`` (one demand dict per distribution) on one
     distributor; returns everything a distribution shows per epoch."""
-    meter = CostMeter()
+    meter = counting_meter()
     dist = cls(epoch_capacity, meter)
     out = []
     for epoch, demands in enumerate(epochs, 1):
-        meter.reset()
+        meter.units = 0
         for user, amount in demands.items():
             dist.submit_demand(user, amount)
         report = dist.distribute(epoch)
         out.append((report.shares, report.rows, report.allocations,
                     report.capacity_before, report.capacity_after,
-                    dict(dist.balances), dist.capacity, charges(meter)))
+                    dict(dist.balances), dist.capacity, counts(meter)))
     return out
 
 
@@ -167,11 +163,11 @@ def test_from_ascending_equals_sequential_inserts(m):
     # strictly ascending (demand, user) pairs, with repeated demands
     nodes = sorted((rng.randrange(1, 8), u)
                    for u in rng.sample(range(1000), m))
-    inserted_meter, built_meter = CostMeter(), CostMeter()
+    inserted_meter, built_meter = counting_meter(), counting_meter()
     inserted = MinHeap(inserted_meter)
     for node in nodes:
         inserted.insert(node)
     built = MinHeap.from_ascending(list(nodes), built_meter)
     assert built._nodes == inserted._nodes
-    assert charges(built_meter) == charges(inserted_meter)
-    assert charges(built_meter) == (0, 0, m, max(m - 1, 0))
+    assert counts(built_meter) == counts(inserted_meter)
+    assert counts(built_meter) == (0, 0, m, max(m - 1, 0))

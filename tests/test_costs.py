@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from fairfaucet.costs import ActionStats, CostMeter, CostModel, cost_report
+from fairfaucet.costs import (PATH_CHARGES, ActionStats, CostMeter, CostModel,
+                             cost_report)
 from fairfaucet.sim import Scenario, TraceRow, load_scenario, run_scenario
 
 
@@ -14,16 +15,50 @@ def test_model_validation():
 
 
 def test_meter_totals_follow_the_model():
-    meter = CostMeter()
-    meter.charge(reads=3, writes=2, ariths=10, heap_moves=4)
     model = CostModel(storage_read=10, storage_write=100, heap_move=7,
                       arithmetic_op=1, tx_base=1000, block_budget=5000)
+    meter = CostMeter(model)
+    meter.charge(reads=3, writes=2, ariths=10, heap_moves=4)
     # tx_base is the caller's to add; total zeroes what it priced
-    assert meter.total(model) == 30 + 200 + 28 + 10
-    assert meter.total(model) == 0
+    assert meter.total() == 30 + 200 + 28 + 10
+    assert meter.total() == 0
     meter.charge(reads=1, heap_moves=1)
-    meter.reset()
-    assert meter.total(model) == 0
+    meter.units += meter.paths["claim_granted"]
+    assert meter.total() == 10 + 7 + (110 + 500 + 3)
+    assert meter.total() == 0
+
+
+def test_meter_prices_every_path_row_at_its_model():
+    model = CostModel(storage_read=10, storage_write=100, heap_move=7,
+                      arithmetic_op=1, tx_base=1000, block_budget=5000)
+    assert CostMeter(model).paths == {
+        name: 10 * reads + 100 * writes + ariths
+        for name, (reads, writes, ariths) in PATH_CHARGES.items()}
+    # the default model's prices
+    assert CostMeter().paths["claim_satisfied"] == 12 * 800 + 6 * 5000 + 3 * 5
+
+
+def readme_cost_table() -> list:
+    """The rows of the README's "Cost model" table: (key, (reads, writes,
+    ariths)), in table order."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n## Cost model\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 6 or not cells[2].isdigit():
+            continue  # prose, the header or the separator
+        rows.append((cells[5].strip("`"), tuple(map(int, cells[2:5]))))
+    return rows
+
+
+def test_readme_cost_table_is_path_charges():
+    rows = readme_cost_table()
+    keys = [key for key, _ in rows]
+    assert len(keys) == len(set(keys)), keys
+    # every README row is its table entry, and every entry has a row
+    assert dict(rows) == PATH_CHARGES
 
 
 def test_report_aggregates_by_action_and_round():

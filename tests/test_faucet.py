@@ -4,9 +4,9 @@ import pytest
 
 import fairfaucet.faucet as faucet_module
 from fairfaucet.clock import ClockParams, locate
-from fairfaucet.costs import CostMeter
 from fairfaucet.faucet import AutonomousFaucet
 from fairfaucet.sim import Scenario, run_scenario
+from meter_counts import counting_meter, counts
 
 CLOCK = ClockParams(offset=0, epoch_span=12, round_span=3)
 
@@ -382,7 +382,7 @@ def test_faucet_clock_follows_locate_with_an_offset(clock):
     gaps = (0, 1, rs - 1, rs, span, 2 * span, 3 * span + rs - 1)
     for seed in range(25):
         rng = random.Random(seed)
-        meter = CostMeter()
+        meter = counting_meter()
         faucet = AutonomousFaucet(clock, 30, None, meter)
         before = (0, 0)
         block = clock.offset
@@ -392,9 +392,9 @@ def test_faucet_clock_follows_locate_with_an_offset(clock):
             assert now == locate(clock, block)[:2], (seed, block)
             want = (same_round if now == before else
                     next_round if now[0] == before[0] else next_epoch)
-            assert (meter.reads, meter.writes, meter.ariths) == want, (
-                seed, block)
-            meter.reset()
+            reads, writes, _, ariths = counts(meter)
+            assert (reads, writes, ariths) == want, (seed, block)
+            meter.units = 0
             before = now
             block += rng.choice(gaps)
 

@@ -24,8 +24,8 @@ from typing import NamedTuple
 import pytest
 
 from fairfaucet.clock import ClockParams, locate
-from fairfaucet.costs import CostMeter
 from fairfaucet.faucet import AutonomousFaucet
+from meter_counts import counting_meter, counts
 
 
 # The result records and rejection constants the faucet returned before
@@ -206,20 +206,16 @@ def state(faucet):
     return {k: v for k, v in vars(faucet).items() if k != "_meter"}
 
 
-def charges(meter):
-    return (meter.reads, meter.writes, meter.heap_moves, meter.ariths)
-
-
 def outcome(faucet, op, args):
     """(result, charges) of one call; a ``ValueError`` gives the result
     ("raised", its message)."""
     meter = faucet._meter
-    meter.reset()
+    meter.units = 0
     try:
         res = getattr(faucet, op)(*args)
     except ValueError as exc:
         res = ("raised", str(exc))
-    return res, charges(meter)
+    return res, counts(meter)
 
 
 def next_block(rng, clock, block):
@@ -280,8 +276,8 @@ def test_entry_points_match_the_reference(clock, precision):
     for seed in SEEDS:
         rng = random.Random(seed)
         capacity = rng.choice((1, 4, 30, 200))
-        fast = AutonomousFaucet(clock, capacity, precision, CostMeter())
-        ref = ReferenceFaucet(clock, capacity, precision, CostMeter())
+        fast = AutonomousFaucet(clock, capacity, precision, counting_meter())
+        ref = ReferenceFaucet(clock, capacity, precision, counting_meter())
         for faucet in (fast, ref):
             for _ in range(USERS):
                 faucet.register()

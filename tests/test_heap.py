@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from fairfaucet.costs import CostMeter
 from fairfaucet.heap import MinHeap
+from meter_counts import counting_meter, counts
 
 
 def drain(heap):
@@ -104,14 +104,14 @@ def test_conservation_under_interleaving():
 def sift_depth(meter, op, *args):
     """Levels one heap operation sifted: it moves one node, plus one per
     level."""
-    meter.reset()
+    meter.units = 0
     op(*args)
-    return meter.heap_moves - 1
+    return counts(meter)[2] - 1
 
 
 def test_sift_depth_stays_logarithmic():
     rng = random.Random(5)
-    meter = CostMeter()
+    meter = counting_meter()
     h = MinHeap(meter)
     for _ in range(3000):
         if len(h) and rng.random() < 0.45:

@@ -1,14 +1,15 @@
 """Pinned meter charges of every exit path of the contract entry points.
 
-Each case runs one call on a meter reset just before it and pins
-(reads, writes, heap_moves, ariths).  The simulator takes only a
-few of these paths, so the run-level pins in ``test_costs`` and
-``test_pins`` leave the others unchecked.  A ``demand`` or ``claim``
-also pays one ``update_state`` row.  Most cases below set the block so
-that this is the same-round row (2 reads, 4 ariths), paid inside the
-exit path's charge; the cases on the first block of a round or an
-epoch pay the round-advance row (4 reads, 2 writes, 6 ariths) or the
-epoch-advance row (6 reads, 4 writes, 6 ariths) instead.
+Each case runs one call on a counting meter zeroed just before it and
+pins the (reads, writes, heap_moves, ariths) that ``meter_counts``
+decodes from its units.  The simulator takes only a few of these paths,
+so the run-level pins in ``test_costs`` and ``test_pins`` leave the
+others unchecked.  A ``demand`` or ``claim`` also pays one
+``update_state`` row.  Most cases below set the block so that this is
+the same-round row (2 reads, 4 ariths), paid with the exit path's row;
+the cases on the first block of a round or an epoch pay the
+round-advance row (4 reads, 2 writes, 6 ariths) or the epoch-advance
+row (6 reads, 4 writes, 6 ariths) instead.
 """
 
 import pytest
@@ -17,24 +18,21 @@ from fairfaucet.clock import ClockParams
 from fairfaucet.cmf import CmfDistributor
 from fairfaucet.costs import CostMeter
 from fairfaucet.faucet import AutonomousFaucet
+from meter_counts import counting_meter, counts
 
 CLOCK = ClockParams(offset=0, epoch_span=12, round_span=3)  # 4 rounds
 
 
-def charges(meter):
-    return (meter.reads, meter.writes, meter.heap_moves, meter.ariths)
-
-
 def metered(meter, call, *args):
-    meter.reset()
+    meter.units = 0
     call(*args)
-    return charges(meter)
+    return counts(meter)
 
 
 def faucet_with_demands(amounts, epoch_capacity=30, precision=None):
     """Users 1..len(amounts) registered; each non-None amount demanded in
     the last round of epoch 0."""
-    meter = CostMeter()
+    meter = counting_meter()
     faucet = AutonomousFaucet(CLOCK, epoch_capacity, precision, meter)
     for user, amount in enumerate(amounts, 1):
         faucet.register()
@@ -77,10 +75,10 @@ class CountingMeter(CostMeter):
         super().charge(*args, **kwargs)
 
 
-def test_each_exit_path_charges_once():
-    # update_state charges one row on each of its three paths; a demand
-    # or claim inside the round charges once, and one that crosses a
-    # round twice: the update_state row, then the exit path
+def test_fixed_exit_paths_call_no_meter_method():
+    # every faucet path is a fixed row of the table, added to the meter's
+    # units in place: in the round, across a round or an epoch, accepted
+    # or rejected, none calls ``charge``
     meter = CountingMeter()
     faucet = AutonomousFaucet(CLOCK, 30, None, meter)
     for _ in range(3):
@@ -91,29 +89,31 @@ def test_each_exit_path_charges_once():
         call(*args)
         return meter.calls
 
-    assert calls(faucet.update_state, 1) == 1    # same round
-    assert calls(faucet.update_state, 3) == 1    # round advance
-    assert calls(faucet.demand, 1, 4, 4) == 1
-    assert calls(faucet.demand, 1, 4, 5) == 1    # a repeat
-    assert calls(faucet.demand, 2, 11, 9) == 2   # into the last round
-    assert calls(faucet.update_state, 12) == 1   # epoch advance
-    assert calls(faucet.claim, 1, 13) == 1
-    assert calls(faucet.claim, 3, 14) == 1       # no demand
-    assert calls(faucet.claim, 2, 15) == 2       # into the next round
-    assert calls(faucet.claim, 2, 24) == 2       # into the next epoch
+    assert calls(faucet.register) == 0
+    assert calls(faucet.update_state, 1) == 0    # same round
+    assert calls(faucet.update_state, 3) == 0    # round advance
+    assert calls(faucet.demand, 1, 4, 4) == 0
+    assert calls(faucet.demand, 1, 4, 5) == 0    # a repeat
+    assert calls(faucet.demand, 2, 11, 9) == 0   # into the last round
+    assert calls(faucet.update_state, 12) == 0   # epoch advance
+    assert calls(faucet.claim, 1, 13) == 0
+    assert calls(faucet.claim, 3, 14) == 0       # no demand
+    assert calls(faucet.claim, 2, 15) == 0       # into the next round
+    assert calls(faucet.claim, 2, 24) == 0       # into the next epoch
+    assert meter.units > 0
 
 
 # -- register and demand ---------------------------------------------------
 
 def test_register_charges_two_writes():
-    meter = CostMeter()
+    meter = counting_meter()
     faucet = AutonomousFaucet(CLOCK, 30, None, meter)
     assert metered(meter, faucet.register) == (0, 2, 0, 0)
 
 
 @pytest.mark.parametrize("precision", [None, 1000])
 def test_demand_paths(precision):
-    meter = CostMeter()
+    meter = counting_meter()
     faucet = AutonomousFaucet(CLOCK, 30, precision, meter)
     for _ in range(2):
         faucet.register()
@@ -145,9 +145,9 @@ def test_claim_paths(precision):
         ((3, 15), (15, 7, 0, 9), ""),   # granted, demand left
     ]
     for args, want, reason in cases:
-        meter.reset()
+        meter.units = 0
         _, got, *_ = faucet.claim(*args)
-        assert (charges(meter), got) == (want, reason), args
+        assert (counts(meter), got) == (want, reason), args
     assert faucet.users[1].pending[1] == 0
     assert faucet.users[2].pending[1] > 0
     assert faucet.users[3].pending[1] > 0
@@ -157,15 +157,15 @@ def test_claim_paths(precision):
 def test_epoch_zero_claim_has_no_previous_demand(precision):
     # epoch 0 has no previous epoch, so a user who never demanded must
     # not pass the demand check and read as depleted
-    meter = CostMeter()
+    meter = counting_meter()
     faucet = AutonomousFaucet(CLOCK, 30, precision, meter)
     faucet.register()
     accepted, _, _ = faucet.demand(1, 4, 0)
     assert accepted
     for block in (1, 2):
-        meter.reset()
+        meter.units = 0
         _, reason, *_ = faucet.claim(1, block)
-        assert (charges(meter), reason) == (
+        assert (counts(meter), reason) == (
             (6, 0, 0, 5), "no demand from previous epoch"), block
 
 
@@ -175,47 +175,47 @@ def test_claim_floor_and_depletion_paths():
     faucet, meter = faucet_with_demands((10, 10, 10), epoch_capacity=2)
     faucet.update_state(12)
     assert faucet.unit_share == 0
-    meter.reset()
+    meter.units = 0
     granted, _, _, floored, satisfied = faucet.claim(1, 12)
     assert floored and granted == 1 and not satisfied
-    assert charges(meter) == (13, 5, 0, 7)
+    assert counts(meter) == (13, 5, 0, 7)
     faucet.claim(2, 13)
-    meter.reset()
+    meter.units = 0
     _, reason, *_ = faucet.claim(3, 14)
     assert reason == "capacity depleted"
-    assert charges(meter) == (6, 0, 0, 5)
+    assert counts(meter) == (6, 0, 0, 5)
 
 
 def test_floored_claim_that_satisfies():
     faucet, meter = faucet_with_demands((1, 10, 10), epoch_capacity=2)
     faucet.update_state(12)
-    meter.reset()
+    meter.units = 0
     _, _, _, floored, satisfied = faucet.claim(1, 12)
     assert floored and satisfied
-    assert charges(meter) == (14, 6, 0, 7)
+    assert counts(meter) == (14, 6, 0, 7)
 
 
 # -- CMF -------------------------------------------------------------------
 
 def test_cmf_register_charges_two_writes():
-    meter = CostMeter()
+    meter = counting_meter()
     dist = CmfDistributor(30, meter)
     assert metered(meter, dist.register, 1) == (0, 2, 0, 0)
 
 
 def test_submit_demand_paths():
-    meter = CostMeter()
+    meter = counting_meter()
     dist = CmfDistributor(30, meter)
     with pytest.raises(ValueError, match="empty demand"):
         dist.submit_demand(1, 0)
-    assert charges(meter) == (0, 0, 0, 0)
+    assert counts(meter) == (0, 0, 0, 0)
     # accepted: one read, one write, then the heap insert's own charges
     assert metered(meter, dist.submit_demand, 1, 4) == (1, 1, 1, 0)
     assert metered(meter, dist.submit_demand, 2, 11) == (1, 1, 1, 1)
-    meter.reset()
+    meter.units = 0
     with pytest.raises(ValueError, match="already demanded"):
         dist.submit_demand(1, 5)
-    assert charges(meter) == (1, 0, 0, 0)
+    assert counts(meter) == (1, 0, 0, 0)
 
 
 def distribute_charges(iterations, grants, heap_moves, heap_ariths):
@@ -226,13 +226,13 @@ def distribute_charges(iterations, grants, heap_moves, heap_ariths):
 
 
 def distributed(epoch_capacity, amounts):
-    meter = CostMeter()
+    meter = counting_meter()
     dist = CmfDistributor(epoch_capacity, meter)
     for user, amount in enumerate(amounts, 1):
         dist.submit_demand(user, amount)
-    meter.reset()
+    meter.units = 0
     report = dist.distribute()
-    return charges(meter), report
+    return counts(meter), report
 
 
 def test_distribute_without_demands():

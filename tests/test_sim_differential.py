@@ -52,18 +52,14 @@ class ReferenceMeter(CostMeter):
     __slots__ = ("bases",)
 
     def reset(self):
-        super().reset()
+        self.units = 0
         self.bases = 0
 
     def base(self):
         self.bases += 1
 
     def total(self, model: CostModel) -> int:
-        return (self.reads * model.storage_read
-                + self.writes * model.storage_write
-                + self.heap_moves * model.heap_move
-                + self.ariths * model.arithmetic_op
-                + self.bases * model.tx_base)
+        return self.units + self.bases * model.tx_base
 
 
 class _ReferenceAutonomous:
@@ -162,7 +158,7 @@ def reference_run_scenario(sc: Scenario) -> tuple:
     clock = sc.clock
     model = sc.cost_model
     budget = model.block_budget
-    meter = ReferenceMeter()
+    meter = ReferenceMeter(model)
     demands = [{} for _ in range(sc.epochs)]  # epoch -> user -> amount
     weights = [{} for _ in range(sc.epochs)]
     grants = [{} for _ in range(sc.epochs)]
