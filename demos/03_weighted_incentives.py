@@ -23,12 +23,21 @@ unweighted = Scenario(variant="AMF", n=2, epoch_capacity=15, epoch_span=8,
 res_w = run_scenario(weighted)
 res_u = run_scenario(unweighted)
 
+
+def weights(epoch):
+    """The weights of the demands that ``epoch`` claims, those of epoch
+    ``epoch - 1``: precision // each user's demand so far."""
+    rows = script[:epoch]
+    return {user: weighted.precision // sum(row[user - 1] for row in rows)
+            for user in (1, 2)}
+
+
 print("epoch capacity 15, demands per epoch:", script, "\n")
 print(f"{'epoch':>6} {'weights':>24} {'weighted grants':>16} "
       f"{'unweighted grants':>18}")
 for sw, su in zip(res_w.epoch_summaries, res_u.epoch_summaries):
-    print(f"{sw.epoch:>6} {str(sw.weights):>24} {str(sw.granted):>16} "
-          f"{str(su.granted):>18}")
+    print(f"{sw.epoch:>6} {str(weights(sw.epoch)):>24} "
+          f"{str(sw.granted):>16} {str(su.granted):>18}")
 
 print("\nweighted totals:  ", res_w.balances)
 print("unweighted totals:", res_u.balances)

@@ -33,13 +33,13 @@ MUTANTS = [
     ("faucet.py", "precision // acct.cumulative_demand",
      "precision // amount",
      "WAMF weight from the current demand, not the cumulative one",
-     "survives"),
+     "killed"),
     ("faucet.py", "self.weight_total[i] -= weight",
      "self.weight_total[i] -= 0",
-     "a satisfied user's weight stays in the total", "survives"),
+     "a satisfied user's weight stays in the total", "killed"),
     ("faucet.py", "if floored:\n            share = 1",
      "if floored:\n            share = 2",
-     "a floored share is 2, not 1", "survives"),
+     "a floored share is 2, not 1", "killed"),
     ("cmf.py", "MinHeap.from_ascending(rest, self._meter)",
      "MinHeap.from_ascending(rest[::-1], self._meter)",
      "the remainder heap is built from rest[::-1]", "killed"),

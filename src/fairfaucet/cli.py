@@ -1,5 +1,5 @@
 """Command-line front end: run scenarios, verify them against the
-oracle and summarize costs.
+referee and summarize costs.
 
 Exit codes are a stable contract: 0 success, 1 verification mismatch,
 2 usage, input or output error.  All outputs are pure functions of the
@@ -14,7 +14,7 @@ from .costs import cost_report
 from .sim import (Scenario, ScenarioError, balances_chunks,
                   distributions_chunks, load_scenario, receipts_chunks,
                   run_scenario, trace_chunks)
-from .verify import EXHAUSTED, MATCHED, TOTALS_ONLY, verify_run
+from .verify import MATCHED, verify_run
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -53,17 +53,6 @@ def findings(result) -> list:
             for s in result.epoch_summaries if s.incomplete]
 
 
-def notes(report) -> list:
-    """One line per epoch with demands that was not compared user by
-    user."""
-    text = {TOTALS_ONLY: "capacity depleted; final-round grants follow "
-                         "arrival order, totals match the oracle",
-            EXHAUSTED: "claim rounds ran out with capacity left; per-user "
-                       "comparison skipped"}
-    return [f"epoch {c.epoch}: {text[c.note]}" for c in report.checks
-            if c.note in text]
-
-
 def cmd_run(args) -> int:
     sc = _load(args)
     result = run_scenario(sc)
@@ -86,8 +75,6 @@ def cmd_verify(args) -> int:
     if args.inject_fault:
         _corrupt(result)
     report = verify_run(result)
-    for note in notes(report):
-        print(f"note: {note}")
     if not result.conservation_ok():
         print("verify FAILED: conservation violated "
               f"(balances {sum(result.balances.values())} + capacity "
@@ -95,11 +82,9 @@ def cmd_verify(args) -> int:
         return EXIT_MISMATCH
     if report.ok:
         kinds = [check.note for check in report.checks]
-        compared, totals = kinds.count(MATCHED), kinds.count(TOTALS_ONLY)
-        print(f"verify OK: {compared} epoch(s) compared user by user with "
-              f"the water-filling oracle, {totals} by totals only "
-              f"(depletion), {len(kinds) - compared - totals} not compared "
-              f"(no demands or rounds exhausted)")
+        compared = kinds.count(MATCHED)
+        print(f"verify OK: {compared} epoch(s) compared user by user, "
+              f"{len(kinds) - compared} without demands")
         return EXIT_OK
     epoch, user, got, want = report.first_diff
     if user is None:
@@ -181,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=cmd_run)
 
     verify_p = sub.add_parser("verify",
-                              help="run and compare against the oracle")
+                              help="run and compare against the referee")
     verify_p.add_argument("--scenario", required=True)
     verify_p.add_argument("--seed", type=int, default=None)
     verify_p.add_argument("--inject-fault", action="store_true")

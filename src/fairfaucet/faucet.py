@@ -22,8 +22,8 @@ fixed-point reciprocal floor(precision / cumulative demand), so
 remain non-zero.  The weight captured when a demand is registered is
 stored with the slot and used for all additions to and subtractions
 from the running weight totals, keeping those totals exact even when
-the user's live weight changes in between; ``claim_weights`` reads the
-slots back.
+the user's live weight changes in between.  Nothing outside reads the
+slots: the referee derives each weight from the run's demands.
 
 The faucet keeps no history of its own.  ``demand`` returns the plain
 tuple (accepted, reason, weight) and ``claim`` (granted, reason, share,
@@ -106,16 +106,6 @@ class AutonomousFaucet:
 
     def final_balances(self) -> dict:
         return {uid: acct.balance for uid, acct in sorted(self.users.items())}
-
-    def claim_weights(self, epoch: int, users):
-        """The slot weights of ``users`` that the claims of ``epoch`` use,
-        None if unweighted.  The demands of ``epoch - 1`` stored them in
-        slot ``epoch % 2``, and the demand round of ``epoch`` writes the
-        other slot."""
-        if self.precision is None:
-            return None
-        accounts, i = self.users, epoch % 2
-        return {u: accounts[u].slot_weight[i] for u in users}
 
     # -- the three contract functions -------------------------------------
 

@@ -248,18 +248,16 @@ class TraceRow(NamedTuple):
 
 class EpochSummary(_Record):
     """What one claim epoch distributed, plus the matching allocation
-    problem (demands from the previous epoch, their weights or None if
-    unweighted, and the capacity in force when claims began)."""
+    problem (demands from the previous epoch and the capacity in force
+    when claims began)."""
 
-    __slots__ = ("epoch", "demands", "weights", "capacity_start", "granted",
+    __slots__ = ("epoch", "demands", "capacity_start", "granted",
                  "capacity_end")
 
-    def __init__(self, epoch: int, demands: dict, weights: dict,
-                 capacity_start: int, granted: dict = None,
-                 capacity_end: int = 0):
+    def __init__(self, epoch: int, demands: dict, capacity_start: int,
+                 granted: dict = None, capacity_end: int = 0):
         self.epoch = epoch
         self.demands = demands
-        self.weights = weights
         self.capacity_start = capacity_start
         self.granted = {} if granted is None else granted
         self.capacity_end = capacity_end
@@ -375,10 +373,6 @@ class _Autonomous:
     def balances(self) -> dict:
         return self.pool.final_balances()
 
-    def weights(self, epoch):
-        """The weights the claims of ``epoch`` used, None if unweighted."""
-        return self.pool.claim_weights(epoch, self.demands[epoch - 1])
-
     def register(self, base):
         def step(block):
             uid = self.pool.register()
@@ -448,9 +442,6 @@ class _Central:
 
     def balances(self) -> dict:
         return {u: self.pool.balances.get(u, 0) for u in range(1, self.n + 1)}
-
-    def weights(self, epoch):
-        return None
 
     def register(self, base):
         def step(block):
@@ -553,7 +544,6 @@ def run_scenario(sc: Scenario) -> RunResult:
         if adapter.injections > injections:
             summaries.append(EpochSummary(
                 epoch=epoch, demands=demands[epoch - 1],
-                weights=adapter.weights(epoch),
                 capacity_start=capacity_end + sc.epoch_capacity,
                 granted=grants[epoch], capacity_end=pool.capacity))
         injections = adapter.injections

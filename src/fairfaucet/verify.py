@@ -1,10 +1,8 @@
-"""Cross-check a run against the independent water-filling oracle.
+"""Cross-check a run against an independent referee.
 
 Each claim epoch is an allocation problem of its own: the demands
 registered in the previous epoch plus the capacity in force when claims
-began.  The oracle reads the summary's own demand and weight dicts,
-uncopied and unsorted, and no verdict depends on their order.
-Whatever the schedule, every epoch keeps two bounds:
+began.  Whatever the schedule, every epoch keeps two bounds:
 
 1. each grant is in (0, demand] of its user (a grant to a user who
    demanded nothing in that problem is always a mismatch, even in an
@@ -12,31 +10,26 @@ Whatever the schedule, every epoch keeps two bounds:
 2. the grants sum to the capacity the epoch spent, ``capacity_start -
    capacity_end``.
 
-Beyond the bounds, the oracle's answer must match the grants the run
-actually made; AMF and WAMF epochs, not CMF ones, have two exceptions:
+Beyond the bounds, an epoch has one right answer, and the grants must
+match it user by user.  For a CMF epoch, and an AMF/WAMF epoch whose
+grants meet every demand (right only if the capacity covers them, so
+weights cannot matter), it is the water-fill of the summary's own
+demand dict, uncopied and unsorted; for every other AMF/WAMF epoch, it
+is ``_replay`` of its claim rounds, which shares no code with the faucet.
 
-* depletion: when the pool hit zero before every demand was met, the
-  remaining units went to claimants in arrival order rather than
-  ascending-demand order, so per-user grants may differ from the oracle
-  while the epoch totals must still agree;
-* exhausted rounds: when the scheduled claim rounds ended with capacity
-  left and demand unserved, the epoch is not compared user by user (the
-  next epoch's comparison re-anchors on the actual capacity, so nothing
-  cascades).
-
-Each epoch's verdict is one ``EpochCheck``, whose ``note`` names how it
-was compared; the report's ``ok`` and ``first_diff`` derive from them.
+Each epoch's verdict is one ``EpochCheck``, whose ``note`` names its
+kind; the report's ``ok`` and ``first_diff`` derive from them.
 """
+
+from collections import Counter
 
 from .clock import _Record
 from .oracle import AllocationProblem, waterfill
 from .sim import RunResult
 
-MATCHED = ""  # every grant equals the oracle's
+MATCHED = ""  # every grant equals the referee's
 MISMATCH = "allocation mismatch"  # the one kind that fails verification
-TOTALS_ONLY = "depletion round served in arrival order"
 NO_DEMANDS = "no demands"
-EXHAUSTED = "rounds exhausted before completion"
 
 
 class EpochCheck(_Record):
@@ -71,43 +64,84 @@ class VerifyReport(_Record):
 
 
 def verify_run(result: RunResult) -> VerifyReport:
-    """Check every claim epoch of a run against its bounds and the oracle
-    allocation."""
+    """Check every claim epoch of a run against its bounds and its one
+    right allocation."""
     central = bool(result.reports)  # only CMF runs report distributions
-    return VerifyReport([_check(s, central) for s in result.epoch_summaries])
+    weights = _weights(result)
+    return VerifyReport([_check(result, s, central, weights)
+                         for s in result.epoch_summaries])
 
 
-def _check(summary, central: bool) -> EpochCheck:
+def _weights(result: RunResult):
+    """WAMF's weights of a summary's users: precision // demands summed
+    over the run's summaries so far.  Asked in run order, sums each once."""
+    cumulative, ahead = Counter(), iter(result.epoch_summaries)
+
+    def weights(summary) -> dict:
+        for s in ahead:
+            cumulative.update(s.demands)
+            if s is summary:
+                break
+        return {u: result.scenario.precision // cumulative[u]
+                for u in summary.demands}
+    return weights
+
+
+def _replay(result: RunResult, summary, weights) -> dict:
+    """The positive grants of an AMF/WAMF epoch's ``rounds_per_epoch - 1``
+    claim rounds.  A round's unit is floor(capacity * scale / the pending
+    users' weight total); users claim in ascending id order, the canonical
+    arrival order, each granted min(pending, max(floor(unit * weight /
+    scale), 1), capacity).  AMF weighs every user 1 at scale 1."""
+    sc = result.scenario
+    pending = dict(sorted(summary.demands.items()))
+    if sc.variant == "WAMF":
+        scale, weight = sc.precision, weights(summary)
+    else:
+        scale, weight = 1, dict.fromkeys(pending, 1)
+    capacity, want = summary.capacity_start, {}
+    for _ in range(sc.clock.rounds_per_epoch - 1):
+        if not (capacity and pending):
+            break
+        unit = capacity * scale // sum(map(weight.__getitem__, pending))
+        left = {}  # a satisfied user's weight leaves the next round's total
+        for user, amount in pending.items():
+            grant = min(amount, max(unit * weight[user] // scale, 1),
+                        capacity)
+            if grant == 0:  # the capacity ran out
+                break
+            want[user] = want.get(user, 0) + grant
+            capacity -= grant
+            if amount > grant:
+                left[user] = amount - grant
+        pending = left
+    return want
+
+
+def _check(result: RunResult, summary, central: bool, weights) -> EpochCheck:
     epoch, granted, demands = summary.epoch, summary.granted, summary.demands
-    complete = bool(demands) and (central or not summary.incomplete)
-    want = waterfill(AllocationProblem(
-        demands, summary.capacity_start, summary.weights)) if complete else {}
-    # the oracle also lists the demanders it grants nothing; its answer
-    # keeps bound 1, so an epoch that matches it skips the per-user pass
-    matched = complete and (granted == want or (
-        granted.keys() <= want.keys()
-        and {u: granted.get(u, 0) for u in want} == want))
-    total = sum(granted.values())
-    if not matched:
+    if central or granted == demands:
+        want = waterfill(AllocationProblem(demands, summary.capacity_start))
+    else:
+        want = _replay(result, summary, weights)
+    # the oracle, unlike the replay, also lists the demanders it grants
+    # nothing; either answer keeps bound 1, so an epoch that matches it
+    # skips the per-user pass
+    if not (granted == want or (
+            granted.keys() <= want.keys()
+            and {u: granted.get(u, 0) for u in want} == want)):
         user = min((u for u, g in granted.items()
                     if not 0 < g <= demands.get(u, 0)), default=None)
         if user is not None:
             return EpochCheck(epoch, False, MISMATCH, (
                 epoch, user, granted[user], demands.get(user, 0)))
-        if complete and (central or not summary.depleted
-                         or total != sum(want.values())):
-            user = min(u for u in want if granted.get(u, 0) != want[u])
-            return EpochCheck(epoch, False, MISMATCH, (
-                epoch, user, granted.get(user, 0), want[user]))
+        user = min(u for u in demands if granted.get(u, 0) != want.get(u, 0))
+        return EpochCheck(epoch, False, MISMATCH, (
+            epoch, user, granted.get(user, 0), want.get(user, 0)))
+    total = sum(granted.values())
     spent = summary.capacity_start - summary.capacity_end
     if total != spent:
         # bound 2 names no user: the diff holds the grants' total and the
         # capacity the epoch spent
         return EpochCheck(epoch, False, MISMATCH, (epoch, None, total, spent))
-    if matched:
-        return EpochCheck(epoch, True)
-    if not demands:
-        return EpochCheck(epoch, True, NO_DEMANDS)
-    if summary.incomplete:
-        return EpochCheck(epoch, True, EXHAUSTED)
-    return EpochCheck(epoch, True, TOTALS_ONLY)
+    return EpochCheck(epoch, True, MATCHED if demands else NO_DEMANDS)

@@ -106,11 +106,11 @@ def test_criterion_3_oracle_equivalence():
             report = verify_run(result)
             assert report.ok, (n, seed, report.first_diff)
             noted = False
-            for check in report.checks:
-                if "arrival order" in check.note:
+            for summary in result.epoch_summaries:
+                if summary.depleted:
                     fcfs_epochs += 1
                     noted = True
-                if "exhausted" in check.note:
+                if summary.incomplete:
                     four_round_epochs += 1
                     noted = True
             if not noted:

@@ -191,12 +191,22 @@ def test_verify_worked_example_exits_zero(capsys):
     assert "verify OK" in capsys.readouterr().out
 
 
-def test_verify_depletion_scenario_notes_fcfs_and_passes(capsys):
+def test_verify_depletion_scenario_is_compared_user_by_user(capsys):
     rc = main(["verify", "--scenario", FCFS])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "arrival order" in out
-    assert "verify OK" in out
+    assert capsys.readouterr().out == (
+        "verify OK: 1 epoch(s) compared user by user, 0 without demands\n")
+
+
+def test_verify_counts_the_epochs_without_demands(tmp_path, capsys):
+    # epoch 1 claims the demands of epoch 0; epoch 1 itself has none
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "variant": "AMF", "n": 3, "epoch_capacity": 30, "epoch_span": 12,
+        "round_span": 3, "epochs": 3, "scripted_demands": [[4, None, 15]]}))
+    assert main(["verify", "--scenario", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "verify OK: 1 epoch(s) compared user by user, 1 without demands\n")
 
 
 def test_verify_injected_fault_exits_one(capsys):
@@ -284,27 +294,19 @@ INCOMPLETE = ("finding: epoch 1: distribution incomplete after 3 claim "
               "rounds (a further round was needed)\n")
 
 
-def verify_ok(compared, totals_only, skipped):
-    return (f"verify OK: {compared} epoch(s) compared user by user with the "
-            f"water-filling oracle, {totals_only} by totals only "
-            f"(depletion), {skipped} not compared (no demands or rounds "
-            f"exhausted)\n")
+def verify_ok(compared):  # every scenario file has demands in every epoch
+    return (f"verify OK: {compared} epoch(s) compared user by user, "
+            f"0 without demands\n")
 
 
 STDOUT = {
-    "amf_n10": (WROTE, verify_ok(3, 0, 0)),
-    "amf_worked_example": (WROTE, verify_ok(4, 0, 0)),
-    "cmf_n10": (WROTE_CMF, verify_ok(3, 0, 0)),
-    "cmf_worked_example": (WROTE_CMF, verify_ok(1, 0, 0)),
-    "depletion_fcfs": (
-        WROTE,
-        "note: epoch 1: capacity depleted; final-round grants follow "
-        "arrival order, totals match the oracle\n" + verify_ok(0, 1, 0)),
-    "rounds_exhausted": (
-        WROTE + INCOMPLETE,
-        "note: epoch 1: claim rounds ran out with capacity left; per-user "
-        "comparison skipped\n" + verify_ok(0, 0, 1)),
-    "wamf_n10": (WROTE, verify_ok(3, 0, 0)),
+    "amf_n10": (WROTE, verify_ok(3)),
+    "amf_worked_example": (WROTE, verify_ok(4)),
+    "cmf_n10": (WROTE_CMF, verify_ok(3)),
+    "cmf_worked_example": (WROTE_CMF, verify_ok(1)),
+    "depletion_fcfs": (WROTE, verify_ok(1)),
+    "rounds_exhausted": (WROTE + INCOMPLETE, verify_ok(1)),
+    "wamf_n10": (WROTE, verify_ok(3)),
 }
 
 

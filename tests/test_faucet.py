@@ -124,19 +124,6 @@ def test_precision_must_be_positive():
         AutonomousFaucet(CLOCK, 30, 0)
 
 
-def test_claim_weights_are_the_slots_the_claims_use():
-    # None without a precision; with one, the weights stored by the
-    # previous epoch's demands, untouched by this epoch's
-    amf = three_user_faucet()
-    submit_epoch_demands(amf, 0, (4, 11, 15))
-    assert amf.claim_weights(1, (1, 2, 3)) is None
-    wamf = three_user_faucet(precision=1000)
-    submit_epoch_demands(wamf, 0, (4, 10, None))
-    submit_epoch_demands(wamf, 1, (6, None, 8))
-    assert wamf.claim_weights(1, (1, 2)) == {1: 250, 2: 100}
-    assert wamf.claim_weights(2, (1, 3)) == {1: 100, 3: 125}
-
-
 def test_claim_guards_and_round_idempotence():
     faucet = three_user_faucet()
     submit_epoch_demands(faucet, 0, (4, 11, 15))

@@ -42,8 +42,8 @@ def test_the_marks_are_pinned():
     marks = {note: expected for _, _, _, note, expected in gate.MUTANTS}
     assert marks == {
         "WAMF weight from the current demand, not the cumulative one":
-            "survives",
-        "a satisfied user's weight stays in the total": "survives",
-        "a floored share is 2, not 1": "survives",
+            "killed",
+        "a satisfied user's weight stays in the total": "killed",
+        "a floored share is 2, not 1": "killed",
         "the remainder heap is built from rest[::-1]": "killed",
     }

@@ -9,6 +9,7 @@ records that alters a byte fails here.  A pin may be re-recorded only by
 a change that means to alter the simulated behaviour."""
 
 import hashlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -147,12 +148,19 @@ DIGESTS = {
 
 def epochs_text(result) -> str:
     """The epoch summaries, the finding lines, final capacity and
-    injected total as text, one summary per line, in a fixed order."""
-    lines = [f"{s.epoch} {sorted(s.demands.items())} "
-             f"{sorted((s.weights or dict.fromkeys(s.demands, 1)).items())} "
-             f"{s.capacity_start} "
-             f"{sorted(s.granted.items())} {s.capacity_end}"
-             for s in result.epoch_summaries]
+    injected total as text, one summary per line, in a fixed order.  A
+    line's weights are WAMF's precision // cumulative demand, summed
+    over the summaries so far, and 1 each for AMF and CMF."""
+    sc = result.scenario
+    cumulative = Counter()
+    lines = []
+    for s in result.epoch_summaries:
+        cumulative.update(s.demands)
+        weights = ({u: sc.precision // cumulative[u] for u in s.demands}
+                   if sc.variant == "WAMF" else dict.fromkeys(s.demands, 1))
+        lines.append(f"{s.epoch} {sorted(s.demands.items())} "
+                     f"{sorted(weights.items())} {s.capacity_start} "
+                     f"{sorted(s.granted.items())} {s.capacity_end}")
     lines += findings(result)
     lines.append(f"{result.final_capacity} {result.injected}")
     return "\n".join(lines)

@@ -38,7 +38,7 @@ SIGNATURES = {
     AllocationProblem: "demands capacity weights",
     Scenario: "variant n epoch_capacity epoch_span round_span demand_lo "
               "demand_hi epochs seed precision cost_model scripted_demands",
-    EpochSummary: "epoch demands weights capacity_start granted capacity_end",
+    EpochSummary: "epoch demands capacity_start granted capacity_end",
     RunResult: "scenario trace balances reports epoch_summaries "
                "final_capacity injected",
     EpochCheck: "epoch ok note first_diff",
@@ -109,8 +109,8 @@ def test_repr_names_the_fields():
 
 
 def summary(**changes):
-    fields = dict(epoch=1, demands={1: 5}, weights={1: 1}, capacity_start=9,
-                  granted={1: 5}, capacity_end=4)
+    fields = dict(epoch=1, demands={1: 5}, capacity_start=9, granted={1: 5},
+                  capacity_end=4)
     fields.update(changes)
     return EpochSummary(**fields)
 
@@ -167,7 +167,7 @@ def test_mutable_defaults_are_fresh_per_instance():
         assert getattr(a1, name) is not getattr(a2, name)
     a1.pending[0] = 5
     assert a2.pending == [0, 0]
-    s1, s2 = EpochSummary(1, {}, {}, 0), EpochSummary(1, {}, {}, 0)
+    s1, s2 = EpochSummary(1, {}, 0), EpochSummary(1, {}, 0)
     assert s1.granted is not s2.granted
     v1, v2 = VerifyReport(), VerifyReport()
     assert v1.checks is not v2.checks

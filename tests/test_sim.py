@@ -11,7 +11,7 @@ from fairfaucet.sim import (MASK64, MAX_BLOCKS, VARIANTS, Scenario,
                             ScenarioError, TraceRow, balances_csv,
                             load_scenario, next_demand, run_scenario,
                             scenario_from_dict, trace_csv)
-from fairfaucet.verify import verify_run
+from fairfaucet.verify import _weights, verify_run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -401,19 +401,16 @@ def test_epoch_summaries_describe_claim_epochs():
         assert granted == summary.capacity_start - summary.capacity_end
 
 
-@pytest.mark.parametrize("variant", ["CMF", "AMF", "WAMF"])
-def test_only_wamf_summaries_carry_weights(variant):
-    # a WAMF summary holds the weights its demand receipts recorded, in
-    # demand order; the faucet's slots are read when the epoch closes
-    sc = Scenario(variant, 6, seed=10, epochs=4)
-    result = run_scenario(sc)
+def test_the_referees_weights_are_the_demand_receipts():
+    # verify derives each WAMF weight from the run's demands alone; it
+    # equals the weight the faucet recorded in the demand's receipt
+    result = run_scenario(Scenario("WAMF", 6, seed=10, epochs=4))
     assert [s.epoch for s in result.epoch_summaries] == [1, 2, 3]
+    derive = _weights(result)
     for summary in result.epoch_summaries:
-        if variant != "WAMF":
-            assert summary.weights is None
-            continue
-        recorded = [(r.actor, int(r.summary.rsplit("=", 1)[1]))
+        recorded = {r.actor: int(r.summary.rsplit("=", 1)[1])
                     for r in result.receipts
-                    if r.kind == "demand" and r.epoch == summary.epoch - 1]
-        assert list(summary.weights.items()) == recorded
-        assert len(set(summary.weights.values())) > 1
+                    if r.kind == "demand" and r.epoch == summary.epoch - 1}
+        weights = derive(summary)
+        assert weights == recorded
+        assert len(set(weights.values())) > 1

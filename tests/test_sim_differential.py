@@ -209,8 +209,6 @@ def reference_run_scenario(sc: Scenario) -> tuple:
         # distribute block even without users, AMF only on a transaction
         if adapter.injections > injections:
             closed = EpochSummary(epoch=epoch, demands=demands[epoch - 1],
-                                  weights=(weights[epoch - 1]
-                                           if sc.variant == "WAMF" else None),
                                   capacity_start=(capacity_end
                                                   + sc.epoch_capacity),
                                   granted=grants[epoch],

@@ -6,9 +6,8 @@ from fairfaucet.cli import findings
 from fairfaucet.oracle import AllocationProblem, waterfill
 from fairfaucet.sim import (EpochSummary, RunResult, Scenario, load_scenario,
                             run_scenario)
-from fairfaucet.verify import (EXHAUSTED, MATCHED, MISMATCH, NO_DEMANDS,
-                               TOTALS_ONLY, EpochCheck, VerifyReport,
-                               verify_run)
+from fairfaucet.verify import (MATCHED, MISMATCH, NO_DEMANDS, EpochCheck,
+                               VerifyReport, verify_run)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -31,7 +30,8 @@ def test_cmf_run_verifies_cleanly():
 def test_depletion_round_is_served_in_arrival_order():
     # u1 demands 9, u2 demands 3, pool of 5: the last unit goes to the
     # earliest claimant (u1) while the oracle hands it to the smallest
-    # remaining demand (u2)
+    # remaining demand (u2); the replay of the claim rounds agrees with
+    # the run
     sc = Scenario(variant="AMF", n=2, epoch_capacity=5, epoch_span=8,
                   round_span=2, epochs=2, scripted_demands=((9, 3),))
     result = run_scenario(sc)
@@ -42,7 +42,19 @@ def test_depletion_round_is_served_in_arrival_order():
     assert oracle == {1: 2, 2: 3}
     report = verify_run(result)
     assert report.ok
-    assert report.checks == [EpochCheck(1, True, TOTALS_ONLY)]
+    assert report.checks == [EpochCheck(1, True)]
+
+
+def test_the_water_fills_answer_fails_a_depletion_round():
+    # one unit moved from user 1 to user 2 keeps every bound and gives
+    # the oracle's {1: 2, 2: 3}, but the claim rounds grant {1: 3, 2: 2}
+    result = run_scenario(load_scenario(SCENARIOS / "depletion_fcfs.json"))
+    summary = result.epoch_summaries[0]
+    summary.granted[1] -= 1
+    summary.granted[2] += 1
+    report = verify_run(result)
+    assert not report.ok
+    assert report.checks == [EpochCheck(1, False, MISMATCH, (1, 1, 2, 3))]
 
 
 def depleted_cmf_run():
@@ -118,7 +130,22 @@ def test_exhausted_rounds_are_a_finding_not_a_failure():
         "(a further round was needed)"]
     report = verify_run(result)
     assert report.ok
-    assert report.checks == [EpochCheck(1, True, EXHAUSTED)]
+    assert report.checks == [EpochCheck(1, True)]
+
+
+def test_exhausted_rounds_are_compared_user_by_user():
+    # one unit moved from user 3 to user 4 keeps every bound and leaves
+    # the same unit unspent, but the third round granted users 3 and 4
+    # one unit each
+    result = run_scenario(load_scenario(SCENARIOS / "rounds_exhausted.json"))
+    summary = result.epoch_summaries[0]
+    assert summary.incomplete
+    assert summary.granted == {1: 1, 2: 11, 3: 14, 4: 14}
+    summary.granted[3] -= 1
+    summary.granted[4] += 1
+    report = verify_run(result)
+    assert not report.ok
+    assert report.checks == [EpochCheck(1, False, MISMATCH, (1, 3, 13, 14))]
 
 
 def test_tampered_grants_fail_verification():
@@ -140,20 +167,19 @@ def test_wamf_runs_verify_against_the_weighted_oracle():
         assert report.ok, report.first_diff
 
 
-def test_changed_weight_fails_the_per_user_comparison():
-    # epoch 1 is depleted, yet its grants match the weighted oracle user
-    # by user; doubling user 3's weight moves the oracle's answer, so the
-    # epoch falls back to the totals-only check that depletion allows
-    # (both sides hand out the whole pool, so the totals still agree)
+def test_a_changed_earlier_demand_fails_a_later_depleted_epoch():
+    # verify derives epoch 2's weights from the demands of epochs 0 and
+    # 1; doubling user 3's demand of epoch 0 lowers its weight, and the
+    # replayed rounds of epoch 2, whose own demands and grants are
+    # untouched, no longer match the run
     sc = Scenario("WAMF", 3, seed=1, epochs=3, demand_lo=10, demand_hi=60)
     result = run_scenario(sc)
-    summary = result.epoch_summaries[0]
-    assert summary.epoch == 1 and summary.depleted
-    assert verify_run(result).checks[0] == EpochCheck(1, True)
-    summary.weights[3] *= 2
+    first, second = result.epoch_summaries
+    assert second.epoch == 2 and second.depleted
+    assert verify_run(result).checks[1] == EpochCheck(2, True)
+    first.demands[3] *= 2
     report = verify_run(result)
-    assert report.checks[0] == EpochCheck(
-        1, True, "depletion round served in arrival order")
+    assert report.checks[1] == EpochCheck(2, False, MISMATCH, (2, 1, 24, 28))
 
 
 def test_grant_to_a_user_without_demand_fails_verification():
@@ -181,12 +207,14 @@ def test_grant_to_a_user_without_demand_fails_verification():
 
 
 def test_a_grant_of_nothing_matches_the_oracles_zero():
-    # the grants leave out user 3, whom the oracle lists with 0, so the
-    # grants differ from the oracle's dict but match its allocation
-    summary = EpochSummary(epoch=1, demands={1: 5, 2: 5, 3: 5}, weights=None,
+    # the grants leave out user 3, whom the oracle lists with 0; the
+    # claim rounds grant one floored unit each to users 1 and 2 and
+    # nothing to user 3
+    summary = EpochSummary(epoch=1, demands={1: 5, 2: 5, 3: 5},
                            capacity_start=2, granted={1: 1, 2: 1},
                            capacity_end=0)
-    result = RunResult(scenario=None, trace=[], balances={}, reports=[],
+    result = RunResult(scenario=Scenario("AMF", 3, epoch_capacity=2),
+                       trace=[], balances={}, reports=[],
                        epoch_summaries=[summary], final_capacity=0,
                        injected=0)
     want = waterfill(AllocationProblem(demands={1: 5, 2: 5, 3: 5},
@@ -196,8 +224,7 @@ def test_a_grant_of_nothing_matches_the_oracles_zero():
     assert report.ok
     assert report.checks == [EpochCheck(1, True)]
     assert report.checks[0].note == ""
-    # one unit to user 3 is a mismatch, also under depletion: the totals
-    # no longer agree
+    # one unit to user 3 is a mismatch
     summary.granted[3] = 1
     report = verify_run(result)
     assert not report.ok
@@ -207,8 +234,7 @@ def test_a_grant_of_nothing_matches_the_oracles_zero():
 def test_ok_and_first_diff_are_read_from_the_checks():
     report = VerifyReport()
     assert report.ok and report.first_diff is None
-    report.checks += [EpochCheck(1, True, NO_DEMANDS),
-                      EpochCheck(2, True, TOTALS_ONLY)]
+    report.checks += [EpochCheck(1, True, NO_DEMANDS), EpochCheck(2, True)]
     assert report.ok and report.first_diff is None
     report.checks += [EpochCheck(3, False, MISMATCH, (3, 1, 2, 1)),
                       EpochCheck(4, False, MISMATCH, (4, 2, 0, 5))]
@@ -218,14 +244,13 @@ def test_ok_and_first_diff_are_read_from_the_checks():
 
 def test_the_check_kinds_keep_their_strings():
     # the benchmark harness counts epochs by these strings
-    assert (MATCHED, MISMATCH, TOTALS_ONLY, NO_DEMANDS, EXHAUSTED) == (
-        "", "allocation mismatch", "depletion round served in arrival order",
-        "no demands", "rounds exhausted before completion")
+    assert (MATCHED, MISMATCH, NO_DEMANDS) == (
+        "", "allocation mismatch", "no demands")
 
 
 def depleted_wamf_run():
-    # capacity 10 per user: every epoch depletes, the first matches the
-    # weighted oracle user by user and the others by totals only
+    # capacity 10 per user: every epoch depletes, so verify replays the
+    # claim rounds of each
     return run_scenario(Scenario(
         "WAMF", 20, seed=4, epochs=4, epoch_capacity=200))
 
@@ -235,14 +260,13 @@ def depletion_fcfs_run():
 
 
 def dict_items(result):
-    return [[list(d.items()) if d is not None else None
-             for d in (s.demands, s.weights, s.granted)]
+    return [[list(d.items()) for d in (s.demands, s.granted)]
             for s in result.epoch_summaries]
 
 
 @pytest.mark.parametrize("build", [depleted_wamf_run, depletion_fcfs_run])
 def test_verify_leaves_the_summaries_dicts_unchanged(build):
-    # the oracle's problem holds the summary's own dicts
+    # the oracle's problem and the replay read the summary's own dicts
     result = build()
     before = dict_items(result)
     assert verify_run(result).ok
@@ -251,9 +275,9 @@ def test_verify_leaves_the_summaries_dicts_unchanged(build):
 
 @pytest.mark.parametrize("build", [depleted_wamf_run, depletion_fcfs_run])
 def test_verify_does_not_depend_on_the_order_of_the_dicts(build):
-    # verify hands the summary's dicts to the oracle unsorted, so the
-    # insertion order of the demands and weights must not matter; the
-    # second pass adds a unit to one grant, so that the epoch fails
+    # the insertion order of the demands and grants must not matter: the
+    # replay sorts the demands by user id; the second pass adds a unit to
+    # one grant, so that the epoch fails
     for tamper in (False, True):
         result = build()
         assert all(s.depleted for s in result.epoch_summaries)
@@ -264,13 +288,12 @@ def test_verify_does_not_depend_on_the_order_of_the_dicts(build):
         assert want.ok is not tamper
         for s in result.epoch_summaries:
             s.demands = dict(reversed(s.demands.items()))
-            if s.weights is not None:
-                s.weights = dict(reversed(s.weights.items()))
+            s.granted = dict(reversed(s.granted.items()))
         got = verify_run(result)
         assert got.checks == want.checks
         assert got.first_diff == want.first_diff
 
 
-def test_the_depleted_wamf_run_compares_both_ways():
+def test_the_depleted_wamf_run_is_compared_user_by_user():
     notes = [c.note for c in verify_run(depleted_wamf_run()).checks]
-    assert notes == [MATCHED, TOTALS_ONLY, TOTALS_ONLY]
+    assert notes == [MATCHED] * 3
