@@ -43,6 +43,8 @@ MUTANTS = [
     ("cmf.py", "MinHeap.from_ascending(rest, self._meter)",
      "MinHeap.from_ascending(rest[::-1], self._meter)",
      "the remainder heap is built from rest[::-1]", "killed"),
+    ("cmf.py", "cut = share << USER_BITS", "cut = share - 1 << USER_BITS",
+     "a remainder keeps one unit too many", "killed"),
 ]
 
 

@@ -14,18 +14,25 @@ Each exit path adds its priced row of ``PATH_CHARGES`` to the meter's
 its per-grant and per-iteration rows times their counts once, after the
 drain loop.  The heap charges its own node moves and comparisons, the
 remainder heap as the inserts it replaces.  The drain pops once per
-grant through ``MinHeap.del_min``.  Every heap node, queued or a
-remainder, is a plain ``(demand, user)`` tuple and every grant row a
-plain ``(iteration, user, granted, share, capacity_after)`` tuple: the
-garbage collector untracks such a tuple of ints, never a tuple subclass,
-and unpacking one takes the exact-tuple fast path.  The drain adds each
-grant to the report's per-user allocations only; the balances take
-those totals once per user after the loop.
+grant through ``MinHeap.del_min``.  This module owns the heap's key
+format: every key, queued or a remainder, is the one int
+``demand << USER_BITS | user``, which orders as the ``(demand, user)``
+pair does, so each sift compares two ints.  Every grant row is a plain
+``(iteration, user, granted, share, capacity_after)`` tuple: the garbage
+collector untracks such a tuple of ints, never a tuple subclass.  The
+drain adds each grant to the report's per-user allocations only; the
+balances take those totals once per user after the loop.
 """
 
 from .clock import _Record
 from .costs import CostMeter
 from .heap import MinHeap
+
+# Users are 1..n and a scenario has n <= round_span <= epoch_span <=
+# sim.MAX_BLOCKS = 2 * 10**6 < 2**21, so 21 bits hold any user id a run
+# can have; a key is ``demand << USER_BITS | user``.
+USER_BITS = 21
+USER_MASK = (1 << USER_BITS) - 1
 
 
 class DistributionReport(_Record):
@@ -67,7 +74,9 @@ class CmfDistributor:
         self.balances: dict = {}
         self._meter = meter if meter is not None else CostMeter()
         self._queue = MinHeap(self._meter)
-        self._demanded: set = set()
+        # each demanding user's id, keyed by itself: the drain reads the
+        # submitted int back, so a grant row holds no decoded copy
+        self._demanded: dict = {}
 
     def register(self, user: int) -> None:
         m = self._meter
@@ -75,16 +84,20 @@ class CmfDistributor:
 
     def submit_demand(self, user: int, amount: int) -> None:
         """Queue one demand for the next distribution.  A user may demand
-        once per epoch and zero demands are rejected outright."""
+        once per epoch; zero demands and user ids outside
+        ``[0, 2**USER_BITS)`` are rejected outright."""
         if amount < 1:
             raise ValueError("empty demand")
+        if not 0 <= user <= USER_MASK:
+            raise ValueError(f"user id {user} outside [0, 2**{USER_BITS})")
+        key = amount << USER_BITS | user  # a non-int raises here, uncharged
         m = self._meter
         if user in self._demanded:
             m.units += m.paths["submit_repeat"]
             raise ValueError("already demanded")
-        self._demanded.add(user)
+        self._demanded[user] = user
         m.units += m.paths["submit_accepted"]
-        self._queue.insert((amount, user))
+        self._queue.insert(key)
 
     def distribute(self, epoch: int = 0) -> DistributionReport:
         """Run one full distribution; returns the report.  ``epoch`` only
@@ -93,11 +106,11 @@ class CmfDistributor:
         report = DistributionReport(epoch=epoch,
                                     capacity_before=self.capacity)
 
-        # The drain pops in ascending (demand, user) order; subtracting one
-        # share keeps that order and user ids are distinct, so ``rest`` is
-        # strictly ascending: the array its inserts into an empty heap would
-        # build, charged as they are.
-        heap = self._queue
+        # The drain pops keys in ascending (demand, user) order; subtracting
+        # one share's ``cut`` keeps that order and user ids are distinct, so
+        # ``rest`` is strictly ascending: the array its inserts into an
+        # empty heap would build, charged as they are.
+        heap, ids = self._queue, self._demanded
         add_row, allocations = report.rows.append, report.allocations
         c = self.capacity
         iteration = 0
@@ -106,13 +119,16 @@ class CmfDistributor:
             size = len(heap)
             share = 1 if c < size else c // size
             report.shares.append(share)
+            cut = share << USER_BITS
             del_min = heap.del_min
             rest = []
             for _ in range(size):
-                demand, user = del_min()
+                key = del_min()
+                demand = key >> USER_BITS
+                user = ids[key & USER_MASK]
                 if demand > share:
                     granted = share
-                    rest.append((demand - share, user))
+                    rest.append(key - cut)
                 else:
                     granted = demand
                 # clamped by c so the pool can never go negative

@@ -1,19 +1,18 @@
-"""Array-backed binary min-heap of (demand, user) pairs.
+"""Array-backed binary min-heap of comparable keys.
 
-This is the working set of the authority-driven distributor: nodes are
-ordered by demand with the user id as tie-break, so drain order is fully
-deterministic.  The array layout is a complete binary tree, which keeps
-every sift path logarithmic regardless of insertion order.
+This is the working set of the authority-driven distributor, which
+owns what a key means (see ``cmf``): the heap reads its keys only by
+index and by comparison, so distinct keys drain in a fully deterministic
+order.  The array layout is a complete binary tree, which keeps every
+sift path logarithmic regardless of insertion order.
 
-A node is a plain ``(demand, user)`` tuple, so it is its own sort key;
-the heap reads it only by index and by comparison.  The compares and
-moves of an operation vary with where its node lands, so they are the
-one variable amount the heap adds to its ``CostMeter``: one
-``charge(0, 0, compares, moves)`` call per operation, which prices a
+The compares and moves of an operation vary with where its key lands,
+so they are the one variable amount the heap adds to its ``CostMeter``:
+one ``charge(0, 0, compares, moves)`` call per operation, which prices a
 compare as one arith.  The simulator shares one meter across a
-transaction.  The sifts read each node once per level and count nothing
-as they go: node i sits on level ``(i + 1).bit_length() - 1``, so the
-moves follow from the index where the sifted node lands, and a
+transaction.  The sifts read each key once per level and count nothing
+as they go: key i sits on level ``(i + 1).bit_length() - 1``, so the
+moves follow from the index where the sifted key lands, and a
 sift-down's compares from that level and whether two children, one or
 none stopped it.
 """
@@ -22,7 +21,7 @@ from .costs import CostMeter
 
 
 class MinHeap:
-    """Binary min-heap keyed on (demand, user id)."""
+    """Binary min-heap of comparable keys."""
 
     def __init__(self, meter=None):
         self._nodes: list = []
@@ -30,9 +29,10 @@ class MinHeap:
 
     @classmethod
     def from_ascending(cls, nodes: list, meter=None) -> "MinHeap":
-        """The heap of strictly ascending ``nodes`` (the list is adopted),
-        charged as inserting them one by one would be: no insert climbs,
-        so each moves one node and compares once unless at the root."""
+        """The heap of strictly ascending keys ``nodes`` (the list is
+        adopted), charged as inserting them one by one would be: no insert
+        climbs, so each moves one key and compares once unless at the
+        root."""
         heap = cls(meter)
         heap._nodes = nodes
         heap._meter.charge(0, 0, max(len(nodes) - 1, 0), len(nodes))
@@ -41,10 +41,8 @@ class MinHeap:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def insert(self, node: tuple) -> None:
-        """Sift-up insert; zero demands are never stored."""
-        if node[0] < 1:
-            raise ValueError("empty demand")
+    def insert(self, node) -> None:
+        """Sift-up insert."""
         nodes = self._nodes
         nodes.append(node)
         start = k = len(nodes) - 1
@@ -63,8 +61,8 @@ class MinHeap:
         depth = (start + 1).bit_length() - (k + 1).bit_length()
         self._meter.charge(0, 0, depth + (k > 0), depth + 1)
 
-    def del_min(self) -> tuple:
-        """Pop the minimum node, restoring heap order by sift-down."""
+    def del_min(self):
+        """Pop the minimum key, restoring heap order by sift-down."""
         nodes = self._nodes
         if not nodes:
             raise IndexError("underflow")

@@ -4,10 +4,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from fairfaucet.cmf import CmfDistributor
+from fairfaucet.cmf import USER_BITS, USER_MASK, CmfDistributor
 from fairfaucet.heap import MinHeap
 from fairfaucet.oracle import AllocationProblem, waterfill
-from fairfaucet.sim import distributions_csv
+from fairfaucet.sim import (MAX_BLOCKS, Scenario, distributions_csv,
+                            run_scenario)
+from fairfaucet.verify import verify_run
+from meter_counts import counting_meter
 
 
 def distribute(demands, capacity):
@@ -77,32 +80,104 @@ def test_rejects_empty_and_duplicate_demands():
     dist.submit_demand(1, 7)
 
 
-def test_heap_nodes_are_exact_tuples(monkeypatch):
-    # A heap node must be a plain tuple, not a NamedTuple or other
-    # subclass: the garbage collector can untrack an exact tuple of ints,
-    # never a subclass instance, and unpacking ``demand, user = node``
-    # takes the exact-tuple fast path only.  A subclass here keeps every
-    # node of a job GC-tracked and slows each pop's unpack several times.
+def recorded_pops(monkeypatch):
+    """The keys every ``MinHeap.del_min`` pops from now on, in order."""
     popped = []
     del_min = MinHeap.del_min
 
     def recording_del_min(heap):
-        node = del_min(heap)
-        popped.append(node)
-        return node
+        key = del_min(heap)
+        popped.append(key)
+        return key
 
     monkeypatch.setattr(MinHeap, "del_min", recording_del_min)
+    return popped
+
+
+def decoded(keys):
+    return [(key >> USER_BITS, key & USER_MASK) for key in keys]
+
+
+def test_heap_keys_are_packed_ints(monkeypatch):
+    # A heap key is one int, demand << USER_BITS | user: a sift compares
+    # two ints, not two tuples, and an int is never GC-tracked.
+    popped = recorded_pops(monkeypatch)
     dist = CmfDistributor(30)
     for user, amount in enumerate([4, 11, 15], 1):
         dist.submit_demand(user, amount)
     queued = dist._queue._nodes
-    assert sorted(queued) == [(4, 1), (11, 2), (15, 3)]
-    assert all(type(node) is tuple for node in queued)
+    assert sorted(decoded(queued)) == [(4, 1), (11, 2), (15, 3)]
+    assert all(type(key) is int for key in queued)
     report = dist.distribute()
     # three iterations: the last two pop remainders built by the drain
     assert report.iterations == 3
-    assert popped == [(4, 1), (11, 2), (15, 3), (1, 2), (5, 3), (2, 3)]
-    assert all(type(node) is tuple for node in popped)
+    assert decoded(popped) == [(4, 1), (11, 2), (15, 3), (1, 2), (5, 3),
+                               (2, 3)]
+    assert all(type(key) is int and not gc.is_tracked(key)
+               for key in popped)
+
+
+def test_grant_rows_hold_the_submitted_user_ints():
+    # a decoded user id is a fresh int; each row keeps the one submitted,
+    # so a grant row adds no int of its own
+    users = [1000 + k for k in range(3)]  # above the small-int cache
+    dist = CmfDistributor(30)
+    for user, amount in zip(users, [4, 11, 15]):
+        dist.submit_demand(user, amount)
+    report = dist.distribute()
+    assert len(report.rows) == 6
+    assert all(any(row[1] is user for user in users) for row in report.rows)
+
+
+def test_user_bits_hold_every_user_id_a_run_can_have():
+    # users are 1..n with n <= round_span <= epoch_span <= MAX_BLOCKS
+    assert MAX_BLOCKS <= USER_MASK
+
+
+@pytest.mark.parametrize("demands", [
+    {9: 5, 2: 5, 7: 5, 4: 5, 3: 1},                      # tied demands
+    {1: 2 ** 33 + 7, 2: 3, 3: 2 ** 33 + 7, 4: 2 ** 32},   # above 2**32
+    {MAX_BLOCKS: 6, 1: 6, MAX_BLOCKS - 1: 2 ** 40, 5: 1},  # largest id
+], ids=["ties", "above 2**32", "largest user id"])
+def test_drain_order_is_sorted_demand_user_order(monkeypatch, demands):
+    popped = recorded_pops(monkeypatch)
+    dist = CmfDistributor(sum(demands.values()))
+    for user, amount in demands.items():
+        dist.submit_demand(user, amount)
+    report = dist.distribute()
+    # the first iteration pops every queued key once
+    expected = sorted((amount, user) for user, amount in demands.items())
+    assert decoded(popped[:len(demands)]) == expected
+    assert [row[1] for row in report.rows[:len(demands)]] == [
+        user for _, user in expected]
+    assert report.allocations == demands
+    assert dist.capacity == 0
+
+
+def test_scripted_demand_above_2_32_runs_and_verifies():
+    big = 2 ** 33 + 5
+    sc = Scenario("CMF", 3, epoch_capacity=big + 20, epoch_span=6,
+                  round_span=3, epochs=2, scripted_demands=((big, 9, 9),))
+    result = run_scenario(sc)
+    report = result.reports[0]
+    assert [row[1] for row in report.rows if row[0] == 1] == [2, 3, 1]
+    assert report.allocations == {1: big, 2: 9, 3: 9}
+    assert verify_run(result).ok and result.conservation_ok()
+
+
+@pytest.mark.parametrize("user, amount, error", [
+    (-1, 5, ValueError), (1 << USER_BITS, 5, ValueError),
+    ((1 << USER_BITS) + 1, 5, ValueError),
+    (1.0, 5, TypeError), (1, 5.0, TypeError),     # no int key to queue
+])
+def test_bad_demand_is_rejected_without_a_charge(user, amount, error):
+    meter = counting_meter()
+    dist = CmfDistributor(30, meter)
+    with pytest.raises(error):
+        dist.submit_demand(user, amount)
+    assert meter.units == 0
+    assert len(dist._queue) == 0
+    assert dist._demanded == {}
 
 
 def test_grant_rows_are_exact_tuples_the_collector_untracks():

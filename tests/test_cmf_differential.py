@@ -4,10 +4,13 @@ predecessor.
 ``ReferenceCmf.distribute`` is the distribute loop as it was before the
 remainders of an iteration became the next heap in one step: it inserts
 every remainder into the other heap on its own, the demand heap being
-its heap 0.  Both must agree on the report, the balances, the carried
-capacity and every meter charge.  ``GrantRow`` is the row record the
-distributor built before its rows became plain tuples, verbatim; a plain
-tuple compares equal to the record with the same fields.
+its heap 0.  ``ReferenceCmf.submit_demand`` queues the ``(demand, user)``
+tuple the distributor queued before its keys became one packed int, so
+the comparison also pits the packed-key drain against a tuple-key one.
+Both must agree on the report, the balances, the carried capacity and
+every meter charge.  ``GrantRow`` is the row record the distributor built
+before its rows became plain tuples, verbatim; a plain tuple compares
+equal to the record with the same fields.
 """
 
 import random
@@ -29,6 +32,23 @@ class GrantRow(NamedTuple):
 
 
 class ReferenceCmf(CmfDistributor):
+
+    def __init__(self, epoch_capacity: int, meter=None):
+        super().__init__(epoch_capacity, meter)
+        self._demanded = set()  # the set its submit_demand adds to
+
+    def submit_demand(self, user: int, amount: int) -> None:
+        """Queue one demand for the next distribution.  A user may demand
+        once per epoch and zero demands are rejected outright."""
+        if amount < 1:
+            raise ValueError("empty demand")
+        m = self._meter
+        if user in self._demanded:
+            m.units += m.paths["submit_repeat"]
+            raise ValueError("already demanded")
+        self._demanded.add(user)
+        m.units += m.paths["submit_accepted"]
+        self._queue.insert((amount, user))
 
     def distribute(self, epoch: int = 0) -> DistributionReport:
         self.capacity += self.epoch_capacity

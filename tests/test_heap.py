@@ -35,13 +35,6 @@ def test_mixed_inserts():
     assert h._nodes[0][0] == 1
 
 
-def test_zero_demand_rejected():
-    h = MinHeap()
-    with pytest.raises(ValueError, match="empty demand"):
-        h.insert((0, 1))
-    assert len(h) == 0
-
-
 def test_del_min_order_and_underflow():
     h = MinHeap()
     for demand, user in ((4, 1), (11, 2), (15, 3)):

@@ -20,9 +20,7 @@ from fairfaucet.heap import MinHeap
 class ReferenceHeap(MinHeap):
 
     def insert(self, node: tuple) -> None:
-        """Sift-up insert; zero demands are never stored."""
-        if node[0] < 1:
-            raise ValueError("empty demand")
+        """Sift-up insert."""
         nodes = self._nodes
         nodes.append(node)
         k = len(nodes) - 1
@@ -183,13 +181,3 @@ def test_refilled_ascending_heaps_with_duplicate_keys():
             else:
                 pair.insert((rng.randrange(1, size + 1), 0))
         pair.drain()
-
-
-def test_zero_demand_is_rejected_without_a_charge():
-    pair = Pair()
-    for heap in pair.heaps:
-        with pytest.raises(ValueError, match="empty demand"):
-            heap.insert((0, 1))
-    pair.check()
-    # the only charge is the empty heap's adoption
-    assert pair.meters[0].calls == [(0, 0, 0, 0)]

@@ -46,4 +46,5 @@ def test_the_marks_are_pinned():
         "a satisfied user's weight stays in the total": "killed",
         "a floored share is 2, not 1": "killed",
         "the remainder heap is built from rest[::-1]": "killed",
+        "a remainder keeps one unit too many": "killed",
     }
