@@ -143,12 +143,19 @@ def cost_report(receipts) -> CostSummary:
     cost per action kind and, for claims, per round.  Empty input yields an
     empty summary."""
     summary = CostSummary()
+    by_action, by_round = summary.by_action, summary.claim_by_round
     for r in receipts:
-        st = summary.by_action.setdefault(r.kind, ActionStats())
+        kind = r.kind
+        # a stats object only for a key not seen before, not per record
+        st = by_action.get(kind)
+        if st is None:
+            st = by_action[kind] = ActionStats()
         st.count += 1
         st.total += r.cost
-        if r.kind == "claim":
-            rst = summary.claim_by_round.setdefault(r.round, ActionStats())
+        if kind == "claim":
+            rst = by_round.get(r.round)
+            if rst is None:
+                rst = by_round[r.round] = ActionStats()
             rst.count += 1
             rst.total += r.cost
         if r.over_budget:

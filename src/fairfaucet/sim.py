@@ -14,12 +14,12 @@ replays the canonical block schedule, which all three variants share:
              round.
 
 ``run_scenario`` walks that schedule one round at a time: the geometry
-fixes each round's one kind of transaction and how many of its first
-blocks run it; a small adapter per design (autonomous for AMF/WAMF,
-central for CMF) hands back the round's block step that runs those, and
-the rest of the round is idle.  Every block is recorded as one
-``TraceRow``, which also carries the receipt's summary; ``trace.csv`` and
-``receipts.csv`` are two renderings of the same records.  An idle block
+fixes each round's one kind of transaction, and a small adapter per
+design (autonomous for AMF/WAMF, central for CMF) runs it in the round's
+first blocks, in one loop that also records each of them; the rest of
+the round is idle.  Every block is recorded as one ``TraceRow``, which
+also carries the receipt's summary; ``trace.csv`` and ``receipts.csv``
+are two renderings of the same records.  An idle block
 is a no-op that costs ``tx_base`` and leaves the pool as it was.  Equal
 summaries and equal costs within a run are one shared object each.
 Identical scenarios produce bit-identical records.
@@ -77,9 +77,9 @@ def _require_int(name, value):
 # The most blocks a run may ask for; it admits WAMF at n = 10**5 (1.6 *
 # 10**6 blocks).  A run keeps a record of about 230 B per block until it
 # returns, plus a CSV's text while it renders: WAMF at n = 20000 (320,000
-# blocks) keeps 74 MB, peaks at 128 MB and takes 1.7 s to run, verify and
-# render, so the limit costs about 460 MB of records and 11 s.  Revisit
-# it once records stream.
+# blocks) keeps 74 MB, peaks at 126 MB and takes 1.65 s to run, verify and
+# render (the README's Performance table), so the limit costs about 460 MB
+# of records and 10 s.  Revisit it once records stream.
 MAX_BLOCKS = 2_000_000
 
 
@@ -322,14 +322,16 @@ def _demand_plan(sc: Scenario):
     return plan
 
 
-# A variant adapter runs transactions on its state machine (``pool``,
-# which has a ``capacity``).  Each round method takes the round's context
-# and returns the block step: a plain closure, one inlined call per block,
-# that returns (actor, action, amount, share, summary).  ``base`` is the
-# block before the round's first, so user ``block - base`` acts.  The
-# adapter records accepted demands and grants in the per-epoch dicts and
-# counts the pool's top-ups.  Equal summaries come from per-run tables
-# keyed by their values: each text is formatted once and is one object.
+# A variant adapter runs a scenario's transactions on its state machine
+# (``pool``, which has a ``capacity``) and records them.  Each round
+# method runs the round's busy blocks in one loop and returns how many it
+# ran: per block, one contract call, one ``total`` for the transaction's
+# cost, and one ``TraceRow`` appended with ``add_row``.  ``base`` is the
+# block before the round's first, so user u acts in block base + u, and
+# ``at`` is the round's (epoch, round) position.  The adapter records
+# accepted demands and grants in the per-epoch dicts and counts the
+# pool's top-ups.  Equal summaries and equal costs come from per-run
+# tables keyed by their values: each is made once and is one object.
 
 class _Table(dict):
     """Value per key, made by ``make(key)`` the first time the key is
@@ -346,20 +348,45 @@ class _Table(dict):
         return value
 
 
-class _Autonomous:
+# tuple.__new__ builds a record at half its NamedTuple constructor's cost
+_new = tuple.__new__
+
+
+class _Adapter:
+    """The per-run state the round loops share: the trace and its one
+    append, the meter, the block budget, the cost of a transaction by its
+    metered units (``tx_base`` plus them), and what the run demanded,
+    granted and reported."""
+
+    def __init__(self, sc):
+        model = sc.cost_model
+        self.n = sc.n
+        self.meter = CostMeter(model)
+        self.tx_base = model.tx_base
+        self.budget = model.block_budget
+        self.costs = _Table(self.tx_base.__add__)
+        # a no-op adds no units and costs tx_base itself, as idle rows do
+        self.costs[0] = self.tx_base
+        self.trace = []
+        self.add_row = self.trace.append
+        # epoch -> user -> amount
+        self.demands = [{} for _ in range(sc.epochs)]
+        self.grants = [{} for _ in range(sc.epochs)]
+        self.reports = []
+
+
+class _Autonomous(_Adapter):
     """AMF/WAMF over ``AutonomousFaucet``: users claim their share
     themselves in every round of an epoch but the last."""
 
     central = False
 
-    def __init__(self, sc, meter, demands, grants):
+    def __init__(self, sc):
+        super().__init__(sc)
         # only WAMF weighs demands; AMF's weights are all 1
         precision = sc.precision if sc.variant == "WAMF" else None
         self.pool = AutonomousFaucet(sc.clock, sc.epoch_capacity, precision,
-                                     meter)
-        # ``claim`` is handed its epoch's grants dict once per round
-        self.demands = demands
-        self.reports = []
+                                     self.meter)
         self.rejected = _Table("rejected: %s".__mod__)
         self.accepted = {}  # weight -> amount -> text
         self.granted = _Table("granted=%d".__mod__)
@@ -373,66 +400,87 @@ class _Autonomous:
     def balances(self) -> dict:
         return self.pool.final_balances()
 
-    def register(self, base):
-        def step(block):
-            uid = self.pool.register()
-            return uid, "register", 0, 0, f"user={uid}"
-        return step
+    def register(self, base, at):
+        at_epoch, at_round = at
+        pool, register = self.pool, self.pool.register
+        priced, costs, budget, add_row = (self.meter.total, self.costs,
+                                          self.budget, self.add_row)
+        for user in range(1, self.n + 1):
+            uid = register()
+            cost = costs[priced()]
+            add_row(_new(TraceRow, (base + user, at_epoch, at_round, uid,
+                                    "register", 0, 0, pool.capacity, cost,
+                                    cost > budget, f"user={uid}")))
+        return self.n
 
-    def demand(self, epoch, amounts, base):
-        demand, demands = self.pool.demand, self.demands[epoch]
-        accepted = self.accepted
-
-        def step(block):
-            user = block - base
+    def demand(self, epoch, amounts, base, at):
+        at_epoch, at_round = at
+        pool, demand = self.pool, self.pool.demand
+        demands, accepted = self.demands[epoch], self.accepted
+        priced, costs, budget, add_row = (self.meter.total, self.costs,
+                                          self.budget, self.add_row)
+        for user in range(1, self.n + 1):
+            block = base + user
             amount = amounts[user - 1]
             if amount is None:
-                return self.noop()
-            ok, reason, weight = demand(user, amount, block)
-            if not ok:
-                return user, "demand", 0, 0, self.rejected[reason]
-            demands[user] = amount
-            # plain nested dicts: a tuple key per text or a table object per
-            # weight would add GC-tracked objects that live as long as the run
-            texts = accepted.get(weight)
-            if texts is None:
-                texts = accepted[weight] = {}
-            summary = texts.get(amount)
-            if summary is None:
-                summary = texts[amount] = f"amount={amount} weight={weight}"
-            return user, "demand", amount, 0, summary
-        return step
+                actor, action, amount, share, summary = self.noop()
+            else:
+                actor, action, share = user, "demand", 0
+                ok, reason, weight = demand(user, amount, block)
+                if ok:
+                    demands[user] = amount
+                    # plain nested dicts: a tuple key per text or a table
+                    # object per weight would add GC-tracked objects that
+                    # live as long as the run
+                    texts = accepted.get(weight)
+                    if texts is None:
+                        texts = accepted[weight] = {}
+                    summary = texts.get(amount)
+                    if summary is None:
+                        summary = texts[amount] = (f"amount={amount} "
+                                                   f"weight={weight}")
+                else:
+                    amount, summary = 0, self.rejected[reason]
+            cost = costs[priced()]
+            add_row(_new(TraceRow, (block, at_epoch, at_round, actor, action,
+                                    amount, share, pool.capacity, cost,
+                                    cost > budget, summary)))
+        return self.n
 
-    def claim(self, grants, base):
-        claim, no_op = self.pool.claim, self.no_op
-        granted_text, floored_text = self.granted, self.floored
-
-        def step(block):
-            user = block - base
+    def claim(self, epoch, base, at):
+        at_epoch, at_round = at
+        pool, claim, grants = self.pool, self.pool.claim, self.grants[epoch]
+        granted_text, floored_text, no_op = (self.granted, self.floored,
+                                             self.no_op)
+        priced, costs, budget, add_row = (self.meter.total, self.costs,
+                                          self.budget, self.add_row)
+        for user in range(1, self.n + 1):
+            block = base + user
             granted, reason, share, floored, _ = claim(user, block)
             if granted:
                 grants[user] = grants.get(user, 0) + granted
                 summary = (floored_text if floored else granted_text)[granted]
             else:
                 summary = no_op[reason]
-            return user, "claim", granted, share, summary
-        return step
+            cost = costs[priced()]
+            add_row(_new(TraceRow, (block, at_epoch, at_round, user, "claim",
+                                    granted, share, pool.capacity, cost,
+                                    cost > budget, summary)))
+        return self.n
 
     def noop(self):
         return AUTHORITY, "noop", 0, self.pool.unit_share, ""
 
 
-class _Central:
+class _Central(_Adapter):
     """CMF over ``CmfDistributor``: the authority distributes in the first
     block of every epoch after the first; users never claim."""
 
     central = True
 
-    def __init__(self, sc, meter, demands, grants):
-        self.pool = CmfDistributor(sc.epoch_capacity, meter)
-        self.n = sc.n
-        self.demands, self.grants = demands, grants
-        self.reports = []
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.pool = CmfDistributor(sc.epoch_capacity, self.meter)
         self.accepted = _Table("amount=%d".__mod__)
         self.distributed = _Table("granted=%d iterations=%d".__mod__)
 
@@ -443,36 +491,51 @@ class _Central:
     def balances(self) -> dict:
         return {u: self.pool.balances.get(u, 0) for u in range(1, self.n + 1)}
 
-    def register(self, base):
-        def step(block):
-            user = block - base
-            self.pool.register(user)
-            return user, "register", 0, 0, f"user={user}"
-        return step
+    def register(self, base, at):
+        at_epoch, at_round = at
+        pool, register = self.pool, self.pool.register
+        priced, costs, budget, add_row = (self.meter.total, self.costs,
+                                          self.budget, self.add_row)
+        for user in range(1, self.n + 1):
+            register(user)
+            cost = costs[priced()]
+            add_row(_new(TraceRow, (base + user, at_epoch, at_round, user,
+                                    "register", 0, 0, pool.capacity, cost,
+                                    cost > budget, f"user={user}")))
+        return self.n
 
-    def demand(self, epoch, amounts, base):
-        submit, demands = self.pool.submit_demand, self.demands[epoch]
-        accepted = self.accepted
-
-        def step(block):
-            user = block - base
+    def demand(self, epoch, amounts, base, at):
+        at_epoch, at_round = at
+        pool, submit = self.pool, self.pool.submit_demand
+        demands, accepted = self.demands[epoch], self.accepted
+        priced, costs, budget, add_row = (self.meter.total, self.costs,
+                                          self.budget, self.add_row)
+        for user in range(1, self.n + 1):
             amount = amounts[user - 1]
             if amount is None:
-                return self.noop()
-            submit(user, amount)
-            demands[user] = amount
-            return user, "demand", amount, 0, accepted[amount]
-        return step
+                actor, action, amount, share, summary = self.noop()
+            else:
+                submit(user, amount)
+                demands[user] = amount
+                actor, action, share, summary = (user, "demand", 0,
+                                                 accepted[amount])
+            cost = costs[priced()]
+            add_row(_new(TraceRow, (base + user, at_epoch, at_round, actor,
+                                    action, amount, share, pool.capacity,
+                                    cost, cost > budget, summary)))
+        return self.n
 
-    def distribute(self, epoch):
-        def step(block):
-            report = self.pool.distribute(epoch=epoch)
-            self.reports.append(report)
-            self.grants[epoch] = report.allocations  # uncopied
-            total = report.total_granted()
-            return (AUTHORITY, "distribute", total, 0,
-                    self.distributed[total, report.iterations])
-        return step
+    def distribute(self, epoch, base, at):
+        report = self.pool.distribute(epoch=epoch)
+        self.reports.append(report)
+        self.grants[epoch] = report.allocations  # uncopied
+        total = report.total_granted()
+        cost = self.costs[self.meter.total()]
+        self.add_row(_new(TraceRow, (
+            base + 1, *at, AUTHORITY, "distribute", total, 0,
+            self.pool.capacity, cost, cost > self.budget,
+            self.distributed[total, report.iterations])))
+        return 1
 
     def noop(self):
         return AUTHORITY, "noop", 0, 0, ""
@@ -483,62 +546,43 @@ def run_scenario(sc: Scenario) -> RunResult:
     the final balances and per-epoch summaries suitable for oracle
     verification."""
     clock = sc.clock
-    model = sc.cost_model
-    budget = model.block_budget
-    tx_base = model.tx_base
-    meter = CostMeter(model)
-    priced = meter.total
-    # one int object per distinct cost; idle blocks cost tx_base itself
-    shared_cost = {tx_base: tx_base}.setdefault
-    demands = [{} for _ in range(sc.epochs)]  # epoch -> user -> amount
-    grants = [{} for _ in range(sc.epochs)]
-    variant = _Central if sc.variant == "CMF" else _Autonomous
-    adapter = variant(sc, meter, demands, grants)
+    adapter = (_Central if sc.variant == "CMF" else _Autonomous)(sc)
     pool = adapter.pool
     central = adapter.central
+    demands, grants = adapter.demands, adapter.grants
     plan = _demand_plan(sc)
-    n = sc.n
     rounds = clock.rounds_per_epoch
-    trace = []
-    add_row = trace.append
-    # tuple.__new__ builds a record at half its NamedTuple constructor's cost
-    new = tuple.__new__
+    tx_base = adapter.tx_base
     summaries = []
     injections = capacity_end = 0
 
     for epoch in range(sc.epochs):
         for rnd in range(rounds):
             round_start = epoch * sc.epoch_span + rnd * sc.round_span
-            pos_epoch, pos_round = locate(clock, round_start)
+            at = locate(clock, round_start)
+            pos_epoch, pos_round = at
             base = round_start - 1
             # the round's transaction runs in its first ``busy`` blocks
             if epoch == 0 and rnd == 0:
-                step, busy = adapter.register(base), n
+                busy = adapter.register(base, at)
             elif rnd == rounds - 1:
-                step, busy = adapter.demand(epoch, plan[epoch], base), n
+                busy = adapter.demand(epoch, plan[epoch], base, at)
             elif epoch == 0 or (central and rnd > 0):
-                step, busy = None, 0
+                busy = 0
             elif central:
-                step, busy = adapter.distribute(epoch), 1
+                busy = adapter.distribute(epoch, base, at)
             else:
-                step, busy = adapter.claim(grants[epoch], base), n
-            for block in range(round_start, round_start + busy):
-                actor, action, amount, share, summary = step(block)
-                cost = priced() + tx_base
-                cost = shared_cost(cost, cost)
-                over = cost > budget
-                add_row(new(TraceRow, (block, pos_epoch, pos_round, actor,
-                                       action, amount, share, pool.capacity,
-                                       cost, over, summary)))
+                busy = adapter.claim(epoch, base, at)
             # the idle rest of the round leaves the pool as it was; the
             # model keeps tx_base below the block budget
             idle = range(round_start + busy, round_start + sc.round_span)
             actor, action, amount, share, summary = adapter.noop()
             capacity = pool.capacity
-            trace.extend([new(TraceRow, (b, pos_epoch, pos_round, actor,
-                                         action, amount, share, capacity,
-                                         tx_base, False, summary))
-                          for b in idle])
+            adapter.trace.extend([_new(TraceRow, (b, pos_epoch, pos_round,
+                                                  actor, action, amount, share,
+                                                  capacity, tx_base, False,
+                                                  summary))
+                                  for b in idle])
         # an epoch with a top-up is a claim epoch: CMF tops up in its
         # distribute block even without users, AMF only on a transaction
         if adapter.injections > injections:
@@ -549,9 +593,9 @@ def run_scenario(sc: Scenario) -> RunResult:
         injections = adapter.injections
         capacity_end = pool.capacity
 
-    return RunResult(scenario=sc, trace=trace, balances=adapter.balances(),
-                     reports=adapter.reports, epoch_summaries=summaries,
-                     final_capacity=pool.capacity,
+    return RunResult(scenario=sc, trace=adapter.trace,
+                     balances=adapter.balances(), reports=adapter.reports,
+                     epoch_summaries=summaries, final_capacity=pool.capacity,
                      injected=injections * sc.epoch_capacity)
 
 

@@ -21,7 +21,9 @@ Each epoch's verdict is one ``EpochCheck``, whose ``note`` names its
 kind; the report's ``ok`` and ``first_diff`` derive from them.
 """
 
+from bisect import bisect_right
 from collections import Counter
+from operator import attrgetter
 
 from .clock import _Record
 from .oracle import AllocationProblem, waterfill
@@ -73,17 +75,28 @@ def verify_run(result: RunResult) -> VerifyReport:
 
 
 def _weights(result: RunResult):
-    """WAMF's weights of a summary's users: precision // demands summed
-    over the run's summaries so far.  Asked in run order, sums each once."""
-    cumulative, ahead = Counter(), iter(result.epoch_summaries)
+    """WAMF's weights of a summary's users: precision // their demands
+    summed over the run's summaries up to and including that one, in
+    whatever order and however often the summaries are asked for.  The
+    sums only move forward, adding each summary's demands once; a
+    summary they have passed takes the later demands back out of a copy."""
+    summaries = result.epoch_summaries
+    cumulative, folded = Counter(), 0  # the demands of summaries[:folded]
 
     def weights(summary) -> dict:
-        for s in ahead:
+        nonlocal folded
+        # summaries run in ascending epoch order
+        upto = bisect_right(summaries, summary.epoch, key=attrgetter("epoch"))
+        for s in summaries[folded:upto]:
             cumulative.update(s.demands)
-            if s is summary:
-                break
-        return {u: result.scenario.precision // cumulative[u]
-                for u in summary.demands}
+        folded = max(folded, upto)
+        total = cumulative
+        if upto < folded:
+            total = cumulative.copy()
+            for s in summaries[upto:folded]:
+                total.subtract(s.demands)
+        precision = result.scenario.precision
+        return {u: precision // total[u] for u in summary.demands}
     return weights
 
 

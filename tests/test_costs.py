@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from fairfaucet import costs
 from fairfaucet.costs import (PATH_CHARGES, ActionStats, CostMeter, CostModel,
                              cost_report)
 from fairfaucet.sim import Scenario, TraceRow, load_scenario, run_scenario
@@ -76,6 +77,36 @@ def test_report_aggregates_by_action_and_round():
     assert summary.by_action["demand"].total == 70
     assert summary.over_budget == 1
     assert "over-budget transactions: 1" in summary.render()
+
+
+def test_report_builds_one_stats_object_per_key(monkeypatch):
+    # the summary of a run is its records summed per kind and claim round;
+    # a stats object is built the first time its key is seen, not per record
+    receipts = run_scenario(Scenario("AMF", 12, seed=4, epochs=3)).receipts
+    by_action, by_round = {}, {}
+    for r in receipts:
+        count, total = by_action.get(r.kind, (0, 0))
+        by_action[r.kind] = (count + 1, total + r.cost)
+        if r.kind == "claim":
+            count, total = by_round.get(r.round, (0, 0))
+            by_round[r.round] = (count + 1, total + r.cost)
+    built = []
+
+    class Counted(ActionStats):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(costs, "ActionStats", Counted)
+    summary = cost_report(receipts)
+    assert {k: (s.count, s.total)
+            for k, s in summary.by_action.items()} == by_action
+    assert {k: (s.count, s.total)
+            for k, s in summary.claim_by_round.items()} == by_round
+    assert summary.over_budget == sum(r.over_budget for r in receipts)
+    assert len(built) == len(by_action) + len(by_round) < len(receipts)
 
 
 def test_empty_receipts_make_an_empty_summary():

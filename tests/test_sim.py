@@ -414,3 +414,19 @@ def test_the_referees_weights_are_the_demand_receipts():
         weights = derive(summary)
         assert weights == recorded
         assert len(set(weights.values())) > 1
+
+
+def test_the_referees_weights_do_not_depend_on_the_order_asked():
+    # a summary asked for twice, or after a later one, gets the weights of
+    # the demands up to its own epoch, as the demand receipts record them
+    result = run_scenario(Scenario("WAMF", 50, epoch_capacity=600, seed=3))
+    summaries = result.epoch_summaries
+    recorded = [{r.actor: int(r.summary.rsplit("=", 1)[1])
+                 for r in result.receipts
+                 if r.kind == "demand" and r.epoch == s.epoch - 1}
+                for s in summaries]
+    assert len(summaries) == 3
+    for order in ([0, 0], [1, 0], [2, 0, 1, 1, 2, 0]):
+        derive = _weights(result)
+        for i in order:
+            assert derive(summaries[i]) == recorded[i], (order, i)
