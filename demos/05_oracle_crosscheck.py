@@ -1,5 +1,5 @@
-"""The independent referee: water-filling, the fairness checker, and an
-exhaustive-search validation on tiny instances.
+"""The independent referee: water-filling, unweighted and weighted, and
+a random cross-check against the heap-based distributor.
 
 The oracle shares no code with the production distributor (sorted lists,
 no heap), which is what makes their agreement on random instances a real
@@ -8,24 +8,17 @@ cross-check rather than an echo.
 
 import random
 
-from fairfaucet import (AllocationProblem, CmfDistributor, is_maxmin_fair,
-                        leximin_brute_force, sorted_levels, waterfill)
+from fairfaucet import AllocationProblem, CmfDistributor, waterfill
 
 p = AllocationProblem(demands={1: 4, 2: 11, 3: 15}, capacity=30)
 print("demands (4, 11, 15), capacity 30 ->", waterfill(p))
 
 scarce = AllocationProblem(demands={1: 10, 2: 10}, capacity=10)
 print("\nequal demands, half the capacity ->", waterfill(scarce))
-ok, witness = is_maxmin_fair(scarce, {1: 9, 2: 1})
-print("is (9, 1) fair?", ok, "- witness: unit should move from user "
-      f"{witness[1]} to user {witness[0]}")
 
 weighted = AllocationProblem(demands={1: 10, 2: 10}, capacity=12,
                              weights={1: 2, 2: 1})
-alloc = waterfill(weighted)
-best_vec, best_alloc = leximin_brute_force(weighted)
-print("\nweights (2, 1), capacity 12 ->", alloc)
-print("exhaustive search agrees:", sorted_levels(weighted, alloc) == best_vec)
+print("\nweights (2, 1), capacity 12 ->", waterfill(weighted))
 
 print("\nrandom cross-check against the heap-based distributor:")
 rng = random.Random(2)

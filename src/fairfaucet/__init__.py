@@ -8,8 +8,7 @@ from .clock import ClockParams
 from .cmf import CmfDistributor
 from .costs import cost_report
 from .faucet import AutonomousFaucet
-from .oracle import (AllocationProblem, is_maxmin_fair, leximin_brute_force,
-                     sorted_levels, waterfill)
+from .oracle import AllocationProblem, waterfill
 from .sim import Scenario, run_scenario, scenario_from_dict
 from .verify import verify_run
 
@@ -17,7 +16,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocationProblem", "AutonomousFaucet", "ClockParams", "CmfDistributor",
-    "Scenario", "cost_report", "is_maxmin_fair", "leximin_brute_force",
-    "run_scenario", "scenario_from_dict", "sorted_levels", "verify_run",
-    "waterfill",
+    "Scenario", "cost_report", "run_scenario", "scenario_from_dict",
+    "verify_run", "waterfill",
 ]

@@ -9,35 +9,21 @@ K = W ** 2 for the largest weight W.  Two distinct levels with
 denominators at most W differ by at least 1 / W ** 2, so their keys
 differ by at least one and the floors keep both the exact order and
 the exact ties.  ``waterfill`` raises all unsatisfied demands in
-passes until the capacity runs dry; ``is_maxmin_fair`` checks the result
-locally (no single unit can be moved to improve the worst-off user); and
-``leximin_brute_force`` enumerates every feasible integer allocation for
-tiny instances to validate the other two.
+passes until the capacity runs dry.
 
 Cost in the number of users n (a problem holds user -> demand and
-user -> weight dicts, so a weight lookup is O(1)):
-
-* ``waterfill``: O(n) when the capacity covers the total demand, which
-  is then granted in full.  Otherwise, weighted: O(n log n) -- one sort
-  for the continuous level, one sort of the needy users for the sub-unit
-  remainder.  Unweighted: O(n log n), one sort by (demand, id) and its
-  prefix sums, then O(log n) per pass, one bisection for the users the
-  pass satisfies.  A pass that does not end the fill satisfies at least
-  one user, so there are at most n + 1 passes, O(n log n) in all.
-* ``is_maxmin_fair``: O(n), one pass.  It compares the lowest recipient
-  level (a_u + 1) / w_u over unsatisfied users u with the highest donor
-  level (a_v - 1) / w_v over users v holding a unit; the witness is that
-  pair, ties going to the lowest id on each side.
-* ``sorted_levels``: O(n log n).
-* ``leximin_brute_force``: exponential by design; tiny instances only.
-
-``sorted_levels`` and ``leximin_brute_force`` return level vectors of
-``fractions.Fraction``, imported where they run, so that importing the
-package does not load ``fractions``.
+user -> weight dicts, so a weight lookup is O(1)): O(n) when the
+capacity covers the total demand, which is then granted in full.
+Otherwise, weighted (``_weighted_waterfill``): O(n log n) -- one sort
+for the continuous level, one sort of the needy users for the sub-unit
+remainder.  Unweighted: O(n log n), one sort by (demand, id) and its
+prefix sums, then O(log n) per pass, one bisection for the users the
+pass satisfies.  A pass that does not end the fill satisfies at least
+one user, so there are at most n + 1 passes, O(n log n) in all.
 """
 
 from bisect import bisect_right
-from itertools import accumulate, product
+from itertools import accumulate
 
 from .clock import _Record
 
@@ -69,11 +55,6 @@ class AllocationProblem(_Record):
                 raise ValueError("weights must be integers")
             if min(weights.values(), default=1) < 1:
                 raise ValueError("weights must be positive")
-
-    def weight_of(self, user: int) -> int:
-        """The user's weight (1 when unweighted); KeyError for a user
-        without a demand in a weighted problem."""
-        return 1 if self.weights is None else self.weights[user]
 
 
 def waterfill(problem: AllocationProblem) -> dict:
@@ -159,81 +140,3 @@ def _weighted_waterfill(problem: AllocationProblem) -> dict:
     for u in needy[:leftover]:
         alloc[u] += 1
     return alloc
-
-
-def is_maxmin_fair(problem: AllocationProblem, alloc: dict):
-    """Check an allocation against the max-min criterion.
-
-    Returns (True, None) when no single unit can be moved -- either from
-    leftover capacity or from a better-off user v -- to an unsatisfied
-    user u without leaving the donor below u's new level.  On failure
-    returns (False, (u, v)) with v None for the leftover-capacity case.
-    Levels are weight-normalized (compared exactly, in integers) when the
-    problem carries weights.  The check is one pass: the lowest recipient
-    level against the highest donor level, and the witness is that pair
-    (ties to the lowest id on each side).  Infeasible allocations raise
-    ValueError.
-    """
-    demands = problem.demands
-    for u, a in alloc.items():
-        if u not in demands:
-            raise ValueError(f"allocation for unknown user {u}")
-        if a < 0:
-            raise ValueError(f"negative allocation for user {u}")
-        if a > demands[u]:
-            raise ValueError(f"allocation exceeds demand for user {u}")
-    total = sum(alloc.values())
-    if total > problem.capacity:
-        raise ValueError("allocation exceeds capacity")
-
-    unsatisfied = [u for u in demands if alloc.get(u, 0) < demands[u]]
-    if problem.capacity - total >= 1 and unsatisfied:
-        return False, (min(unsatisfied), None)
-    # lowest recipient level (a_u + 1) / w_u against highest donor level
-    # (a_v - 1) / w_v, ties to the lowest id; the same user cannot be
-    # both, since (a - 1) / w < (a + 1) / w
-    donors = [v for v in demands if alloc.get(v, 0) >= 1]
-    if not unsatisfied or not donors:
-        return True, None
-    weight_of = problem.weight_of
-    k = max(problem.weights.values()) ** 2 if problem.weights else 1
-    u = min(unsatisfied,
-            key=lambda x: ((alloc.get(x, 0) + 1) * k // weight_of(x), x))
-    v = min(donors, key=lambda x: (-((alloc[x] - 1) * k // weight_of(x)), x))
-    if (alloc[v] - 1) * weight_of(u) >= (alloc.get(u, 0) + 1) * weight_of(v):
-        return False, (u, v)
-    return True, None
-
-
-def leximin_brute_force(problem: AllocationProblem):
-    """Exhaustively find the best sorted (normalized) allocation vector.
-
-    Enumerates every feasible integer allocation (intended for n <= 4 and
-    small capacities) and returns (best_vector, one optimal allocation),
-    where vectors are compared lexicographically after sorting ascending.
-    Levels are Fractions alloc/weight in the weighted case.
-    """
-    from fractions import Fraction
-    users = list(problem.demands)
-    weights = [problem.weight_of(u) for u in users]
-    caps = [min(a, problem.capacity) for a in problem.demands.values()]
-    best_vec = None
-    best_alloc = None
-    for combo in product(*(range(cap + 1) for cap in caps)):
-        if sum(combo) > problem.capacity:
-            continue
-        vec = tuple(sorted(
-            Fraction(amount, w) for amount, w in zip(combo, weights)))
-        if best_vec is None or vec > best_vec:
-            best_vec = vec
-            best_alloc = dict(zip(users, combo))
-    return best_vec, best_alloc
-
-
-def sorted_levels(problem: AllocationProblem, alloc: dict):
-    """Sorted normalized level vector of an allocation, for comparisons
-    against ``leximin_brute_force``."""
-    from fractions import Fraction
-    return tuple(sorted(
-        Fraction(alloc.get(u, 0), problem.weight_of(u))
-        for u in problem.demands))

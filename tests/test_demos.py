@@ -8,8 +8,10 @@ digest may be re-recorded only by a change that means to alter what a
 demo prints.
 
 The README's Library block runs too: its import line names the package's
-public API, which nothing else imports in one statement."""
+whole public API, ``fairfaucet.__all__``, which nothing else imports in
+one statement."""
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -17,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import fairfaucet
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,7 +34,7 @@ DIGESTS = {
     "04_cost_scaling.py":
         "6bec33cb3a7e93e72fd53f861c5a07c47e3f2f4413216b286bd1a751f8ed8f9f",
     "05_oracle_crosscheck.py":
-        "b794294dde1dc9df05e4bf24195328873ff1062cf1d6a537ad6313e46c829b8e",
+        "ae91eb40aea5eb4ac48b9fe3654865bbdc1516993b11ba04777a31fa5791cefd",
 }
 
 
@@ -53,5 +57,9 @@ def test_readme_library_block_runs():
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
     namespace = {}
     exec(block, namespace)
+    imported = {alias.name for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "fairfaucet" for alias in node.names}
+    assert imported == set(fairfaucet.__all__)
     assert namespace["report"].shares == [10, 3, 2]
     assert namespace["verify_run"](namespace["result"]).ok

@@ -11,13 +11,14 @@ import math
 import random
 from fractions import Fraction
 
-from fairfaucet.oracle import AllocationProblem, is_maxmin_fair, waterfill
+from fairfaucet.oracle import AllocationProblem, waterfill
+from maxmin_reference import is_maxmin_fair, weight_of
 
 
 def reference_weighted_waterfill(problem: AllocationProblem) -> dict:
     demands = dict(problem.demands)
     users = sorted(demands)
-    weight = {u: problem.weight_of(u) for u in users}
+    weight = {u: weight_of(problem, u) for u in users}
     c = problem.capacity
     if c >= sum(demands.values()):
         return dict(demands)
@@ -89,11 +90,11 @@ def reference_is_maxmin_fair(problem: AllocationProblem, alloc: dict):
     if problem.capacity - total >= 1 and unsatisfied:
         return False, (min(unsatisfied), None)
     for u in unsatisfied:
-        wu = problem.weight_of(u)
+        wu = weight_of(problem, u)
         for v in demands:
             if v == u or alloc.get(v, 0) < 1:
                 continue
-            wv = problem.weight_of(v)
+            wv = weight_of(problem, v)
             # donor still at or above the recipient after moving one unit
             if (alloc[v] - 1) * wu >= (alloc.get(u, 0) + 1) * wv:
                 return False, (u, v)
@@ -329,7 +330,7 @@ def test_maxmin_verdict_matches_the_reference():
                 assert witness == want_witness
             else:
                 u, v = witness
-                wu, wv = p.weight_of(u), p.weight_of(v)
+                wu, wv = weight_of(p, u), weight_of(p, v)
                 assert u != v and candidate[u] < dict(p.demands)[u]
                 assert (candidate[v] - 1) * wu >= (candidate[u] + 1) * wv
             checked += 1
@@ -375,7 +376,7 @@ def fraction_witness(problem: AllocationProblem, alloc: dict):
     demands = dict(problem.demands)
 
     def level(u, delta):
-        return Fraction(alloc.get(u, 0) + delta, problem.weight_of(u))
+        return Fraction(alloc.get(u, 0) + delta, weight_of(problem, u))
 
     u = min((x for x in demands if alloc.get(x, 0) < demands[x]),
             key=lambda x: (level(x, 1), x))

@@ -18,10 +18,10 @@ from fairfaucet.clock import ClockParams
 from fairfaucet.cmf import DistributionReport
 from fairfaucet.costs import ActionStats, CostModel, CostSummary
 from fairfaucet.faucet import UserAccount
-from fairfaucet.oracle import (AllocationProblem, leximin_brute_force,
-                               sorted_levels)
+from fairfaucet.oracle import AllocationProblem
 from fairfaucet.sim import EpochSummary, RunResult, Scenario, ScenarioError
 from fairfaucet.verify import EpochCheck, VerifyReport
+from maxmin_reference import leximin_brute_force, sorted_levels, weight_of
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -94,7 +94,7 @@ def test_frozen_records_are_hashable_values_and_immutable(name):
 
 def test_allocation_problem_holds_three_fields_and_shows_its_dicts():
     problem = AllocationProblem({2: 3, 1: 5}, 6, {2: 1, 1: 2})
-    assert problem.weight_of(2) == 1
+    assert weight_of(problem, 2) == 1
     assert repr(problem) == ("AllocationProblem(demands={2: 3, 1: 5}, "
                              "capacity=6, weights={2: 1, 1: 2})")
     with pytest.raises(TypeError):
@@ -203,7 +203,7 @@ def test_importing_the_package_loads_no_dataclasses_inspect_or_logging():
 
 
 def test_level_vectors_are_still_fractions():
-    # fractions is imported where the two tiny-instance helpers run
+    # the two tiny-instance references keep exact Fraction levels
     p = AllocationProblem(demands={1: 3, 2: 2}, capacity=3,
                           weights={1: 2, 2: 1})
     best_vec, best_alloc = leximin_brute_force(p)

@@ -158,13 +158,23 @@ def test_tampered_grants_fail_verification():
     assert got == want + 1
 
 
-def test_wamf_runs_verify_against_the_weighted_oracle():
+def test_wamf_runs_verify_on_the_water_fill_and_the_replay():
+    # capacity 280 against a mean total demand of 300: an epoch whose
+    # grants meet every demand goes to the water-fill, and a depleted one
+    # to the replay with weights derived from the run's demands
+    routes = set()
     for seed in (1, 2, 3):
-        sc = Scenario("WAMF", 15, seed=seed, epochs=3)
+        sc = Scenario("WAMF", 15, seed=seed, epochs=4, epoch_capacity=280)
         result = run_scenario(sc)
         assert result.conservation_ok()
         report = verify_run(result)
         assert report.ok, report.first_diff
+        for s in result.epoch_summaries:
+            if s.demands and s.granted == s.demands:
+                routes.add("water-fill")
+            elif s.depleted:
+                routes.add("replay")
+    assert routes == {"water-fill", "replay"}
 
 
 def test_a_changed_earlier_demand_fails_a_later_depleted_epoch():
