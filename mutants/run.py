@@ -45,6 +45,8 @@ MUTANTS = [
      "the remainder heap is built from rest[::-1]", "killed"),
     ("cmf.py", "cut = share << USER_BITS", "cut = share - 1 << USER_BITS",
      "a remainder keeps one unit too many", "killed"),
+    ("faucet.py", "if amount < 1:", "if amount < 20:",
+     "demands below 20 are rejected", "killed"),
 ]
 
 

@@ -71,6 +71,7 @@ class CmfDistributor:
             raise ValueError("epoch_capacity must be positive")
         self.epoch_capacity = epoch_capacity
         self.capacity = 0
+        self.injections = 0  # distributions, each of which topped up the pool
         self.balances: dict = {}
         self._meter = meter if meter is not None else CostMeter()
         self._queue = MinHeap(self._meter)
@@ -78,7 +79,7 @@ class CmfDistributor:
         # submitted int back, so a grant row holds no decoded copy
         self._demanded: dict = {}
 
-    def register(self, user: int) -> None:
+    def register(self) -> None:
         m = self._meter
         m.units += m.paths["register"]  # account bookkeeping
 
@@ -103,6 +104,7 @@ class CmfDistributor:
         """Run one full distribution; returns the report.  ``epoch`` only
         labels the report rows."""
         self.capacity += self.epoch_capacity
+        self.injections += 1
         report = DistributionReport(epoch=epoch,
                                     capacity_before=self.capacity)
 

@@ -13,15 +13,18 @@ replays the canonical block schedule, which all three variants share:
              epoch boundary), then one demand block per user in the last
              round.
 
-``run_scenario`` walks that schedule one round at a time: the geometry
-fixes each round's one kind of transaction, and a small adapter per
-design (autonomous for AMF/WAMF, central for CMF) runs it in the round's
-first blocks, in one loop that also records each of them; the rest of
-the round is idle.  Every block is recorded as one ``TraceRow``, which
-also carries the receipt's summary; ``trace.csv`` and ``receipts.csv``
-are two renderings of the same records.  An idle block
-is a no-op that costs ``tx_base`` and leaves the pool as it was.  Equal
-summaries and equal costs within a run are one shared object each.
+``run_scenario`` walks that schedule one round at a time and knows only
+its geometry.  A small adapter per design (autonomous for AMF/WAMF,
+central for CMF) runs a round's transactions in its first blocks, in one
+loop that also records each of them; the rest of the round is idle.  The
+designs differ only in their claim rounds: AMF/WAMF users claim in each,
+CMF's authority distributes in the first.  Every block is recorded as
+one ``TraceRow``, which also carries the receipt's summary; ``trace.csv``
+and ``receipts.csv`` are two renderings of the same records.  An idle
+block is a no-op that costs ``tx_base`` and leaves the pool as it was.
+An epoch summary's demands are the demand plan's, not the ones the pool
+accepted, so ``verify`` catches a pool that wrongly rejects a demand.
+Equal summaries and equal costs within a run are one shared object each.
 Identical scenarios produce bit-identical records.
 """
 
@@ -329,8 +332,8 @@ def _demand_plan(sc: Scenario):
 # cost, and one ``TraceRow`` appended with ``add_row``.  ``base`` is the
 # block before the round's first, so user u acts in block base + u, and
 # ``at`` is the round's (epoch, round) position.  The adapter records
-# accepted demands and grants in the per-epoch dicts and counts the
-# pool's top-ups.  Equal summaries and equal costs come from per-run
+# grants in the per-epoch dicts; the pool counts its own top-ups, in
+# ``injections``.  Equal summaries and equal costs come from per-run
 # tables keyed by their values: each is made once and is one object.
 
 class _Table(dict):
@@ -355,8 +358,8 @@ _new = tuple.__new__
 class _Adapter:
     """The per-run state the round loops share: the trace and its one
     append, the meter, the block budget, the cost of a transaction by its
-    metered units (``tx_base`` plus them), and what the run demanded,
-    granted and reported."""
+    metered units (``tx_base`` plus them), and what the run granted and
+    reported; and the register round, which both designs run alike."""
 
     def __init__(self, sc):
         model = sc.cost_model
@@ -369,17 +372,26 @@ class _Adapter:
         self.costs[0] = self.tx_base
         self.trace = []
         self.add_row = self.trace.append
-        # epoch -> user -> amount
-        self.demands = [{} for _ in range(sc.epochs)]
-        self.grants = [{} for _ in range(sc.epochs)]
+        self.grants = [{} for _ in range(sc.epochs)]  # epoch -> user -> amount
         self.reports = []
+
+    def register(self, base, at):
+        at_epoch, at_round = at
+        pool, register = self.pool, self.pool.register
+        priced, costs, budget, add_row = (self.meter.total, self.costs,
+                                          self.budget, self.add_row)
+        for user in range(1, self.n + 1):
+            register()  # both pools number users 1..n in call order
+            cost = costs[priced()]
+            add_row(_new(TraceRow, (base + user, at_epoch, at_round, user,
+                                    "register", 0, 0, pool.capacity, cost,
+                                    cost > budget, f"user={user}")))
+        return self.n
 
 
 class _Autonomous(_Adapter):
     """AMF/WAMF over ``AutonomousFaucet``: users claim their share
     themselves in every round of an epoch but the last."""
-
-    central = False
 
     def __init__(self, sc):
         super().__init__(sc)
@@ -393,30 +405,12 @@ class _Autonomous(_Adapter):
         self.floored = _Table("granted=%d floor1".__mod__)
         self.no_op = _Table("no-op: %s".__mod__)
 
-    @property
-    def injections(self) -> int:
-        return self.pool.injections
-
     def balances(self) -> dict:
         return self.pool.final_balances()
 
-    def register(self, base, at):
+    def demand(self, amounts, base, at):
         at_epoch, at_round = at
-        pool, register = self.pool, self.pool.register
-        priced, costs, budget, add_row = (self.meter.total, self.costs,
-                                          self.budget, self.add_row)
-        for user in range(1, self.n + 1):
-            uid = register()
-            cost = costs[priced()]
-            add_row(_new(TraceRow, (base + user, at_epoch, at_round, uid,
-                                    "register", 0, 0, pool.capacity, cost,
-                                    cost > budget, f"user={uid}")))
-        return self.n
-
-    def demand(self, epoch, amounts, base, at):
-        at_epoch, at_round = at
-        pool, demand = self.pool, self.pool.demand
-        demands, accepted = self.demands[epoch], self.accepted
+        pool, demand, accepted = self.pool, self.pool.demand, self.accepted
         priced, costs, budget, add_row = (self.meter.total, self.costs,
                                           self.budget, self.add_row)
         for user in range(1, self.n + 1):
@@ -428,7 +422,6 @@ class _Autonomous(_Adapter):
                 actor, action, share = user, "demand", 0
                 ok, reason, weight = demand(user, amount, block)
                 if ok:
-                    demands[user] = amount
                     # plain nested dicts: a tuple key per text or a table
                     # object per weight would add GC-tracked objects that
                     # live as long as the run
@@ -447,7 +440,7 @@ class _Autonomous(_Adapter):
                                     cost > budget, summary)))
         return self.n
 
-    def claim(self, epoch, base, at):
+    def claim_round(self, epoch, rnd, base, at):
         at_epoch, at_round = at
         pool, claim, grants = self.pool, self.pool.claim, self.grants[epoch]
         granted_text, floored_text, no_op = (self.granted, self.floored,
@@ -476,38 +469,19 @@ class _Central(_Adapter):
     """CMF over ``CmfDistributor``: the authority distributes in the first
     block of every epoch after the first; users never claim."""
 
-    central = True
-
     def __init__(self, sc):
         super().__init__(sc)
         self.pool = CmfDistributor(sc.epoch_capacity, self.meter)
         self.accepted = _Table("amount=%d".__mod__)
         self.distributed = _Table("granted=%d iterations=%d".__mod__)
 
-    @property
-    def injections(self) -> int:
-        return len(self.reports)
-
     def balances(self) -> dict:
         return {u: self.pool.balances.get(u, 0) for u in range(1, self.n + 1)}
 
-    def register(self, base, at):
+    def demand(self, amounts, base, at):
         at_epoch, at_round = at
-        pool, register = self.pool, self.pool.register
-        priced, costs, budget, add_row = (self.meter.total, self.costs,
-                                          self.budget, self.add_row)
-        for user in range(1, self.n + 1):
-            register(user)
-            cost = costs[priced()]
-            add_row(_new(TraceRow, (base + user, at_epoch, at_round, user,
-                                    "register", 0, 0, pool.capacity, cost,
-                                    cost > budget, f"user={user}")))
-        return self.n
-
-    def demand(self, epoch, amounts, base, at):
-        at_epoch, at_round = at
-        pool, submit = self.pool, self.pool.submit_demand
-        demands, accepted = self.demands[epoch], self.accepted
+        pool, submit, accepted = (self.pool, self.pool.submit_demand,
+                                  self.accepted)
         priced, costs, budget, add_row = (self.meter.total, self.costs,
                                           self.budget, self.add_row)
         for user in range(1, self.n + 1):
@@ -516,7 +490,6 @@ class _Central(_Adapter):
                 actor, action, amount, share, summary = self.noop()
             else:
                 submit(user, amount)
-                demands[user] = amount
                 actor, action, share, summary = (user, "demand", 0,
                                                  accepted[amount])
             cost = costs[priced()]
@@ -525,7 +498,9 @@ class _Central(_Adapter):
                                     cost, cost > budget, summary)))
         return self.n
 
-    def distribute(self, epoch, base, at):
+    def claim_round(self, epoch, rnd, base, at):
+        if rnd > 0:  # the first round's distribute served the epoch
+            return 0
         report = self.pool.distribute(epoch=epoch)
         self.reports.append(report)
         self.grants[epoch] = report.allocations  # uncopied
@@ -547,9 +522,7 @@ def run_scenario(sc: Scenario) -> RunResult:
     verification."""
     clock = sc.clock
     adapter = (_Central if sc.variant == "CMF" else _Autonomous)(sc)
-    pool = adapter.pool
-    central = adapter.central
-    demands, grants = adapter.demands, adapter.grants
+    pool, grants = adapter.pool, adapter.grants
     plan = _demand_plan(sc)
     rounds = clock.rounds_per_epoch
     tx_base = adapter.tx_base
@@ -566,13 +539,11 @@ def run_scenario(sc: Scenario) -> RunResult:
             if epoch == 0 and rnd == 0:
                 busy = adapter.register(base, at)
             elif rnd == rounds - 1:
-                busy = adapter.demand(epoch, plan[epoch], base, at)
-            elif epoch == 0 or (central and rnd > 0):
+                busy = adapter.demand(plan[epoch], base, at)
+            elif epoch > 0:
+                busy = adapter.claim_round(epoch, rnd, base, at)
+            else:  # nothing was demanded before epoch 0
                 busy = 0
-            elif central:
-                busy = adapter.distribute(epoch, base, at)
-            else:
-                busy = adapter.claim(epoch, base, at)
             # the idle rest of the round leaves the pool as it was; the
             # model keeps tx_base below the block budget
             idle = range(round_start + busy, round_start + sc.round_span)
@@ -585,12 +556,15 @@ def run_scenario(sc: Scenario) -> RunResult:
                                   for b in idle])
         # an epoch with a top-up is a claim epoch: CMF tops up in its
         # distribute block even without users, AMF only on a transaction
-        if adapter.injections > injections:
+        if pool.injections > injections:
+            demands = {user: amount
+                       for user, amount in enumerate(plan[epoch - 1], 1)
+                       if amount is not None}
             summaries.append(EpochSummary(
-                epoch=epoch, demands=demands[epoch - 1],
+                epoch=epoch, demands=demands,
                 capacity_start=capacity_end + sc.epoch_capacity,
                 granted=grants[epoch], capacity_end=pool.capacity))
-        injections = adapter.injections
+        injections = pool.injections
         capacity_end = pool.capacity
 
     return RunResult(scenario=sc, trace=adapter.trace,

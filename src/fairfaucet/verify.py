@@ -1,8 +1,9 @@
 """Cross-check a run against an independent referee.
 
-Each claim epoch is an allocation problem of its own: the demands
-registered in the previous epoch plus the capacity in force when claims
-began.  Whatever the schedule, every epoch keeps two bounds:
+Each claim epoch is an allocation problem of its own: the demands the
+scenario planned for the previous epoch, accepted by the pool or not,
+plus the capacity in force when claims began.  Whatever the schedule,
+every epoch keeps two bounds:
 
 1. each grant is in (0, demand] of its user (a grant to a user who
    demanded nothing in that problem is always a mismatch, even in an

@@ -149,6 +149,24 @@ def test_oversized_sweep_size_exits_two_before_printing():
     assert "more than the limit" in err
 
 
+@pytest.mark.parametrize("spec", ["n=ten", "n=10,0", "n="])
+def test_bad_sweep_spec_exits_two(spec, capsys):
+    rc = main(["cost-report", "--scenario", str(SCENARIOS / "amf_n10.json"),
+               "--sweep", spec])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad sweep spec {spec!r}\n"
+    assert captured.out == ""
+
+
+def test_sweep_of_a_scripted_scenario_exits_two(capsys):
+    rc = main(["cost-report", "--scenario", AMF_TABLE, "--sweep", "n=5,10"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: sweep requires a PRNG-driven scenario\n"
+    assert captured.out == ""
+
+
 def test_unwritable_output_exits_two_without_traceback(tmp_path):
     blocker = tmp_path / "file"  # --out names an existing file
     blocker.write_text("")
@@ -238,6 +256,46 @@ def test_verify_names_the_epoch_whose_grants_miss_the_capacity_spent(
     assert capsys.readouterr().out == (
         "verify FAILED: epoch 1: grants total 30, but the capacity fell by "
         "29\n")
+
+
+def test_verify_fails_a_run_that_breaks_conservation(monkeypatch, capsys):
+    def run_with_a_unit_minted(sc):
+        result = run_scenario(sc)
+        result.balances[1] += 1
+        return result
+
+    monkeypatch.setattr(cli, "run_scenario", run_with_a_unit_minted)
+    assert main(["verify", "--scenario", AMF_TABLE]) == 1
+    assert capsys.readouterr().out == (
+        "verify FAILED: conservation violated (balances 115 + capacity 6 "
+        "!= injected 120)\n")
+
+
+def test_a_fault_cannot_be_injected_into_a_run_without_grants(tmp_path,
+                                                               capsys):
+    # one epoch registers and demands; no epoch claims
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"variant": "AMF", "n": 3, "epochs": 1}))
+    assert main(["verify", "--scenario", str(path), "--inject-fault"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: cannot inject a fault into a run with "
+                            "no grants\n")
+    assert captured.out == ""
+
+
+def test_run_warns_of_the_first_transaction_over_the_block_budget(
+        tmp_path, capsys):
+    # a budget one unit above tx_base: all 51 transactions of the 60
+    # blocks are over it, the first being user 1's registration in block 0
+    keys = json.loads((SCENARIOS / "amf_worked_example.json").read_text())
+    keys["cost_model"]["block_budget"] = keys["cost_model"]["tx_base"] + 1
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(keys))
+    assert main(["run", "--scenario", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "warning: 51 transaction(s) exceeded the block budget (21001); "
+        "first at block 0 (register, cost 31000)")
 
 
 def test_cost_report_prints_summary(capsys):

@@ -196,7 +196,9 @@ def test_distribute_with_no_demands_still_accrues_capacity():
     report = dist.distribute()
     assert report.iterations == 0
     assert report.allocations == {}
-    assert dist.capacity == 20
+    assert (dist.capacity, dist.injections) == (20, 1)
+    dist.distribute()  # each distribute counts its top-up
+    assert (dist.capacity, dist.injections) == (40, 2)
 
 
 def test_unsatisfied_demands_are_discarded_on_depletion():

@@ -47,4 +47,5 @@ def test_the_marks_are_pinned():
         "a floored share is 2, not 1": "killed",
         "the remainder heap is built from rest[::-1]": "killed",
         "a remainder keeps one unit too many": "killed",
+        "demands below 20 are rejected": "killed",
     }

@@ -200,7 +200,7 @@ def test_floored_claim_that_satisfies():
 def test_cmf_register_charges_two_writes():
     meter = counting_meter()
     dist = CmfDistributor(30, meter)
-    assert metered(meter, dist.register, 1) == (0, 2, 0, 0)
+    assert metered(meter, dist.register) == (0, 2, 0, 0)
 
 
 def test_submit_demand_paths():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pickle
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,26 @@ def test_scenario_rejects_bad_parameters():
         Scenario("AMF", 10, demand_lo=20, demand_hi=20)
     with pytest.raises(ScenarioError, match="precision"):
         Scenario("WAMF", 10, epochs=4, precision=100)
+
+
+@pytest.mark.parametrize("make, message", [
+    (partial(Scenario, "AMF", 3, cost_model={}),
+     "cost_model must be a CostModel"),
+    (partial(Scenario, "AMF", 3, epochs=-1), "epochs must be >= 0"),
+    (partial(Scenario, "AMF", 3, epoch_capacity=0),
+     "epoch_capacity must be positive"),
+    # the clock's own ValueError, raised again as a ScenarioError
+    (partial(Scenario, "AMF", 3, epoch_span=10, round_span=3),
+     "epoch_span must be a multiple of round_span"),
+    (partial(scenario_from_dict,
+             {"variant": "AMF", "n": 3, "cost_model": [800]}),
+     "cost_model must be a JSON object"),
+], ids=["cost_model_type", "epochs", "epoch_capacity", "clock",
+        "cost_model_json"])
+def test_each_scenario_check_says_what_it_rejects(make, message):
+    with pytest.raises(ScenarioError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 def test_precision_bound_counts_only_the_scripted_rows_that_run():

@@ -131,7 +131,7 @@ class _ReferenceCentral:
         return {u: self.pool.balances.get(u, 0) for u in range(1, self.n + 1)}
 
     def register(self, user):
-        self.pool.register(user)
+        self.pool.register()
         return user, "register", 0, 0, f"user={user}"
 
     def demand(self, epoch, block, user, amount):
