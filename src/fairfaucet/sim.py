@@ -20,7 +20,9 @@ loop that also records each of them; the rest of the round is idle.  The
 designs differ only in their claim rounds: AMF/WAMF users claim in each,
 CMF's authority distributes in the first.  Every block is recorded as
 one ``TraceRow``, which also carries the receipt's summary; ``trace.csv``
-and ``receipts.csv`` are two renderings of the same records.  An idle
+and ``receipts.csv`` are two renderings of the same records, written run
+by run: a run is a stretch of records with equal epoch, round, action and
+over_budget, and each CSV formats those four fields once per run.  An idle
 block is a no-op that costs ``tx_base`` and leaves the pool as it was.
 An epoch summary's demands are the demand plan's, not the ones the pool
 accepted, so ``verify`` catches a pool that wrongly rejects a demand.
@@ -29,6 +31,7 @@ Identical scenarios produce bit-identical records.
 """
 
 import json
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -80,9 +83,9 @@ def _require_int(name, value):
 # The most blocks a run may ask for; it admits WAMF at n = 10**5 (1.6 *
 # 10**6 blocks).  A run keeps a record of about 230 B per block until it
 # returns, plus a CSV's text while it renders: WAMF at n = 20000 (320,000
-# blocks) keeps 74 MB, peaks at 126 MB and takes 1.65 s to run, verify and
+# blocks) keeps 74 MB, peaks at 126 MB and takes 1.0 s to run, verify and
 # render (the README's Performance table), so the limit costs about 460 MB
-# of records and 10 s.  Revisit it once records stream.
+# of records and 6 s.  Revisit it once records stream.
 MAX_BLOCKS = 2_000_000
 
 
@@ -575,60 +578,71 @@ def run_scenario(sc: Scenario) -> RunResult:
 
 # -- CSV rendering ---------------------------------------------------------
 #
-# Each CSV is produced as a stream of chunks: the header line, then the
-# rows formatted CHUNK at a time, each chunk one string.  ``trace_chunks``
-# and its siblings yield those chunks, so ``fairfaucet run`` writes a file
-# without ever holding all of it; ``trace_csv`` and its siblings join the
-# same chunks into the whole text.  Rendering a CSV this way peaks at about
-# twice its length (the chunks plus their join) instead of a string per
-# line plus two copies of the text.
+# Each CSV is a stream of chunks: the header line, then its rows CHUNK at
+# a time, each chunk one string.  ``fairfaucet run`` writes the chunks of
+# ``trace_chunks`` and its siblings as they come; ``trace_csv`` and its
+# siblings join them, and peak at about twice the text's length.  A run is
+# a stretch of a chunk's rows that share fields: epoch, round, action and
+# over_budget for a round's records, iteration and share for a CMF
+# report's grant rows.  Those go into the run's row format as text, once
+# per run, so each row formats only its own fields.  %s writes an int as
+# %d does, only faster.
 
 CHUNK = 1024  # rows per chunk
+# rows per %, so that a piece's objects stay under the 512-byte small-object
+# limit and leave no holes in the heap
+PIECE = 8
 
-TRACE_HEADER = "block,epoch,round,actor,action,amount,share,capacity,cost,over_budget"
-
-# Rows are tuples, so each renders with one format.  %s writes an int as
-# %d does, only faster; the over_budget flag keeps %d, which writes it as 0
-# or 1 where %s would write False/True.  A trace row's fields are in
-# trace.csv's column order, then the summary, which %.0s writes as nothing.
-_TRACE_ROW = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%d%.0s"
-_RECEIPT_ROW = "%s,%s,%s,%s,%s,%s,%d,%s"
-# receipts.csv's columns of a trace row: block, epoch, round, action,
-# actor, cost, over_budget, summary
-_RECEIPT_COLUMNS = itemgetter(0, 1, 2, 4, 3, 8, 9, 10)
+_ROUND = itemgetter(1, 2, 4, 9)  # epoch, round, action, over_budget
+# a layout takes a run's shared fields, over_budget as 0 or 1; %%s stays %s
+_TRACE_OWN = itemgetter(0, 3, 5, 6, 7, 8)  # block, actor, amount .. cost
+_TRACE_LAYOUT = "%%s,%s,%s,%%s,%s,%%s,%%s,%%s,%%s,%d\n"
+_RECEIPT_OWN = itemgetter(0, 3, 8, 10)  # block, actor, cost, summary
+_RECEIPT_LAYOUT = "%%s,%s,%s,%s,%%s,%%s,%d,%%s\n"
 
 
-def _rows(fmt: str, rows, columns=None):
-    """Yield the sequence ``rows``, or ``columns`` of each row, formatted
-    by ``fmt``, one string per CHUNK rows, every row ending in a newline."""
-    line = (fmt + "\n").__mod__
+def _runs(rows, key, own, layout):
+    """Yield ``rows`` as text, a string per CHUNK rows, each run's ``key``
+    fields written by ``layout`` and each row's ``own`` fields after."""
     for i in range(0, len(rows), CHUNK):
-        chunk = rows[i:i + CHUNK]
-        if columns is not None:
-            chunk = map(columns, chunk)
-        yield "".join(map(line, chunk))
+        text = []
+        for shared, run in groupby(rows[i:i + CHUNK], key):
+            line = layout % tuple(f.replace("%", "%%") if type(f) is str
+                                  else f for f in shared)
+            run = list(run)
+            cut = len(run) - len(run) % PIECE
+            fields = chain.from_iterable(map(own, run[:cut]))
+            width = PIECE * len(own(run[0]))
+            # zip takes the fields of PIECE rows at a time
+            text.extend(map((line * PIECE).__mod__, zip(*[fields] * width)))
+            rest = tuple(chain.from_iterable(map(own, run[cut:])))
+            text.append(line * (len(run) - cut) % rest)
+        yield "".join(text)
 
 
 def trace_chunks(result: RunResult):
-    yield TRACE_HEADER + "\n"
-    yield from _rows(_TRACE_ROW, result.trace)
+    yield "block,epoch,round,actor,action,amount,share,capacity,cost,over_budget\n"
+    yield from _runs(result.trace, _ROUND, _TRACE_OWN, _TRACE_LAYOUT)
 
 
 def receipts_chunks(result: RunResult):
     yield "block,epoch,round,action,actor,cost,over_budget,summary\n"
-    yield from _rows(_RECEIPT_ROW, result.trace, _RECEIPT_COLUMNS)
+    yield from _runs(result.trace, _ROUND, _RECEIPT_OWN, _RECEIPT_LAYOUT)
 
 
 def balances_chunks(result: RunResult):
     yield "user,balance\n"
-    yield from _rows("%d,%d", sorted(result.balances.items()))
+    rows = sorted(result.balances.items())
+    for i in range(0, len(rows), CHUNK):
+        yield "".join(map("%s,%s\n".__mod__, rows[i:i + CHUNK]))
 
 
 def distributions_chunks(result: RunResult):
     yield "epoch,iteration,user,allocated,share,remaining_capacity\n"
     for report in result.reports:
-        # the epoch, then the grant row's fields
-        yield from _rows(f"{report.epoch},%d,%d,%d,%d,%d", report.rows)
+        # grant rows are (iteration, user, allocated, share, remaining)
+        yield from _runs(report.rows, itemgetter(0, 3), itemgetter(1, 2, 4),
+                         f"{report.epoch},%s,%%s,%%s,%s,%%s\n")
 
 
 def trace_csv(result: RunResult) -> str:

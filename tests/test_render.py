@@ -5,14 +5,18 @@ The renderers below the reference marker are the line-list renderers the
 chunked ones replaced.  They are kept as they were, except that the trace
 and receipt lines name each field they write, since one record per block
 now feeds both CSVs.  Every renderer must return exactly their text on
-synthetic results around the chunk boundaries and on runs of every
-variant that span several chunks.  A ``tracemalloc`` bound pins
-the memory the change saves, the identity tests pin the sharing, and the
-CLI test checks that ``fairfaucet run`` writes the renderers' bytes.
+synthetic results around the chunk boundaries, on runs of rows with the
+same shared fields longer than two chunks, and on runs of every variant
+that span several chunks (``test_render_property`` adds random traces).
+A ``tracemalloc`` bound pins the memory the change saves, the identity
+tests pin the sharing, and the CLI test checks that ``fairfaucet run``
+writes the renderers' bytes.
 """
 
 import json
 import tracemalloc
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
@@ -103,6 +107,41 @@ def test_renderers_match_reference_on_synthetic_results(rows, render,
     assert render(result) == reference(result)
 
 
+def longest_run(trace) -> int:
+    """Most consecutive records with equal epoch, round, action and
+    over_budget, the fields a run of rows shares."""
+    runs = groupby(trace, itemgetter(1, 2, 4, 9))
+    return max((len(list(run)) for _, run in runs), default=0)
+
+
+def test_renderers_match_reference_on_a_run_longer_than_two_chunks():
+    """One round of 2 * CHUNK + 6 claims within the block budget, then 39
+    over it: the first run crosses two chunk boundaries.  The grant rows
+    are a run of 2 * CHUNK + 4 rows and one of 9."""
+    size = 2 * CHUNK + 5
+    trace = [TraceRow(k, 3, 1, k + 1, "claim", 20, 20, 10 ** 6 - 20 * k,
+                      21000 + k % 3, k > size, "granted=20")
+             for k in range(size + 40)]
+    grants = [(1, k, 20, 20, 10 ** 6 - 20 * k) for k in range(1, size)]
+    grants += [(2, k, 3, 3, 5) for k in range(size, size + 9)]
+    result = RunResult(scenario=None, trace=trace, balances={1: 20},
+                       reports=[DistributionReport(epoch=4, rows=grants)],
+                       epoch_summaries=[], final_capacity=0, injected=0)
+    assert longest_run(trace) > 2 * CHUNK
+    for render, reference in PAIRS:
+        assert render(result) == reference(result), render.__name__
+
+
+def test_renderers_match_reference_on_a_long_idle_round():
+    """50 users in rounds of 2200 blocks: each round's no-op tail is one
+    run of 2150 rows, over two chunks long."""
+    result = run_scenario(Scenario("AMF", 50, round_span=2200,
+                                   epoch_span=4400, epochs=2, seed=3))
+    assert longest_run(result.trace) > 2 * CHUNK
+    for render, reference in PAIRS:
+        assert render(result) == reference(result), render.__name__
+
+
 # one run per variant, from keys that a scenario file takes as they are;
 # each trace spans at least two chunks, and the CMF demands from [1, 100)
 # give it more than one chunk of grant rows
@@ -129,24 +168,38 @@ def test_renderers_match_reference_on_runs(runs, variant):
         assert render(result) == reference(result), render.__name__
 
 
-def test_rendering_peak_memory_is_bounded_by_the_text():
+@pytest.mark.parametrize("render,result", [
+    (trace_csv, "AMF"), (receipts_csv, "AMF"), (distributions_csv, "CMF")],
+    ids=["trace_csv", "receipts_csv", "distributions_csv"])
+def test_rendering_peak_memory_is_bounded_by_the_text(render, result,
+                                                      long_runs):
     """The line-list renderers peaked at 4.3 to 4.6 times the length of the
     text they returned (a string per line, the join and a copy with the
     final newline); the chunked ones hold the chunks and their join, about
     twice the length."""
-    result = run_scenario(Scenario("AMF", 600, seed=2))
-    assert len(result.trace) >= 8 * CHUNK
+    result = long_runs[result]
     tracemalloc.start()
     try:
-        for render in (trace_csv, receipts_csv):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            text = render(result)
-            peak = tracemalloc.get_traced_memory()[1] - before
-            assert peak < 2.5 * len(text), (render.__name__, peak / len(text))
-            del text
+        before = tracemalloc.get_traced_memory()[0]
+        text = render(result)
+        peak = tracemalloc.get_traced_memory()[1] - before
+        assert peak < 2.5 * len(text), peak / len(text)
+        del text
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def long_runs():
+    """An AMF run of at least 8 chunks of records and a CMF run of at
+    least 8 chunks of grant rows (a report's rows are chunked on their
+    own)."""
+    amf = run_scenario(Scenario("AMF", 600, seed=2))
+    assert len(amf.trace) >= 8 * CHUNK
+    cmf = run_scenario(Scenario("CMF", 1200, seed=2, demand_lo=1,
+                                demand_hi=100))
+    assert sum(-(-len(report.rows) // CHUNK) for report in cmf.reports) >= 8
+    return {"AMF": amf, "CMF": cmf}
 
 
 @pytest.mark.parametrize("variant", sorted(RUNS))
@@ -164,7 +217,7 @@ def test_equal_summaries_and_costs_are_one_object(runs, variant):
     assert len(costs) < len(result.receipts) / 10
 
 
-@pytest.mark.parametrize("variant", ["AMF", "CMF"])
+@pytest.mark.parametrize("variant", ["AMF", "WAMF", "CMF"])
 def test_cli_run_writes_the_renderers_bytes(runs, variant, tmp_path):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(KEYS[variant]))
