@@ -1,6 +1,8 @@
 """Mutant gate for the referee: would ``verify`` notice a broken protocol?
 
-Each mutant is a one-line change to a file of ``src/fairfaucet``.  For the
+Each mutant is a one-line change to a file of ``src/fairfaucet``: the
+contracts in ``faucet.py`` and ``cmf.py``, and the recorder in ``sim.py``
+that writes the trace a user reads.  For the
 unmutated tree and then each mutant, the script copies ``src/`` to a
 temporary directory, applies the mutant there and, in a fresh interpreter
 on that copy, runs ``verify_run`` and ``conservation_ok`` over a fixed grid
@@ -11,9 +13,13 @@ a mutant silently.
 
     python3 mutants/run.py
 
-prints, per tree, the number of runs that fail and whether the mutant was
-killed or survived.  It exits 1 if the unmutated tree fails a run or a
-mutant marked "killed" survives, and 2 if a mutant no longer applies or
+prints, per tree, the number of runs that fail and whether the mutant is
+killed or survives, in the words of its mark, and ends with one tally
+line: mutants killed, mutants that survive, and honest runs failing.  A
+mutant marked "survives" is a known gap of the referee, on record, not a
+pass: the gate keeps it visible until a stronger check kills it and its
+mark flips to "killed".  It exits 1 if the unmutated tree fails a run or
+a mutant marked "killed" survives, and 2 if a mutant no longer applies or
 a check cannot run.  Nothing under ``src/`` changes.
 """
 
@@ -47,6 +53,26 @@ MUTANTS = [
      "a remainder keeps one unit too many", "killed"),
     ("faucet.py", "if amount < 1:", "if amount < 20:",
      "demands below 20 are rejected", "killed"),
+    # the recorder: verify reads the run's grants, not the trace, so
+    # these make the written files lie and no run fails
+    ("sim.py", "granted, share,", "granted + 1, share,",
+     "a claim row records one more unit than was granted", "survives"),
+    ("sim.py",
+     '"claim",\n                                    granted, share, '
+     'pool.capacity, cost,',
+     '"claim",\n                                    granted, share, '
+     'pool.capacity + 1, cost,',
+     "a claim row's capacity column is one high", "survives"),
+    ("sim.py", "capacity, tx_base, False,", "capacity, tx_base + 1, False,",
+     "an idle row costs tx_base + 1", "survives"),
+    ("sim.py", '"distribute", total, 0,', '"distribute", total + 1, 0,',
+     "a distribute row records one more unit", "survives"),
+    ("sim.py",
+     "granted, share, pool.capacity, cost,\n"
+     "                                    cost > budget, summary)))",
+     "granted, share, pool.capacity, cost,\n"
+     "                                    False, summary)))",
+     "claims never flag over budget", "survives"),
 ]
 
 
@@ -143,6 +169,7 @@ def main() -> int:
     for mutant in MUTANTS:  # every mutant must apply before any check
         mutated(mutant)
     status = 0
+    tally = {"killed": 0, "survives": 0}
     base = run_tree(None)
     print(f"unmutated tree: fails {len(base['failed'])} of {base['runs']} "
           f"runs")
@@ -153,11 +180,15 @@ def main() -> int:
     for mutant in MUTANTS:
         name, _, _, note, expected = mutant
         seen = run_tree(mutant)
-        outcome = "killed" if seen["failed"] else "survived"
+        outcome = "killed" if seen["failed"] else "survives"
+        tally[outcome] += 1
         print(f"{name}: {note}: fails {len(seen['failed'])} of "
               f"{seen['runs']} runs: {outcome} (marked {expected})")
         if expected == "killed" and not seen["failed"]:
             status = 1
+    print(f"{len(MUTANTS)} mutants: {tally['killed']} killed, "
+          f"{tally['survives']} survives; {len(base['failed'])} of "
+          f"{base['runs']} honest runs failing")
     return status
 
 

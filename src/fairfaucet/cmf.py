@@ -12,8 +12,8 @@ unserved then is discarded; leftover capacity carries over.
 Each exit path adds its priced row of ``PATH_CHARGES`` to the meter's
 ``units``, with no meter call; ``distribute`` adds its per-call row and
 its per-grant and per-iteration rows times their counts once, after the
-drain loop.  The heap charges its own node moves and comparisons, the
-remainder heap as the inserts it replaces.  The drain pops once per
+drain loop.  The heap adds its own node moves and compares the same way,
+the remainder heap's as its inserts would.  The drain pops once per
 grant through ``MinHeap.del_min``.  This module owns the heap's key
 format: every key, queued or a remainder, is the one int
 ``demand << USER_BITS | user``, which orders as the ``(demand, user)``

@@ -9,11 +9,12 @@ transaction may cost before it is flagged infeasible.
 
 ``PATH_CHARGES`` is the one table of the contracts' fixed exit paths,
 each a (reads, writes, ariths) row of the README's cost model.  A
-``CostMeter`` prices that table once, for its model, into ``paths``;
-a contract exit adds its priced row to ``units`` with no method call,
-and only the variable amounts (the heap's compares and moves) go
-through ``charge``.  Integer pricing distributes over the sum, so a
-transaction's units equal its counts priced at the end.
+``CostMeter`` prices that table once, for its model, into ``paths``,
+and keeps the two prices of the one variable amount, the heap's
+compares (``compare``, one arith) and node moves (``move``).  Every
+metered site adds its priced amount to ``units`` itself, with no method
+call.  Integer pricing distributes over the sum, so a transaction's
+units equal its counts priced at the end.
 """
 
 from .clock import _Record
@@ -66,27 +67,20 @@ PATH_CHARGES = {
 
 class CostMeter:
     """A running total of cost units at one model's prices.  Exit paths
-    add their row of ``paths`` to ``units`` themselves; the flat
+    add their row of ``paths`` to ``units`` themselves, and the heap its
+    compares at ``compare`` and its moves at ``move``; the flat
     ``tx_base`` is the caller's to add to each ``total``."""
 
-    __slots__ = ("paths", "units", "_read", "_write", "_move", "_arith")
+    __slots__ = ("paths", "units", "compare", "move")
 
     def __init__(self, model: CostModel = CostModel()):
-        self._read = model.storage_read
-        self._write = model.storage_write
-        self._move = model.heap_move
-        self._arith = model.arithmetic_op
-        self.paths = {name: self._read * reads + self._write * writes
-                      + self._arith * ariths
+        read, write = model.storage_read, model.storage_write
+        self.compare = arith = model.arithmetic_op
+        self.move = model.heap_move
+        self.paths = {name: read * reads + write * writes + arith * ariths
                       for name, (reads, writes, ariths)
                       in PATH_CHARGES.items()}
         self.units = 0
-
-    def charge(self, reads=0, writes=0, ariths=0, heap_moves=0):
-        """Add a variable amount of reads, writes, ariths and heap moves,
-        priced at once."""
-        self.units += (reads * self._read + writes * self._write
-                       + ariths * self._arith + heap_moves * self._move)
 
     def total(self) -> int:
         """The units added since the last ``total``; zeroes them for the

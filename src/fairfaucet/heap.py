@@ -7,9 +7,10 @@ order.  The array layout is a complete binary tree, which keeps every
 sift path logarithmic regardless of insertion order.
 
 The compares and moves of an operation vary with where its key lands,
-so they are the one variable amount the heap adds to its ``CostMeter``:
-one ``charge(0, 0, compares, moves)`` call per operation, which prices a
-compare as one arith.  The simulator shares one meter across a
+so they are the one variable amount a ``CostMeter`` takes: each
+operation adds ``compares * compare + moves * move`` to the meter's
+``units`` in one statement, with no meter call, as the contracts' exit
+paths add their rows.  The simulator shares one meter across a
 transaction.  The sifts read each key once per level and count nothing
 as they go: key i sits on level ``(i + 1).bit_length() - 1``, so the
 moves follow from the index where the sifted key lands, and a
@@ -35,7 +36,8 @@ class MinHeap:
         root."""
         heap = cls(meter)
         heap._nodes = nodes
-        heap._meter.charge(0, 0, max(len(nodes) - 1, 0), len(nodes))
+        m = heap._meter
+        m.units += max(len(nodes) - 1, 0) * m.compare + len(nodes) * m.move
         return heap
 
     def __len__(self) -> int:
@@ -59,7 +61,8 @@ class MinHeap:
         # stopped the climb below the root; one move for the append and one
         # per level
         depth = (start + 1).bit_length() - (k + 1).bit_length()
-        self._meter.charge(0, 0, depth + (k > 0), depth + 1)
+        m = self._meter
+        m.units += (depth + (k > 0)) * m.compare + (depth + 1) * m.move
 
     def del_min(self):
         """Pop the minimum key, restoring heap order by sift-down."""
@@ -69,7 +72,7 @@ class MinHeap:
         top = nodes[0]
         last = nodes.pop()
         if not nodes:
-            self._meter.charge(0, 0, 0, 1)
+            self._meter.units += self._meter.move
             return top
         # a node whose left child sits below the last index ``end`` also has
         # a right child; the node whose left child is ``end`` has only that
@@ -102,5 +105,6 @@ class MinHeap:
                     k = child
         nodes[k] = last
         # one move for the pop and one per level descended
-        self._meter.charge(0, 0, compares, (k + 1).bit_length())
+        m = self._meter
+        m.units += compares * m.compare + (k + 1).bit_length() * m.move
         return top

@@ -20,7 +20,7 @@ import pytest
 
 from fairfaucet.cmf import CmfDistributor, DistributionReport
 from fairfaucet.heap import MinHeap
-from meter_counts import counting_meter, counts
+from meter_counts import add_counts, counting_meter, counts
 
 
 class GrantRow(NamedTuple):
@@ -88,7 +88,7 @@ class ReferenceCmf(CmfDistributor):
         # 3 reads, 2 writes and 1 arith per call, 2 ariths per iteration,
         # 1 read, 1 write and 2 ariths per grant
         grants = len(report.rows)
-        m.charge(3 + grants, 2 + grants, 1 + 2 * iteration + 2 * grants)
+        add_counts(m, 3 + grants, 2 + grants, 1 + 2 * iteration + 2 * grants)
         return report
 
 

@@ -5,6 +5,7 @@ import pytest
 from fairfaucet import costs
 from fairfaucet.costs import (PATH_CHARGES, ActionStats, CostMeter, CostModel,
                              cost_report)
+from fairfaucet.heap import MinHeap
 from fairfaucet.sim import Scenario, TraceRow, load_scenario, run_scenario
 
 
@@ -19,13 +20,15 @@ def test_meter_totals_follow_the_model():
     model = CostModel(storage_read=10, storage_write=100, heap_move=7,
                       arithmetic_op=1, tx_base=1000, block_budget=5000)
     meter = CostMeter(model)
-    meter.charge(reads=3, writes=2, ariths=10, heap_moves=4)
+    # three ascending keys adopted: 2 compares at arithmetic_op and 3
+    # moves at heap_move, two prices this model keeps apart
+    heap = MinHeap.from_ascending([1, 2, 3], meter)
     # tx_base is the caller's to add; total zeroes what it priced
-    assert meter.total() == 30 + 200 + 28 + 10
+    assert meter.total() == 2 * 1 + 3 * 7
     assert meter.total() == 0
-    meter.charge(reads=1, heap_moves=1)
+    heap.del_min()  # 1 compare and 2 moves
     meter.units += meter.paths["claim_granted"]
-    assert meter.total() == 10 + 7 + (110 + 500 + 3)
+    assert meter.total() == 1 + 2 * 7 + (110 + 500 + 3)
     assert meter.total() == 0
 
 

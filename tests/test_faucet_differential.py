@@ -25,7 +25,7 @@ import pytest
 
 from fairfaucet.clock import ClockParams, locate
 from fairfaucet.faucet import AutonomousFaucet
-from meter_counts import counting_meter, counts
+from meter_counts import add_counts, counting_meter, counts
 
 
 # The result records and rejection constants the faucet returned before
@@ -77,7 +77,7 @@ class ReferenceFaucet(AutonomousFaucet):
         # locate(clock, last block): a block before the end of the
         # current round is still in it
         if block < self._round_end:
-            self._meter.charge(2, 0, 4)
+            add_counts(self._meter, 2, 0, 4)
             return
         clock = self.clock
         pos = ClockPosition(*locate(clock, block))
@@ -88,15 +88,15 @@ class ReferenceFaucet(AutonomousFaucet):
             self.round = pos.round
             self.capacity += self.epoch_capacity
             self.injections += 1
-            self._meter.charge(4, 4, 4)
+            add_counts(self._meter, 4, 4, 4)
         else:
             self.round = pos.round
-            self._meter.charge(2, 2, 4)
+            add_counts(self._meter, 2, 2, 4)
         self._refresh_share()
 
     def _refresh_share(self):
         total = self.weight_total[self.epoch % 2]
-        self._meter.charge(2, 0, 2)
+        add_counts(self._meter, 2, 0, 2)
         if total == 0:
             self.unit_share = 0
         else:
@@ -111,13 +111,13 @@ class ReferenceFaucet(AutonomousFaucet):
         i = (self.epoch + 1) % 2
         acct = self.users.get(user)
         if acct is None:
-            m.charge(1, 0, 1)
+            add_counts(m, 1, 0, 1)
             return DEMAND_UNREGISTERED
         if amount < 1:
-            m.charge(1, 0, 1)
+            add_counts(m, 1, 0, 1)
             return DEMAND_EMPTY
         if acct.demand_epoch[i] == self.epoch:
-            m.charge(2, 0, 1)
+            add_counts(m, 2, 0, 1)
             return DEMAND_REPEAT
 
         acct.cumulative_demand += amount
@@ -131,10 +131,10 @@ class ReferenceFaucet(AutonomousFaucet):
             # first accepted demand of the epoch starts a fresh total
             self.weight_total[i] = weight
             self.reset_epoch = self.epoch
-            m.charge(4, 6, 2)
+            add_counts(m, 4, 6, 2)
         else:
             self.weight_total[i] += weight
-            m.charge(5, 5, 2)
+            add_counts(m, 5, 5, 2)
         return DemandResult(True, "", weight)
 
     def claim(self, user: int, block: int) -> ClaimResult:
@@ -150,20 +150,20 @@ class ReferenceFaucet(AutonomousFaucet):
         i = self.epoch % 2
         acct = self.users.get(user)
         if acct is None:
-            m.charge(1, 0, 1)
+            add_counts(m, 1, 0, 1)
             return CLAIM_UNREGISTERED
         if acct.demand_epoch[i] != self.epoch - 1:
-            m.charge(4, 0, 1)
+            add_counts(m, 4, 0, 1)
             return CLAIM_NO_DEMAND
         if self.capacity == 0:
-            m.charge(4, 0, 1)
+            add_counts(m, 4, 0, 1)
             return CLAIM_DEPLETED
         if acct.pending[i] == 0:
-            m.charge(4, 0, 1)
+            add_counts(m, 4, 0, 1)
             return CLAIM_SATISFIED
         if (acct.last_claim_epoch == self.epoch
                 and acct.last_claim_round == self.round):
-            m.charge(6, 0, 1)
+            add_counts(m, 6, 0, 1)
             return CLAIM_REPEAT
         acct.last_claim_epoch = self.epoch
         acct.last_claim_round = self.round
@@ -179,9 +179,9 @@ class ReferenceFaucet(AutonomousFaucet):
         satisfied = acct.pending[i] == 0
         if satisfied:
             self.weight_total[i] -= acct.slot_weight[i]
-            m.charge(12, 6, 3)
+            add_counts(m, 12, 6, 3)
         else:
-            m.charge(11, 5, 3)
+            add_counts(m, 11, 5, 3)
         return ClaimResult(granted, "", share, floored, satisfied)
 
 

@@ -118,26 +118,11 @@ def test_sift_depth_stays_logarithmic():
 
 
 def test_meter_hook_sees_moves_and_compares():
-    class Probe:
-        def __init__(self):
-            self.moves = 0
-            self.ariths = 0
-            self.calls = 0
-
-        def charge(self, reads=0, writes=0, ariths=0, heap_moves=0):
-            assert (reads, writes) == (0, 0)
-            self.calls += 1
-            self.moves += heap_moves
-            self.ariths += ariths
-
-    probe = Probe()
-    h = MinHeap(meter=probe)
+    meter = counting_meter()
+    h = MinHeap(meter)
     for demand in (5, 3, 8, 1):
         h.insert((demand, 0))
     drain(h)
     # four appends with three sift-up swaps, then four pops with two
     # sift-down moves; seven node comparisons in all
-    assert probe.moves == 13
-    assert probe.ariths == 7
-    # one meter call per heap operation
-    assert probe.calls == 8
+    assert counts(meter) == (0, 0, 13, 7)

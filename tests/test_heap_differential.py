@@ -6,8 +6,9 @@ they were before the moves were taken from the landing index: they count
 the levels and compares as they go.  Both heaps replay the same seeded
 operation sequences on the same node objects, and after every operation
 they must agree on the popped node, the node array (by identity, so a tie
-sent to the other child shows even between equal keys) and the one
-(ariths, heap_moves) charge the operation makes.
+sent to the other child shows even between equal keys) and the
+(reads, writes, heap_moves, ariths) the operation adds to its counting
+meter.
 """
 
 import random
@@ -15,6 +16,7 @@ import random
 import pytest
 
 from fairfaucet.heap import MinHeap
+from meter_counts import add_counts, counting_meter, counts
 
 
 class ReferenceHeap(MinHeap):
@@ -35,7 +37,7 @@ class ReferenceHeap(MinHeap):
         nodes[k] = node
         # one compare per level climbed, plus the one that stopped the
         # climb below the root; one move for the append and one per level
-        self._meter.charge(0, 0, depth + (k > 0), depth + 1)
+        add_counts(self._meter, 0, 0, depth + (k > 0), depth + 1)
 
     def del_min(self) -> tuple:
         """Pop the minimum node, restoring heap order by sift-down."""
@@ -65,19 +67,8 @@ class ReferenceHeap(MinHeap):
                 depth += 1
             nodes[k] = last
         # one move for the pop and one per level descended
-        self._meter.charge(0, 0, compares, depth + 1)
+        add_counts(self._meter, 0, 0, compares, depth + 1)
         return top
-
-
-class Charges:
-    """A meter that keeps every charge call, so a test can tell one call
-    per operation from several."""
-
-    def __init__(self):
-        self.calls = []
-
-    def charge(self, reads=0, writes=0, ariths=0, heap_moves=0):
-        self.calls.append((reads, writes, ariths, heap_moves))
 
 
 class Pair:
@@ -85,7 +76,7 @@ class Pair:
 
     def __init__(self, ascending=()):
         ascending = list(ascending)
-        self.meters = Charges(), Charges()
+        self.meters = counting_meter(), counting_meter()
         self.heaps = (MinHeap.from_ascending(list(ascending), self.meters[0]),
                       ReferenceHeap.from_ascending(list(ascending),
                                                    self.meters[1]))
@@ -95,7 +86,10 @@ class Pair:
     def check(self, *popped):
         new, ref = self.heaps
         assert [id(n) for n in new._nodes] == [id(n) for n in ref._nodes]
-        assert self.meters[0].calls == self.meters[1].calls
+        # each operation's counts on their own: both meters restart at 0
+        assert counts(self.meters[0]) == counts(self.meters[1])
+        for meter in self.meters:
+            meter.units = 0
         if popped:
             assert popped[0] is popped[1]
         self.ops += 1
@@ -164,8 +158,8 @@ def test_drains_of_ascending_heaps():
                        for u in range(size)})
         pair = Pair((d, u) for d, u in keys)
         pair.drain()
-        # the reference meter saw one charge per pop plus the adoption
-        assert len(pair.meters[1].calls) == len(keys) + 1
+        # one compared count per pop plus the adoption
+        assert pair.ops == len(keys) + 1
 
 
 def test_refilled_ascending_heaps_with_duplicate_keys():

@@ -38,7 +38,9 @@ def test_the_grid_has_397_distinct_runs():
 
 def test_the_marks_are_pinned():
     # a mutant that verify kills stays marked so: the gate exits 1 if it
-    # survives, so a mark flipped back would hide a weaker referee
+    # survives, so a mark flipped back would hide a weaker referee; the
+    # recorder's mutants survive, gaps on record until a check reads the
+    # trace
     marks = {note: expected for _, _, _, note, expected in gate.MUTANTS}
     assert marks == {
         "WAMF weight from the current demand, not the cumulative one":
@@ -48,4 +50,9 @@ def test_the_marks_are_pinned():
         "the remainder heap is built from rest[::-1]": "killed",
         "a remainder keeps one unit too many": "killed",
         "demands below 20 are rejected": "killed",
+        "a claim row records one more unit than was granted": "survives",
+        "a claim row's capacity column is one high": "survives",
+        "an idle row costs tx_base + 1": "survives",
+        "a distribute row records one more unit": "survives",
+        "claims never flag over budget": "survives",
     }

@@ -16,7 +16,6 @@ import pytest
 
 from fairfaucet.clock import ClockParams
 from fairfaucet.cmf import CmfDistributor
-from fairfaucet.costs import CostMeter
 from fairfaucet.faucet import AutonomousFaucet
 from meter_counts import counting_meter, counts
 
@@ -59,48 +58,6 @@ def test_update_state_multi_epoch_jump_charges_one_epoch_advance():
     faucet, meter = faucet_with_demands((4, 11, 15))
     assert metered(meter, faucet.update_state, 40) == (6, 4, 0, 6)
     assert (faucet.epoch, faucet.round) == (3, 1)
-
-
-class CountingMeter(CostMeter):
-    """A meter that also counts its ``charge`` calls."""
-
-    __slots__ = ("calls",)
-
-    def __init__(self):
-        super().__init__()
-        self.calls = 0
-
-    def charge(self, *args, **kwargs):
-        self.calls += 1
-        super().charge(*args, **kwargs)
-
-
-def test_fixed_exit_paths_call_no_meter_method():
-    # every faucet path is a fixed row of the table, added to the meter's
-    # units in place: in the round, across a round or an epoch, accepted
-    # or rejected, none calls ``charge``
-    meter = CountingMeter()
-    faucet = AutonomousFaucet(CLOCK, 30, None, meter)
-    for _ in range(3):
-        faucet.register()
-
-    def calls(call, *args):
-        meter.calls = 0
-        call(*args)
-        return meter.calls
-
-    assert calls(faucet.register) == 0
-    assert calls(faucet.update_state, 1) == 0    # same round
-    assert calls(faucet.update_state, 3) == 0    # round advance
-    assert calls(faucet.demand, 1, 4, 4) == 0
-    assert calls(faucet.demand, 1, 4, 5) == 0    # a repeat
-    assert calls(faucet.demand, 2, 11, 9) == 0   # into the last round
-    assert calls(faucet.update_state, 12) == 0   # epoch advance
-    assert calls(faucet.claim, 1, 13) == 0
-    assert calls(faucet.claim, 3, 14) == 0       # no demand
-    assert calls(faucet.claim, 2, 15) == 0       # into the next round
-    assert calls(faucet.claim, 2, 24) == 0       # into the next epoch
-    assert meter.units > 0
 
 
 # -- register and demand ---------------------------------------------------
