@@ -58,20 +58,18 @@ MUTANTS = [
     ("sim.py", "granted, share,", "granted + 1, share,",
      "a claim row records one more unit than was granted", "survives"),
     ("sim.py",
-     '"claim",\n                                    granted, share, '
-     'pool.capacity, cost,',
-     '"claim",\n                                    granted, share, '
-     'pool.capacity + 1, cost,',
+     '"claim", granted, share,\n                     pool.capacity, cost,',
+     '"claim", granted, share,\n                     pool.capacity + 1, cost,',
      "a claim row's capacity column is one high", "survives"),
     ("sim.py", "capacity, tx_base, False,", "capacity, tx_base + 1, False,",
      "an idle row costs tx_base + 1", "survives"),
     ("sim.py", '"distribute", total, 0,', '"distribute", total + 1, 0,',
      "a distribute row records one more unit", "survives"),
     ("sim.py",
-     "granted, share, pool.capacity, cost,\n"
-     "                                    cost > budget, summary)))",
-     "granted, share, pool.capacity, cost,\n"
-     "                                    False, summary)))",
+     "granted, share,\n"
+     "                     pool.capacity, cost, cost > budget, summary))",
+     "granted, share,\n"
+     "                     pool.capacity, cost, False, summary))",
      "claims never flag over budget", "survives"),
 ]
 

@@ -19,15 +19,20 @@ central for CMF) runs a round's transactions in its first blocks, in one
 loop that also records each of them; the rest of the round is idle.  The
 designs differ only in their claim rounds: AMF/WAMF users claim in each,
 CMF's authority distributes in the first.  Every block is recorded as
-one ``TraceRow``, which also carries the receipt's summary; ``trace.csv``
-and ``receipts.csv`` are two renderings of the same records, written run
-by run: a run is a stretch of records with equal epoch, round, action and
-over_budget, and each CSV formats those four fields once per run.  An idle
-block is a no-op that costs ``tx_base`` and leaves the pool as it was.
-An epoch summary's demands are the demand plan's, not the ones the pool
-accepted, so ``verify`` catches a pool that wrongly rejects a demand.
-Equal summaries and equal costs within a run are one shared object each.
-Identical scenarios produce bit-identical records.
+one plain tuple in ``TraceRow``'s field order, which also carries the
+receipt's summary: the garbage collector untracks a tuple of ints, strs
+and bools once it has seen it, never a tuple subclass, and a run keeps
+every record until it returns.  ``RunResult.trace`` and
+``RunResult.receipts`` are one view that makes a ``TraceRow`` of a record
+as it is read and keeps none.  ``trace.csv`` and ``receipts.csv`` are two
+renderings of the same records, read from ``RunResult.rows`` and written
+run by run: a run is a stretch of records with equal epoch, round, action
+and over_budget, and each CSV formats those four fields once per run.
+An idle block is a no-op that costs ``tx_base`` and leaves the pool as
+it was.  An epoch summary's demands are the demand plan's, not the ones
+the pool accepted, so ``verify`` catches a pool that wrongly rejects a
+demand.  Equal summaries and equal costs within a run are one shared
+object each.  Identical scenarios produce bit-identical records.
 """
 
 import json
@@ -83,9 +88,10 @@ def _require_int(name, value):
 # The most blocks a run may ask for; it admits WAMF at n = 10**5 (1.6 *
 # 10**6 blocks).  A run keeps a record of about 230 B per block until it
 # returns, plus a CSV's text while it renders: WAMF at n = 20000 (320,000
-# blocks) keeps 74 MB, peaks at 126 MB and takes 1.0 s to run, verify and
-# render (the README's Performance table), so the limit costs about 460 MB
-# of records and 6 s.  Revisit it once records stream.
+# blocks) keeps 73 MB (tracemalloc, after run_scenario), peaks at 136 MB
+# RSS and takes about 1.0 s to run, verify and render (the README's
+# Performance table), so the limit costs about 460 MB of records and 6 s.
+# Revisit it once records stream.
 MAX_BLOCKS = 2_000_000
 
 
@@ -282,15 +288,36 @@ class EpochSummary(_Record):
         return self.capacity_end > 0 and self.unsatisfied > 0
 
 
+class TraceView:
+    """A run's records read as ``TraceRow``s, each made when it is read:
+    ``len``, iteration, and an index or a slice, which gives a list."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(TraceRow._make, self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(TraceRow._make, self.rows[index]))
+        return TraceRow._make(self.rows[index])
+
+
 class RunResult(_Record):
-    __slots__ = ("scenario", "trace", "balances", "reports",
+    __slots__ = ("scenario", "rows", "balances", "reports",
                  "epoch_summaries", "final_capacity", "injected")
 
-    def __init__(self, scenario: Scenario, trace: list, balances: dict,
+    def __init__(self, scenario: Scenario, rows: list, balances: dict,
                  reports: list, epoch_summaries: list, final_capacity: int,
                  injected: int):
         self.scenario = scenario
-        self.trace = trace  # one TraceRow per block
+        self.rows = rows  # one tuple per block, in TraceRow's field order
         self.balances = balances
         self.reports = reports  # CMF distribution reports
         self.epoch_summaries = epoch_summaries
@@ -298,8 +325,10 @@ class RunResult(_Record):
         self.injected = injected
 
     @property
-    def receipts(self) -> list:  # each trace row is its block's receipt
-        return self.trace
+    def trace(self) -> TraceView:
+        return TraceView(self.rows)
+
+    receipts = trace  # each record is its block's receipt
 
     def conservation_ok(self) -> bool:
         return sum(self.balances.values()) + self.final_capacity == self.injected
@@ -332,12 +361,13 @@ def _demand_plan(sc: Scenario):
 # (``pool``, which has a ``capacity``) and records them.  Each round
 # method runs the round's busy blocks in one loop and returns how many it
 # ran: per block, one contract call, one ``total`` for the transaction's
-# cost, and one ``TraceRow`` appended with ``add_row``.  ``base`` is the
-# block before the round's first, so user u acts in block base + u, and
-# ``at`` is the round's (epoch, round) position.  The adapter records
-# grants in the per-epoch dicts; the pool counts its own top-ups, in
-# ``injections``.  Equal summaries and equal costs come from per-run
-# tables keyed by their values: each is made once and is one object.
+# cost, and one tuple in ``TraceRow``'s field order appended with
+# ``add_row``.  ``base`` is the block before the round's first, so user u
+# acts in block base + u, and ``at`` is the round's (epoch, round)
+# position.  The adapter records grants in the per-epoch dicts; the pool
+# counts its own top-ups, in ``injections``.  Equal summaries and equal
+# costs come from per-run tables keyed by their values: each is made once
+# and is one object.
 
 class _Table(dict):
     """Value per key, made by ``make(key)`` the first time the key is
@@ -354,12 +384,8 @@ class _Table(dict):
         return value
 
 
-# tuple.__new__ builds a record at half its NamedTuple constructor's cost
-_new = tuple.__new__
-
-
 class _Adapter:
-    """The per-run state the round loops share: the trace and its one
+    """The per-run state the round loops share: the records and their one
     append, the meter, the block budget, the cost of a transaction by its
     metered units (``tx_base`` plus them), and what the run granted and
     reported; and the register round, which both designs run alike."""
@@ -373,8 +399,8 @@ class _Adapter:
         self.costs = _Table(self.tx_base.__add__)
         # a no-op adds no units and costs tx_base itself, as idle rows do
         self.costs[0] = self.tx_base
-        self.trace = []
-        self.add_row = self.trace.append
+        self.rows = []
+        self.add_row = self.rows.append
         self.grants = [{} for _ in range(sc.epochs)]  # epoch -> user -> amount
         self.reports = []
 
@@ -386,9 +412,8 @@ class _Adapter:
         for user in range(1, self.n + 1):
             register()  # both pools number users 1..n in call order
             cost = costs[priced()]
-            add_row(_new(TraceRow, (base + user, at_epoch, at_round, user,
-                                    "register", 0, 0, pool.capacity, cost,
-                                    cost > budget, f"user={user}")))
+            add_row((base + user, at_epoch, at_round, user, "register", 0, 0,
+                     pool.capacity, cost, cost > budget, f"user={user}"))
         return self.n
 
 
@@ -438,9 +463,8 @@ class _Autonomous(_Adapter):
                 else:
                     amount, summary = 0, self.rejected[reason]
             cost = costs[priced()]
-            add_row(_new(TraceRow, (block, at_epoch, at_round, actor, action,
-                                    amount, share, pool.capacity, cost,
-                                    cost > budget, summary)))
+            add_row((block, at_epoch, at_round, actor, action, amount, share,
+                     pool.capacity, cost, cost > budget, summary))
         return self.n
 
     def claim_round(self, epoch, rnd, base, at):
@@ -459,9 +483,8 @@ class _Autonomous(_Adapter):
             else:
                 summary = no_op[reason]
             cost = costs[priced()]
-            add_row(_new(TraceRow, (block, at_epoch, at_round, user, "claim",
-                                    granted, share, pool.capacity, cost,
-                                    cost > budget, summary)))
+            add_row((block, at_epoch, at_round, user, "claim", granted, share,
+                     pool.capacity, cost, cost > budget, summary))
         return self.n
 
     def noop(self):
@@ -496,9 +519,8 @@ class _Central(_Adapter):
                 actor, action, share, summary = (user, "demand", 0,
                                                  accepted[amount])
             cost = costs[priced()]
-            add_row(_new(TraceRow, (base + user, at_epoch, at_round, actor,
-                                    action, amount, share, pool.capacity,
-                                    cost, cost > budget, summary)))
+            add_row((base + user, at_epoch, at_round, actor, action, amount,
+                     share, pool.capacity, cost, cost > budget, summary))
         return self.n
 
     def claim_round(self, epoch, rnd, base, at):
@@ -509,10 +531,9 @@ class _Central(_Adapter):
         self.grants[epoch] = report.allocations  # uncopied
         total = report.total_granted()
         cost = self.costs[self.meter.total()]
-        self.add_row(_new(TraceRow, (
-            base + 1, *at, AUTHORITY, "distribute", total, 0,
-            self.pool.capacity, cost, cost > self.budget,
-            self.distributed[total, report.iterations])))
+        self.add_row((base + 1, *at, AUTHORITY, "distribute", total, 0,
+                      self.pool.capacity, cost, cost > self.budget,
+                      self.distributed[total, report.iterations]))
         return 1
 
     def noop(self):
@@ -552,11 +573,9 @@ def run_scenario(sc: Scenario) -> RunResult:
             idle = range(round_start + busy, round_start + sc.round_span)
             actor, action, amount, share, summary = adapter.noop()
             capacity = pool.capacity
-            adapter.trace.extend([_new(TraceRow, (b, pos_epoch, pos_round,
-                                                  actor, action, amount, share,
-                                                  capacity, tx_base, False,
-                                                  summary))
-                                  for b in idle])
+            adapter.rows.extend([(b, pos_epoch, pos_round, actor, action,
+                                  amount, share, capacity, tx_base, False,
+                                  summary) for b in idle])
         # an epoch with a top-up is a claim epoch: CMF tops up in its
         # distribute block even without users, AMF only on a transaction
         if pool.injections > injections:
@@ -570,7 +589,7 @@ def run_scenario(sc: Scenario) -> RunResult:
         injections = pool.injections
         capacity_end = pool.capacity
 
-    return RunResult(scenario=sc, trace=adapter.trace,
+    return RunResult(scenario=sc, rows=adapter.rows,
                      balances=adapter.balances(), reports=adapter.reports,
                      epoch_summaries=summaries, final_capacity=pool.capacity,
                      injected=injections * sc.epoch_capacity)
@@ -622,12 +641,12 @@ def _runs(rows, key, own, layout):
 
 def trace_chunks(result: RunResult):
     yield "block,epoch,round,actor,action,amount,share,capacity,cost,over_budget\n"
-    yield from _runs(result.trace, _ROUND, _TRACE_OWN, _TRACE_LAYOUT)
+    yield from _runs(result.rows, _ROUND, _TRACE_OWN, _TRACE_LAYOUT)
 
 
 def receipts_chunks(result: RunResult):
     yield "block,epoch,round,action,actor,cost,over_budget,summary\n"
-    yield from _runs(result.trace, _ROUND, _RECEIPT_OWN, _RECEIPT_LAYOUT)
+    yield from _runs(result.rows, _ROUND, _RECEIPT_OWN, _RECEIPT_LAYOUT)
 
 
 def balances_chunks(result: RunResult):

@@ -7,10 +7,13 @@ every remainder into the other heap on its own, the demand heap being
 its heap 0.  ``ReferenceCmf.submit_demand`` queues the ``(demand, user)``
 tuple the distributor queued before its keys became one packed int, so
 the comparison also pits the packed-key drain against a tuple-key one.
-Both must agree on the report, the balances, the carried capacity and
-every meter charge.  ``GrantRow`` is the row record the distributor built
-before its rows became plain tuples, verbatim; a plain tuple compares
-equal to the record with the same fields.
+Both of its heaps are ``ReferenceHeap``s, whose sifts count as they go,
+so the drain's heap metering shares no code with ``MinHeap``'s and a
+fault in the heap's metering fails the comparison.  Both must agree on
+the report, the balances, the carried capacity and every meter charge.
+``GrantRow`` is the row record the distributor built before its rows
+became plain tuples, verbatim; a plain tuple compares equal to the
+record with the same fields.
 """
 
 import random
@@ -21,6 +24,7 @@ import pytest
 from fairfaucet.cmf import CmfDistributor, DistributionReport
 from fairfaucet.heap import MinHeap
 from meter_counts import add_counts, counting_meter, counts
+from reference_heap import ReferenceHeap
 
 
 class GrantRow(NamedTuple):
@@ -35,6 +39,7 @@ class ReferenceCmf(CmfDistributor):
 
     def __init__(self, epoch_capacity: int, meter=None):
         super().__init__(epoch_capacity, meter)
+        self._queue = ReferenceHeap(self._meter)
         self._demanded = set()  # the set its submit_demand adds to
 
     def submit_demand(self, user: int, amount: int) -> None:
@@ -55,7 +60,7 @@ class ReferenceCmf(CmfDistributor):
         report = DistributionReport(epoch=epoch,
                                     capacity_before=self.capacity)
 
-        heaps = [self._queue, MinHeap(self._meter)]
+        heaps = [self._queue, ReferenceHeap(self._meter)]
         c = self.capacity
         i = 0
         iteration = 0
@@ -81,7 +86,7 @@ class ReferenceCmf(CmfDistributor):
 
         # depletion discards whatever is left in either heap
         m = self._meter
-        self._queue = MinHeap(m)
+        self._queue = ReferenceHeap(m)
         self._demanded.clear()
         self.capacity = c
         report.capacity_after = c

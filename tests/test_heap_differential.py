@@ -1,9 +1,9 @@
 """Differential tests of the heap's sifts against their level-counting
 predecessor.
 
-``ReferenceHeap.insert`` and ``ReferenceHeap.del_min`` are the sifts as
-they were before the moves were taken from the landing index: they count
-the levels and compares as they go.  Both heaps replay the same seeded
+``ReferenceHeap`` (in ``reference_heap.py``) holds the sifts as they
+were before the moves were taken from the landing index: they count the
+levels and compares as they go.  Both heaps replay the same seeded
 operation sequences on the same node objects, and after every operation
 they must agree on the popped node, the node array (by identity, so a tie
 sent to the other child shows even between equal keys) and the
@@ -16,59 +16,8 @@ import random
 import pytest
 
 from fairfaucet.heap import MinHeap
-from meter_counts import add_counts, counting_meter, counts
-
-
-class ReferenceHeap(MinHeap):
-
-    def insert(self, node: tuple) -> None:
-        """Sift-up insert."""
-        nodes = self._nodes
-        nodes.append(node)
-        k = len(nodes) - 1
-        depth = 0
-        while k > 0:
-            parent = (k - 1) // 2
-            if nodes[parent] <= node:
-                break
-            nodes[k] = nodes[parent]
-            k = parent
-            depth += 1
-        nodes[k] = node
-        # one compare per level climbed, plus the one that stopped the
-        # climb below the root; one move for the append and one per level
-        add_counts(self._meter, 0, 0, depth + (k > 0), depth + 1)
-
-    def del_min(self) -> tuple:
-        """Pop the minimum node, restoring heap order by sift-down."""
-        nodes = self._nodes
-        if not nodes:
-            raise IndexError("underflow")
-        top = nodes[0]
-        last = nodes.pop()
-        depth = 0
-        compares = 0
-        if nodes:
-            k = 0
-            size = len(nodes)
-            while True:
-                child = 2 * k + 1
-                if child >= size:
-                    break
-                if child + 1 < size:
-                    compares += 1
-                    if nodes[child + 1] < nodes[child]:
-                        child += 1
-                compares += 1
-                if last <= nodes[child]:
-                    break
-                nodes[k] = nodes[child]
-                k = child
-                depth += 1
-            nodes[k] = last
-        # one move for the pop and one per level descended
-        add_counts(self._meter, 0, 0, compares, depth + 1)
-        return top
+from meter_counts import counting_meter, counts
+from reference_heap import ReferenceHeap
 
 
 class Pair:

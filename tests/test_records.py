@@ -39,7 +39,7 @@ SIGNATURES = {
     Scenario: "variant n epoch_capacity epoch_span round_span demand_lo "
               "demand_hi epochs seed precision cost_model scripted_demands",
     EpochSummary: "epoch demands capacity_start granted capacity_end",
-    RunResult: "scenario trace balances reports epoch_summaries "
+    RunResult: "scenario rows balances reports epoch_summaries "
                "final_capacity injected",
     EpochCheck: "epoch ok note first_diff",
     VerifyReport: "checks",

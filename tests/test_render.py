@@ -92,7 +92,7 @@ def synthetic(rows: int) -> RunResult:
                DistributionReport(epoch=3, rows=grants[rows // 3:])]
     # balances inserted in descending order, so rendering must sort them
     balances = {u: (u * 31) % 1000 for u in range(rows, 0, -1)}
-    return RunResult(scenario=None, trace=trace, balances=balances,
+    return RunResult(scenario=None, rows=trace, balances=balances,
                      reports=reports, epoch_summaries=[], final_capacity=0,
                      injected=0)
 
@@ -124,7 +124,7 @@ def test_renderers_match_reference_on_a_run_longer_than_two_chunks():
              for k in range(size + 40)]
     grants = [(1, k, 20, 20, 10 ** 6 - 20 * k) for k in range(1, size)]
     grants += [(2, k, 3, 3, 5) for k in range(size, size + 9)]
-    result = RunResult(scenario=None, trace=trace, balances={1: 20},
+    result = RunResult(scenario=None, rows=trace, balances={1: 20},
                        reports=[DistributionReport(epoch=4, rows=grants)],
                        epoch_summaries=[], final_capacity=0, injected=0)
     assert longest_run(trace) > 2 * CHUNK

@@ -24,7 +24,7 @@ POSITION = st.integers(0, 10 ** 6)
 
 
 def result(trace=(), reports=(), balances=None) -> RunResult:
-    return RunResult(scenario=None, trace=list(trace),
+    return RunResult(scenario=None, rows=list(trace),
                      balances=balances or {}, reports=list(reports),
                      epoch_summaries=[], final_capacity=0, injected=0)
 

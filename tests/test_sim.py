@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import pickle
@@ -281,12 +282,41 @@ def test_one_tx_per_block_and_consecutive_numbering():
 def test_each_block_is_one_record_that_is_also_its_receipt(variant):
     sc = Scenario(variant, 5, seed=8, epochs=3)
     result = run_scenario(sc)
-    assert result.receipts is result.trace
+    assert list(result.receipts) == list(result.trace) == result.rows
     assert ([r.block for r in result.trace]
             == list(range(sc.epochs * sc.epoch_span)))
     assert all(type(r) is TraceRow for r in result.trace)
     assert all(r.kind == r.action for r in result.trace)
     assert {r.kind for r in result.trace} >= {"register", "demand", "noop"}
+
+
+@pytest.mark.parametrize("variant", ["AMF", "WAMF", "CMF"])
+def test_stored_records_are_exact_tuples_the_collector_untracks(variant):
+    # A stored record must be a plain tuple of ints, strs and bools: the
+    # garbage collector untracks such a tuple once it has seen it, never
+    # a NamedTuple, and a run keeps every record until it returns.
+    result = run_scenario(Scenario(variant, 50, seed=8, epochs=4))
+    assert len(result.rows) == 800
+    assert all(type(row) is tuple for row in result.rows)
+    gc.collect()
+    assert not any(gc.is_tracked(row) for row in result.rows)
+
+
+def test_the_trace_view_reads_the_stored_records_as_trace_rows():
+    result = run_scenario(Scenario("CMF", 5, seed=8, epochs=3))
+    rows, view = result.rows, result.trace
+    assert len(view) == len(rows) == 60
+    assert view[7] == rows[7] and view[-1] == rows[-1]
+    assert (view[7].block, view[-1].block, view[-60].block) == (7, 59, 0)
+    assert view[3:9] == rows[3:9] and view[::-7] == rows[::-7]
+    assert list(view) == rows
+    for k, row in enumerate(view):
+        assert type(row) is TraceRow and row.block == k
+    assert all(type(row) is TraceRow for row in view[3:9])
+    # each read makes its own row, and the view keeps none
+    assert view[7] is not view[7]
+    with pytest.raises(IndexError):
+        view[60]
 
 
 @pytest.mark.parametrize("variant", ["AMF", "WAMF", "CMF"])
@@ -314,8 +344,8 @@ def test_trace_positions_match_the_clock(variant):
 def test_zero_epochs_is_an_empty_run():
     sc = Scenario("AMF", 4, epochs=0)
     result = run_scenario(sc)
-    assert result.trace == []
-    assert result.receipts == []
+    assert result.rows == []
+    assert list(result.trace) == list(result.receipts) == []
     # nobody ever registers, so there are no balances to report
     assert all(v == 0 for v in result.balances.values())
     assert result.injected == 0

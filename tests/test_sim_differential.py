@@ -221,7 +221,7 @@ def reference_run_scenario(sc: Scenario) -> tuple:
         injections = adapter.injections
         capacity_end = pool.capacity
 
-    result = RunResult(scenario=sc, trace=trace, balances=adapter.balances(),
+    result = RunResult(scenario=sc, rows=trace, balances=adapter.balances(),
                        reports=adapter.reports, epoch_summaries=summaries,
                        final_capacity=pool.capacity,
                        injected=injections * sc.epoch_capacity)
@@ -278,7 +278,7 @@ def test_schedule_matches_the_block_by_block_loop(variant, n, priced):
     for sc in grid(variant, n, priced):
         got = run_scenario(sc)
         want, receipts, want_findings = reference_run_scenario(sc)
-        assert all(type(r) is TraceRow for r in got.trace), sc
+        assert all(type(r) is tuple for r in got.rows), sc
         assert (typed(r[:-1] for r in got.trace)
                 == typed(r[:-1] for r in want.trace)), sc
         assert (typed(map(RECEIPT_FIELDS, got.receipts))
