@@ -61,11 +61,12 @@ def cmd_run(args) -> int:
         print(f"wrote {path}")
     for finding in findings(result):
         print(f"finding: {finding}")
-    over = result.over_budget_receipts()
+    over = [row for row in result.rows if row[9]]  # over_budget
     if over:
+        block, kind, cost = over[0][0], over[0][4], over[0][8]
         print(f"warning: {len(over)} transaction(s) exceeded the block "
               f"budget ({sc.cost_model.block_budget}); first at block "
-              f"{over[0].block} ({over[0].kind}, cost {over[0].cost})")
+              f"{block} ({kind}, cost {cost})")
     return EXIT_OK
 
 
@@ -119,8 +120,7 @@ def _parse_sweep(text: str):
 def cmd_cost_report(args) -> int:
     sc = _load(args)
     if not args.sweep:
-        result = run_scenario(sc)
-        print(cost_report(result.receipts).render())
+        print(cost_report(run_scenario(sc).rows).render())
         return EXIT_OK
 
     if sc.scripted_demands is not None:
@@ -134,9 +134,8 @@ def cmd_cost_report(args) -> int:
     claim_means = {}
     distribute_means = {}
     for n, (autonomous, central) in zip(sizes, pairs):
-        auto_summary = cost_report(run_scenario(autonomous).receipts)
-        central_result = run_scenario(central)
-        central_summary = cost_report(central_result.receipts)
+        auto_summary = cost_report(run_scenario(autonomous).rows)
+        central_summary = cost_report(run_scenario(central).rows)
         claim_means[n] = auto_summary.mean("claim")
         distribute_means[n] = central_summary.mean("distribute")
         over = (auto_summary.over_budget + central_summary.over_budget)

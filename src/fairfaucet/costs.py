@@ -15,7 +15,12 @@ compares (``compare``, one arith) and node moves (``move``).  Every
 metered site adds its priced amount to ``units`` itself, with no method
 call.  Integer pricing distributes over the sum, so a transaction's
 units equal its counts priced at the end.
+
+``cost_report`` sums a run's records as ``RunResult.rows`` stores them:
+tuples in ``TraceRow``'s field order, read by position.
 """
+
+from operator import itemgetter
 
 from .clock import _Record
 
@@ -131,27 +136,27 @@ class CostSummary(_Record):
         return "\n".join(lines)
 
 
-def cost_report(receipts) -> CostSummary:
-    """Aggregate a run's records (``RunResult.receipts``, or any records
-    with ``kind``, ``round``, ``cost`` and ``over_budget``) into mean/total
-    cost per action kind and, for claims, per round.  Empty input yields an
-    empty summary."""
+def cost_report(records) -> CostSummary:
+    """Aggregate a run's records (``RunResult.rows``, or any sequences in
+    ``TraceRow``'s field order, ``TraceRow``s included) into mean/total
+    cost per action kind and, for claims, per round.  A record's round,
+    action, cost and over_budget are its fields 2, 4, 8 and 9.  Empty
+    input yields an empty summary."""
     summary = CostSummary()
     by_action, by_round = summary.by_action, summary.claim_by_round
-    for r in receipts:
-        kind = r.kind
+    for rnd, kind, cost, over_budget in map(itemgetter(2, 4, 8, 9), records):
         # a stats object only for a key not seen before, not per record
         st = by_action.get(kind)
         if st is None:
             st = by_action[kind] = ActionStats()
         st.count += 1
-        st.total += r.cost
+        st.total += cost
         if kind == "claim":
-            rst = by_round.get(r.round)
+            rst = by_round.get(rnd)
             if rst is None:
-                rst = by_round[r.round] = ActionStats()
+                rst = by_round[rnd] = ActionStats()
             rst.count += 1
-            rst.total += r.cost
-        if r.over_budget:
+            rst.total += cost
+        if over_budget:
             summary.over_budget += 1
     return summary

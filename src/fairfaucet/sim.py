@@ -22,12 +22,12 @@ CMF's authority distributes in the first.  Every block is recorded as
 one plain tuple in ``TraceRow``'s field order, which also carries the
 receipt's summary: the garbage collector untracks a tuple of ints, strs
 and bools once it has seen it, never a tuple subclass, and a run keeps
-every record until it returns.  ``RunResult.trace`` and
-``RunResult.receipts`` are one view that makes a ``TraceRow`` of a record
-as it is read and keeps none.  ``trace.csv`` and ``receipts.csv`` are two
-renderings of the same records, read from ``RunResult.rows`` and written
-run by run: a run is a stretch of records with equal epoch, round, action
-and over_budget, and each CSV formats those four fields once per run.
+every record until it returns.  The package reads them as stored, in
+``RunResult.rows``; ``RunResult.trace`` and ``.receipts`` are one view,
+for outside readers, making a ``TraceRow`` per record as it is iterated.
+``trace.csv`` and ``receipts.csv`` render the same records run by run:
+a run is a stretch of records with equal epoch, round, action and
+over_budget, whose four fields each CSV formats once per run.
 An idle block is a no-op that costs ``tx_base`` and leaves the pool as
 it was.  An epoch summary's demands are the demand plan's, not the ones
 the pool accepted, so ``verify`` catches a pool that wrongly rejects a
@@ -289,8 +289,8 @@ class EpochSummary(_Record):
 
 
 class TraceView:
-    """A run's records read as ``TraceRow``s, each made when it is read:
-    ``len``, iteration, and an index or a slice, which gives a list."""
+    """A run's records read as ``TraceRow``s, each made as it is iterated:
+    ``len`` and iteration only.  The package reads ``RunResult.rows``."""
 
     __slots__ = ("rows",)
 
@@ -302,11 +302,6 @@ class TraceView:
 
     def __iter__(self):
         return map(TraceRow._make, self.rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(map(TraceRow._make, self.rows[index]))
-        return TraceRow._make(self.rows[index])
 
 
 class RunResult(_Record):
@@ -332,9 +327,6 @@ class RunResult(_Record):
 
     def conservation_ok(self) -> bool:
         return sum(self.balances.values()) + self.final_capacity == self.injected
-
-    def over_budget_receipts(self):
-        return [r for r in self.receipts if r.over_budget]
 
 
 def _demand_plan(sc: Scenario):
@@ -467,9 +459,9 @@ class _Autonomous(_Adapter):
                      pool.capacity, cost, cost > budget, summary))
         return self.n
 
-    def claim_round(self, epoch, rnd, base, at):
+    def claim_round(self, base, at):
         at_epoch, at_round = at
-        pool, claim, grants = self.pool, self.pool.claim, self.grants[epoch]
+        pool, claim, grants = self.pool, self.pool.claim, self.grants[at_epoch]
         granted_text, floored_text, no_op = (self.granted, self.floored,
                                              self.no_op)
         priced, costs, budget, add_row = (self.meter.total, self.costs,
@@ -523,7 +515,8 @@ class _Central(_Adapter):
                      share, pool.capacity, cost, cost > budget, summary))
         return self.n
 
-    def claim_round(self, epoch, rnd, base, at):
+    def claim_round(self, base, at):
+        epoch, rnd = at
         if rnd > 0:  # the first round's distribute served the epoch
             return 0
         report = self.pool.distribute(epoch=epoch)
@@ -565,7 +558,7 @@ def run_scenario(sc: Scenario) -> RunResult:
             elif rnd == rounds - 1:
                 busy = adapter.demand(plan[epoch], base, at)
             elif epoch > 0:
-                busy = adapter.claim_round(epoch, rnd, base, at)
+                busy = adapter.claim_round(base, at)
             else:  # nothing was demanded before epoch 0
                 busy = 0
             # the idle rest of the round leaves the pool as it was; the

@@ -298,6 +298,22 @@ def test_run_warns_of_the_first_transaction_over_the_block_budget(
         "first at block 0 (register, cost 31000)")
 
 
+def test_the_warning_names_a_later_first_offender_by_its_own_columns(
+        tmp_path, capsys):
+    # a budget between cmf_n10's distributes: the first two (blocks 40 and
+    # 80, costs 126490 and 124865) are over it, the third (117455) and
+    # every other transaction not; block 40 grants 169 units at share 0
+    keys = json.loads((SCENARIOS / "cmf_n10.json").read_text())
+    keys["cost_model"]["block_budget"] = 120000
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(keys))
+    assert main(["run", "--scenario", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "warning: 2 transaction(s) exceeded the block budget (120000); "
+        "first at block 40 (distribute, cost 126490)")
+
+
 def test_cost_report_prints_summary(capsys):
     rc = main(["cost-report", "--scenario", str(SCENARIOS / "amf_n10.json")])
     assert rc == 0
@@ -309,9 +325,7 @@ def test_cost_report_sweep(capsys):
     rc = main(["cost-report", "--scenario", str(SCENARIOS / "amf_n10.json"),
                "--sweep", "n=5,10"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "distribute mean" in out
-    assert "claim mean spread" in out
+    assert capsys.readouterr().out == COST_REPORT_SWEEP
 
 
 def test_cost_report_of_an_empty_scenario_is_empty(tmp_path, capsys):
@@ -368,8 +382,90 @@ STDOUT = {
 }
 
 
+# The whole stdout of `cost-report` on every scenario file, and of one
+# sweep.
+COST_REPORT = {
+    "amf_n10": (
+        "      action    count          total         mean\n"
+        "       claim       90        3708890      41209.9\n"
+        "      demand       40        2128440      53211.0\n"
+        "        noop       20         420000      21000.0\n"
+        "    register       10         310000      31000.0\n"
+        "claim cost by round:\n"
+        "     round 1       30        1907680      63589.3\n"
+        "     round 2       30         991630      33054.3\n"
+        "     round 3       30         809580      26986.0\n"
+        "over-budget transactions: 0\n"),
+    "amf_worked_example": (
+        "      action    count          total         mean\n"
+        "       claim       36        1705390      47371.9\n"
+        "      demand       12         682800      56900.0\n"
+        "        noop        9         189000      21000.0\n"
+        "    register        3          93000      31000.0\n"
+        "claim cost by round:\n"
+        "     round 1       12         816460      68038.3\n"
+        "     round 2       12         496180      41348.3\n"
+        "     round 3       12         392750      32729.2\n"
+        "over-budget transactions: 0\n"),
+    "cmf_n10": (
+        "      action    count          total         mean\n"
+        "      demand       40        1124275      28106.9\n"
+        "  distribute        3         368810     122936.7\n"
+        "        noop      107        2247000      21000.0\n"
+        "    register       10         310000      31000.0\n"
+        "over-budget transactions: 0\n"),
+    "cmf_worked_example": (
+        "      action    count          total         mean\n"
+        "      demand        3          82810      27603.3\n"
+        "  distribute        1          76305      76305.0\n"
+        "        noop       17         357000      21000.0\n"
+        "    register        3          93000      31000.0\n"
+        "over-budget transactions: 0\n"),
+    "depletion_fcfs": (
+        "      action    count          total         mean\n"
+        "       claim        6         293210      48868.3\n"
+        "      demand        2         119070      59535.0\n"
+        "        noop        6         126000      21000.0\n"
+        "    register        2          62000      31000.0\n"
+        "claim cost by round:\n"
+        "     round 1        2         136080      68040.0\n"
+        "     round 2        2          93870      46935.0\n"
+        "     round 3        2          63260      31630.0\n"
+        "over-budget transactions: 0\n"),
+    "rounds_exhausted": (
+        "      action    count          total         mean\n"
+        "       claim       12         643420      53618.3\n"
+        "      demand        4         222330      55582.5\n"
+        "        noop       12         252000      21000.0\n"
+        "    register        4         124000      31000.0\n"
+        "claim cost by round:\n"
+        "     round 1        4         254750      63687.5\n"
+        "     round 2        4         212540      53135.0\n"
+        "     round 3        4         176130      44032.5\n"
+        "over-budget transactions: 0\n"),
+    "wamf_n10": (
+        "      action    count          total         mean\n"
+        "       claim       90        3831330      42570.3\n"
+        "      demand       40        2128440      53211.0\n"
+        "        noop       20         420000      21000.0\n"
+        "    register       10         310000      31000.0\n"
+        "claim cost by round:\n"
+        "     round 1       30        1884480      62816.0\n"
+        "     round 2       30        1137270      37909.0\n"
+        "     round 3       30         809580      26986.0\n"
+        "over-budget transactions: 0\n"),
+}
+COST_REPORT_SWEEP = (
+    "     n   claim mean  demand mean  distribute mean  over budget\n"
+    "     5      42417.4      54792.0          73840.0            0\n"
+    "    10      41209.9      53211.0         122936.7            0\n"
+    "claim mean spread across n: 1.029x\n"
+    "distribute mean growth n=5 -> n=10: 1.7x\n")
+
+
 def test_every_scenario_file_has_a_stdout_pin():
-    assert {p.stem for p in SCENARIOS.glob("*.json")} == set(STDOUT)
+    names = {p.stem for p in SCENARIOS.glob("*.json")}
+    assert names == set(STDOUT) == set(COST_REPORT)
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT))
@@ -380,3 +476,10 @@ def test_run_and_verify_stdout_is_pinned(name, tmp_path, capsys):
     assert capsys.readouterr().out.replace(str(tmp_path), "OUT") == want_run
     assert main(["verify", "--scenario", scenario]) == 0
     assert capsys.readouterr().out == want_verify
+
+
+@pytest.mark.parametrize("name", sorted(COST_REPORT))
+def test_cost_report_stdout_is_pinned(name, capsys):
+    scenario = str(SCENARIOS / f"{name}.json")
+    assert main(["cost-report", "--scenario", scenario]) == 0
+    assert capsys.readouterr().out == COST_REPORT[name]

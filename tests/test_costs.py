@@ -65,13 +65,17 @@ def test_readme_cost_table_is_path_charges():
     assert dict(rows) == PATH_CHARGES
 
 
-def test_report_aggregates_by_action_and_round():
-    receipts = [
-        TraceRow(0, 1, 0, 1, "claim", 3, 3, 27, 100, False, "granted=3"),
-        TraceRow(1, 1, 0, 2, "claim", 3, 3, 24, 200, False, "granted=3"),
-        TraceRow(2, 1, 1, 1, "claim", 0, 0, 24, 50, False, "no-op"),
-        TraceRow(3, 1, 3, 1, "demand", 9, 0, 24, 70, True, "amount=9"),
-    ]
+# a record is read by position, so TraceRows and the plain tuples that
+# RunResult.rows stores report alike
+@pytest.mark.parametrize("make", [TraceRow._make, tuple],
+                         ids=["TraceRow", "tuple"])
+def test_report_aggregates_by_action_and_round(make):
+    receipts = list(map(make, [
+        (0, 1, 0, 1, "claim", 3, 3, 27, 100, False, "granted=3"),
+        (1, 1, 0, 2, "claim", 3, 3, 24, 200, False, "granted=3"),
+        (2, 1, 1, 1, "claim", 0, 0, 24, 50, False, "no-op"),
+        (3, 1, 3, 1, "demand", 9, 0, 24, 70, True, "amount=9"),
+    ]))
     summary = cost_report(receipts)
     assert summary.by_action["claim"].count == 3
     assert summary.by_action["claim"].total == 350
@@ -123,10 +127,10 @@ def test_over_budget_flag_reflects_budget():
     tight = CostModel(block_budget=22000)  # barely above tx_base
     sc = Scenario("AMF", 4, seed=5, epochs=2, cost_model=tight)
     result = run_scenario(sc)
-    flagged = result.over_budget_receipts()
-    assert flagged, "claims must exceed a tight budget"
-    for receipt in result.receipts:
-        assert receipt.over_budget == (receipt.cost > tight.block_budget)
+    # over_budget and cost: fields 9 and 8 of a stored record
+    assert any(row[9] for row in result.rows), "claims must exceed it"
+    for row in result.rows:
+        assert row[9] == (row[8] > tight.block_budget)
     noops = [r for r in result.receipts if r.kind == "noop"]
     assert all(not r.over_budget for r in noops)
 

@@ -320,16 +320,17 @@ def test_unweighted_share_floor_under_starvation():
 @pytest.mark.parametrize("variant", ["AMF", "WAMF"])
 def test_each_floored_claim_is_marked_in_its_receipt(variant):
     # ten units an epoch for six users floor some shares and not others;
-    # a receipt and a trace row share their index
+    # a record carries both its receipt's summary and its trace share
     sc = Scenario(variant=variant, n=6, epoch_capacity=10, epoch_span=24,
                   round_span=6, demand_lo=5, demand_hi=20, epochs=4, seed=2)
     result = run_scenario(sc)
-    granted = [i for i, r in enumerate(result.receipts)
-               if r.summary.startswith("granted")]
-    floored = [i for i in granted
-               if result.receipts[i].summary.endswith(" floor1")]
+    # summary and share: fields 10 and 6 of a stored record
+    granted = [(row[10], row[6]) for row in result.rows
+               if row[10].startswith("granted")]
+    floored = [share for summary, share in granted
+               if summary.endswith(" floor1")]
     assert 0 < len(floored) < len(granted)
-    assert all(result.trace[i].share == 1 for i in floored)
+    assert all(share == 1 for share in floored)
 
 
 def test_last_block_of_a_round_then_first_block_of_the_next():

@@ -306,17 +306,12 @@ def test_the_trace_view_reads_the_stored_records_as_trace_rows():
     result = run_scenario(Scenario("CMF", 5, seed=8, epochs=3))
     rows, view = result.rows, result.trace
     assert len(view) == len(rows) == 60
-    assert view[7] == rows[7] and view[-1] == rows[-1]
-    assert (view[7].block, view[-1].block, view[-60].block) == (7, 59, 0)
-    assert view[3:9] == rows[3:9] and view[::-7] == rows[::-7]
     assert list(view) == rows
     for k, row in enumerate(view):
         assert type(row) is TraceRow and row.block == k
-    assert all(type(row) is TraceRow for row in view[3:9])
-    # each read makes its own row, and the view keeps none
-    assert view[7] is not view[7]
-    with pytest.raises(IndexError):
-        view[60]
+    # each read makes its own rows, and the view keeps none
+    assert all(a == b and a is not b
+               for a, b in zip(view, view, strict=True))
 
 
 @pytest.mark.parametrize("variant", ["AMF", "WAMF", "CMF"])
