@@ -16,12 +16,10 @@ print(f"{'n':>6} {'AMF claim mean':>15} {'rounds 1/2/3':>24} "
       f"{'CMF distribute mean':>20} {'fits?':>6}")
 
 for n in (10, 50, 100, 200, 500):
-    amf = cost_report(run_scenario(
-        Scenario("AMF", n, seed=42, epochs=4)).receipts)
-    cmf_result = run_scenario(Scenario("CMF", n, seed=42, epochs=4))
-    cmf = cost_report(cmf_result.receipts)
+    amf = cost_report(run_scenario(Scenario("AMF", n, seed=42, epochs=4)))
+    cmf = cost_report(run_scenario(Scenario("CMF", n, seed=42, epochs=4)))
     rounds = "/".join(f"{amf.claim_by_round[r].mean:.0f}" for r in (0, 1, 2))
-    over = any(r.over_budget for r in cmf_result.receipts)
+    over = cmf.over_budget > 0
     print(f"{n:>6} {amf.mean('claim'):>15.0f} {rounds:>24} "
           f"{cmf.mean('distribute'):>20.0f} {'NO' if over else 'yes':>6}")
 

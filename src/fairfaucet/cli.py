@@ -61,12 +61,15 @@ def cmd_run(args) -> int:
         print(f"wrote {path}")
     for finding in findings(result):
         print(f"finding: {finding}")
-    over = [row for row in result.rows if row[9]]  # over_budget
+    budget = sc.cost_model.block_budget
+    over = [(rec, start, stop) for rec in result.records
+            for start, stop, flagged in rec.over_budget(budget) if flagged]
     if over:
-        block, kind, cost = over[0][0], over[0][4], over[0][8]
-        print(f"warning: {len(over)} transaction(s) exceeded the block "
-              f"budget ({sc.cost_model.block_budget}); first at block "
-              f"{block} ({kind}, cost {cost})")
+        rec, start, _ = over[0]
+        print(f"warning: {sum(stop - start for _, start, stop in over)} "
+              f"transaction(s) exceeded the block budget ({budget}); first "
+              f"at block {rec.first + start} ({rec.action}, cost "
+              f"{rec.costs[start]})")
     return EXIT_OK
 
 
@@ -120,7 +123,7 @@ def _parse_sweep(text: str):
 def cmd_cost_report(args) -> int:
     sc = _load(args)
     if not args.sweep:
-        print(cost_report(run_scenario(sc).rows).render())
+        print(cost_report(run_scenario(sc)).render())
         return EXIT_OK
 
     if sc.scripted_demands is not None:
@@ -134,8 +137,8 @@ def cmd_cost_report(args) -> int:
     claim_means = {}
     distribute_means = {}
     for n, (autonomous, central) in zip(sizes, pairs):
-        auto_summary = cost_report(run_scenario(autonomous).rows)
-        central_summary = cost_report(run_scenario(central).rows)
+        auto_summary = cost_report(run_scenario(autonomous))
+        central_summary = cost_report(run_scenario(central))
         claim_means[n] = auto_summary.mean("claim")
         distribute_means[n] = central_summary.mean("distribute")
         over = (auto_summary.over_budget + central_summary.over_budget)

@@ -16,11 +16,9 @@ metered site adds its priced amount to ``units`` itself, with no method
 call.  Integer pricing distributes over the sum, so a transaction's
 units equal its counts priced at the end.
 
-``cost_report`` sums a run's records as ``RunResult.rows`` stores them:
-tuples in ``TraceRow``'s field order, read by position.
+``cost_report`` sums a run's records as ``RunResult.records`` stores
+them: a round's cost column at a time, and its idle blocks as a count.
 """
-
-from operator import itemgetter
 
 from .clock import _Record
 
@@ -136,27 +134,32 @@ class CostSummary(_Record):
         return "\n".join(lines)
 
 
-def cost_report(records) -> CostSummary:
-    """Aggregate a run's records (``RunResult.rows``, or any sequences in
-    ``TraceRow``'s field order, ``TraceRow``s included) into mean/total
-    cost per action kind and, for claims, per round.  A record's round,
-    action, cost and over_budget are its fields 2, 4, 8 and 9.  Empty
-    input yields an empty summary."""
+def cost_report(result) -> CostSummary:
+    """Aggregate a run's records (``RunResult.records``) into mean/total
+    cost per action kind and, for claims, per round, counting the blocks
+    over the scenario's block budget.  A run of no blocks yields an empty
+    summary."""
     summary = CostSummary()
     by_action, by_round = summary.by_action, summary.claim_by_round
-    for rnd, kind, cost, over_budget in map(itemgetter(2, 4, 8, 9), records):
-        # a stats object only for a key not seen before, not per record
-        st = by_action.get(kind)
-        if st is None:
-            st = by_action[kind] = ActionStats()
-        st.count += 1
-        st.total += cost
-        if kind == "claim":
-            rst = by_round.get(rnd)
-            if rst is None:
-                rst = by_round[rnd] = ActionStats()
-            rst.count += 1
-            rst.total += cost
-        if over_budget:
-            summary.over_budget += 1
+    budget = result.scenario.cost_model.block_budget
+    for rec in result.records:
+        if rec.costs:
+            count, total = len(rec.costs), sum(rec.costs)
+            _add(by_action, rec.action, count, total)
+            if rec.action == "claim":
+                _add(by_round, rec.round, count, total)
+            summary.over_budget += sum(
+                stop - start
+                for start, stop, over in rec.over_budget(budget) if over)
+        if rec.idle:
+            _add(by_action, "noop", rec.idle, rec.idle * rec.idle_cost)
     return summary
+
+
+def _add(stats: dict, key, count: int, total: int):
+    # a stats object only for a key not seen before, not per record
+    st = stats.get(key)
+    if st is None:
+        st = stats[key] = ActionStats()
+    st.count += count
+    st.total += total

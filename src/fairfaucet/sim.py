@@ -18,16 +18,16 @@ its geometry.  A small adapter per design (autonomous for AMF/WAMF,
 central for CMF) runs a round's transactions in its first blocks, in one
 loop that also records each of them; the rest of the round is idle.  The
 designs differ only in their claim rounds: AMF/WAMF users claim in each,
-CMF's authority distributes in the first.  Every block is recorded as
-one plain tuple in ``TraceRow``'s field order, which also carries the
-receipt's summary: the garbage collector untracks a tuple of ints, strs
-and bools once it has seen it, never a tuple subclass, and a run keeps
-every record until it returns.  The package reads them as stored, in
-``RunResult.rows``; ``RunResult.trace`` and ``.receipts`` are one view,
-for outside readers, making a ``TraceRow`` per record as it is iterated.
-``trace.csv`` and ``receipts.csv`` render the same records run by run:
-a run is a stretch of records with equal epoch, round, action and
-over_budget, whose four fields each CSV formats once per run.
+CMF's authority distributes in the first.  A run keeps one
+``RoundRecord`` per stretch of a round, not one per block: the round's
+position and action once, a column per varying field of its busy
+blocks, and its idle blocks as a count, in ``RunResult.records``.  A
+block's number and over_budget flag are derived, from the stretch's
+first block and from its cost.  ``RunResult.trace`` and ``.receipts``
+are one view, for outside readers, making a ``TraceRow`` per block as it
+is iterated.  ``trace.csv`` and ``receipts.csv`` render the records run
+by run: a run is a record's busy blocks on one side of the block budget,
+whose shared fields each CSV formats once, or its idle blocks.
 An idle block is a no-op that costs ``tx_base`` and leaves the pool as
 it was.  An epoch summary's demands are the demand plan's, not the ones
 the pool accepted, so ``verify`` catches a pool that wrongly rejects a
@@ -36,9 +36,9 @@ object each.  Identical scenarios produce bit-identical records.
 """
 
 import json
-from itertools import chain, groupby
-from operator import itemgetter
-from typing import NamedTuple
+from itertools import groupby, islice
+from operator import attrgetter, itemgetter
+from typing import NamedTuple, Sequence
 
 from .clock import ClockParams, _Record, locate
 from .cmf import CmfDistributor
@@ -86,11 +86,11 @@ def _require_int(name, value):
 
 
 # The most blocks a run may ask for; it admits WAMF at n = 10**5 (1.6 *
-# 10**6 blocks).  A run keeps a record of about 230 B per block until it
+# 10**6 blocks).  A run keeps its records, about 77 B per block, until it
 # returns, plus a CSV's text while it renders: WAMF at n = 20000 (320,000
-# blocks) keeps 73 MB (tracemalloc, after run_scenario), peaks at 136 MB
-# RSS and takes about 1.0 s to run, verify and render (the README's
-# Performance table), so the limit costs about 460 MB of records and 6 s.
+# blocks) keeps 25 MB (tracemalloc, after run_scenario), peaks at 76 MB
+# RSS and takes about 0.95 s to run, verify and render (one process, one
+# run on a shared host), so the limit costs about 155 MB of records and 6 s.
 # Revisit it once records stream.
 MAX_BLOCKS = 2_000_000
 
@@ -258,6 +258,47 @@ class TraceRow(NamedTuple):
     kind = property(itemgetter(4))
 
 
+class RoundRecord(NamedTuple):
+    """A stretch of one round's blocks, from block ``first``: one busy
+    block per entry of the columns, each a transaction of ``action``,
+    then ``idle`` no-op blocks.  A busy block's over_budget is its cost
+    above the block budget.  An idle block's row is ``AUTHORITY``'s no-op
+    of amount 0 with the idle share, capacity and cost; the model keeps
+    that cost below the budget."""
+
+    first: int
+    epoch: int
+    round: int
+    action: str
+    # columns of ints but the summaries' strs; unsubscripted, as a
+    # subscripted type costs import time
+    actors: Sequence  # range(1, n + 1) when every user acts
+    amounts: Sequence
+    shares: Sequence
+    capacities: Sequence
+    costs: Sequence
+    summaries: Sequence
+    idle: int = 0
+    idle_share: int = 0
+    idle_capacity: int = 0
+    idle_cost: int = 0
+
+    def over_budget(self, budget: int):
+        """The busy blocks in stretches on one side of ``budget``, as
+        (start, stop, over_budget) column slices."""
+        costs = self.costs
+        if not costs:
+            return ()
+        if max(costs) <= budget:
+            return ((0, len(costs), False),)
+        stretches, start = [], 0
+        for over, group in groupby(map(budget.__lt__, costs)):
+            stop = start + len(list(group))
+            stretches.append((start, stop, over))
+            start = stop
+        return stretches
+
+
 class EpochSummary(_Record):
     """What one claim epoch distributed, plus the matching allocation
     problem (demands from the previous epoch and the capacity in force
@@ -289,30 +330,45 @@ class EpochSummary(_Record):
 
 
 class TraceView:
-    """A run's records read as ``TraceRow``s, each made as it is iterated:
-    ``len`` and iteration only.  The package reads ``RunResult.rows``."""
+    """A run's records read as ``TraceRow``s, one per block, each made as
+    it is iterated: ``len`` and iteration only.  The package reads
+    ``RunResult.records``."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("records", "budget")
 
-    def __init__(self, rows: list):
-        self.rows = rows
+    def __init__(self, records: list, budget: int):
+        self.records = records
+        self.budget = budget
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return sum(len(rec.costs) + rec.idle for rec in self.records)
 
     def __iter__(self):
-        return map(TraceRow._make, self.rows)
+        for rec in self.records:
+            first, epoch, rnd, action = (rec.first, rec.epoch, rec.round,
+                                         rec.action)
+            for start, stop, over in rec.over_budget(self.budget):
+                for i in range(start, stop):
+                    yield TraceRow(first + i, epoch, rnd, rec.actors[i],
+                                   action, rec.amounts[i], rec.shares[i],
+                                   rec.capacities[i], rec.costs[i], over,
+                                   rec.summaries[i])
+            start = first + len(rec.costs)
+            for block in range(start, start + rec.idle):
+                yield TraceRow(block, epoch, rnd, AUTHORITY, "noop", 0,
+                               rec.idle_share, rec.idle_capacity,
+                               rec.idle_cost, False, "")
 
 
 class RunResult(_Record):
-    __slots__ = ("scenario", "rows", "balances", "reports",
+    __slots__ = ("scenario", "records", "balances", "reports",
                  "epoch_summaries", "final_capacity", "injected")
 
-    def __init__(self, scenario: Scenario, rows: list, balances: dict,
+    def __init__(self, scenario: Scenario, records: list, balances: dict,
                  reports: list, epoch_summaries: list, final_capacity: int,
                  injected: int):
         self.scenario = scenario
-        self.rows = rows  # one tuple per block, in TraceRow's field order
+        self.records = records  # RoundRecords, in block order
         self.balances = balances
         self.reports = reports  # CMF distribution reports
         self.epoch_summaries = epoch_summaries
@@ -321,9 +377,9 @@ class RunResult(_Record):
 
     @property
     def trace(self) -> TraceView:
-        return TraceView(self.rows)
+        return TraceView(self.records, self.scenario.cost_model.block_budget)
 
-    receipts = trace  # each record is its block's receipt
+    receipts = trace  # each block's row is also its receipt
 
     def conservation_ok(self) -> bool:
         return sum(self.balances.values()) + self.final_capacity == self.injected
@@ -351,15 +407,15 @@ def _demand_plan(sc: Scenario):
 
 # A variant adapter runs a scenario's transactions on its state machine
 # (``pool``, which has a ``capacity``) and records them.  Each round
-# method runs the round's busy blocks in one loop and returns how many it
-# ran: per block, one contract call, one ``total`` for the transaction's
-# cost, and one tuple in ``TraceRow``'s field order appended with
-# ``add_row``.  ``base`` is the block before the round's first, so user u
-# acts in block base + u, and ``at`` is the round's (epoch, round)
-# position.  The adapter records grants in the per-epoch dicts; the pool
-# counts its own top-ups, in ``injections``.  Equal summaries and equal
-# costs come from per-run tables keyed by their values: each is made once
-# and is one object.
+# method runs the round's busy blocks and returns how many it ran: per
+# block, one contract call and one ``total`` for the transaction's cost,
+# whose fields it appends to the columns of the round's record.  ``base``
+# is the block before the round's first, so user u acts in block
+# base + u, and ``at`` is the round's (epoch, round) position.  The
+# adapter records grants in the per-epoch dicts; the pool counts its own
+# top-ups, in ``injections``.  Equal summaries and equal costs come from
+# per-run tables keyed by their values: each is made once and is one
+# object.
 
 class _Table(dict):
     """Value per key, made by ``make(key)`` the first time the key is
@@ -376,37 +432,78 @@ class _Table(dict):
         return value
 
 
+def _stretches(amounts):
+    """Users 1..n in stretches of those who demand and those who do not,
+    in order: (demands, users) each, ``users`` a range."""
+    n = len(amounts)
+    cuts = []
+    if None in amounts:  # only scripted demands leave a user out
+        cuts = [u for u in range(1, n)
+                if (amounts[u - 1] is None) is not (amounts[u] is None)]
+    bounds = [0, *cuts, n]
+    return [(amounts[lo] is not None, range(lo + 1, hi + 1))
+            for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+
+
 class _Adapter:
-    """The per-run state the round loops share: the records and their one
-    append, the meter, the block budget, the cost of a transaction by its
-    metered units (``tx_base`` plus them), and what the run granted and
-    reported; and the register round, which both designs run alike."""
+    """The per-run state the round loops share: the records, the meter,
+    the cost of a transaction by its metered units (``tx_base`` plus
+    them), and what the run granted and reported; the register round and
+    the no-op blocks, which both designs run alike; and the demand round,
+    in stretches of users who demand and users who do not."""
 
     def __init__(self, sc):
         model = sc.cost_model
         self.n = sc.n
         self.meter = CostMeter(model)
         self.tx_base = model.tx_base
-        self.budget = model.block_budget
         self.costs = _Table(self.tx_base.__add__)
-        # a no-op adds no units and costs tx_base itself, as idle rows do
+        # a no-op adds no units and costs tx_base itself, as idle blocks do
         self.costs[0] = self.tx_base
-        self.rows = []
-        self.add_row = self.rows.append
+        self.records = []
         self.grants = [{} for _ in range(sc.epochs)]  # epoch -> user -> amount
         self.reports = []
 
+    def record(self, first, at, action, actors, amounts, shares, capacities,
+               costs, summaries):
+        self.records.append(RoundRecord(first, *at, action, actors, amounts,
+                                        shares, capacities, costs, summaries))
+
+    def idle(self, first, at, count):
+        """``count`` idle blocks from ``first``: they leave the pool as it
+        was, with the share and capacity in force now."""
+        self.records.append(RoundRecord(
+            first, *at, "noop", (), (), (), (), (), (), count,
+            self.idle_share(), self.pool.capacity, self.tx_base))
+
     def register(self, base, at):
-        at_epoch, at_round = at
         pool, register = self.pool, self.pool.register
-        priced, costs, budget, add_row = (self.meter.total, self.costs,
-                                          self.budget, self.add_row)
-        for user in range(1, self.n + 1):
+        priced, cost_of = self.meter.total, self.costs
+        users = range(1, self.n + 1)
+        capacities, costs = [], []
+        add_capacity, add_cost = capacities.append, costs.append
+        for _ in users:
             register()  # both pools number users 1..n in call order
-            cost = costs[priced()]
-            add_row((base + user, at_epoch, at_round, user, "register", 0, 0,
-                     pool.capacity, cost, cost > budget, f"user={user}"))
+            add_capacity(pool.capacity)
+            add_cost(cost_of[priced()])
+        zeros = [0] * self.n
+        self.record(base + 1, at, "register", users, zeros, zeros, capacities,
+                    costs, [f"user={user}" for user in users])
         return self.n
+
+    def demand(self, amounts, base, at):
+        for demands, users in _stretches(amounts):
+            (self.demands if demands else self.noops)(users, amounts, base, at)
+        return self.n
+
+    def noops(self, users, plan, base, at):
+        """A no-op for each user in ``users``, who demand nothing: each
+        takes its block and is priced as a transaction."""
+        k = len(users)
+        costs = [self.costs[self.meter.total()] for _ in users]
+        self.record(base + users.start, at, "noop", (AUTHORITY,) * k, (0,) * k,
+                    (self.idle_share(),) * k, (self.pool.capacity,) * k,
+                    costs, ("",) * k)
 
 
 class _Autonomous(_Adapter):
@@ -428,59 +525,63 @@ class _Autonomous(_Adapter):
     def balances(self) -> dict:
         return self.pool.final_balances()
 
-    def demand(self, amounts, base, at):
-        at_epoch, at_round = at
+    def idle_share(self):
+        return self.pool.unit_share
+
+    def demands(self, users, plan, base, at):
         pool, demand, accepted = self.pool, self.pool.demand, self.accepted
-        priced, costs, budget, add_row = (self.meter.total, self.costs,
-                                          self.budget, self.add_row)
-        for user in range(1, self.n + 1):
-            block = base + user
-            amount = amounts[user - 1]
-            if amount is None:
-                actor, action, amount, share, summary = self.noop()
+        priced, cost_of = self.meter.total, self.costs
+        amounts, capacities, costs, summaries = [], [], [], []
+        add_amount, add_capacity, add_cost, add_summary = (
+            amounts.append, capacities.append, costs.append, summaries.append)
+        for user in users:
+            amount = plan[user - 1]
+            ok, reason, weight = demand(user, amount, base + user)
+            if ok:
+                # plain nested dicts: a tuple key per text or a table
+                # object per weight would add GC-tracked objects that
+                # live as long as the run
+                texts = accepted.get(weight)
+                if texts is None:
+                    texts = accepted[weight] = {}
+                summary = texts.get(amount)
+                if summary is None:
+                    summary = texts[amount] = (f"amount={amount} "
+                                               f"weight={weight}")
             else:
-                actor, action, share = user, "demand", 0
-                ok, reason, weight = demand(user, amount, block)
-                if ok:
-                    # plain nested dicts: a tuple key per text or a table
-                    # object per weight would add GC-tracked objects that
-                    # live as long as the run
-                    texts = accepted.get(weight)
-                    if texts is None:
-                        texts = accepted[weight] = {}
-                    summary = texts.get(amount)
-                    if summary is None:
-                        summary = texts[amount] = (f"amount={amount} "
-                                                   f"weight={weight}")
-                else:
-                    amount, summary = 0, self.rejected[reason]
-            cost = costs[priced()]
-            add_row((block, at_epoch, at_round, actor, action, amount, share,
-                     pool.capacity, cost, cost > budget, summary))
-        return self.n
+                amount, summary = 0, self.rejected[reason]
+            add_amount(amount)
+            add_capacity(pool.capacity)
+            add_cost(cost_of[priced()])
+            add_summary(summary)
+        self.record(base + users.start, at, "demand", users, amounts,
+                    [0] * len(users), capacities, costs, summaries)
 
     def claim_round(self, base, at):
-        at_epoch, at_round = at
-        pool, claim, grants = self.pool, self.pool.claim, self.grants[at_epoch]
+        pool, claim, grants = self.pool, self.pool.claim, self.grants[at[0]]
         granted_text, floored_text, no_op = (self.granted, self.floored,
                                              self.no_op)
-        priced, costs, budget, add_row = (self.meter.total, self.costs,
-                                          self.budget, self.add_row)
-        for user in range(1, self.n + 1):
-            block = base + user
-            granted, reason, share, floored, _ = claim(user, block)
+        priced, cost_of = self.meter.total, self.costs
+        users = range(1, self.n + 1)
+        amounts, shares, capacities, costs, summaries = [], [], [], [], []
+        add_amount, add_share, add_capacity, add_cost, add_summary = (
+            amounts.append, shares.append, capacities.append, costs.append,
+            summaries.append)
+        for user in users:
+            granted, reason, share, floored, _ = claim(user, base + user)
             if granted:
                 grants[user] = grants.get(user, 0) + granted
                 summary = (floored_text if floored else granted_text)[granted]
             else:
                 summary = no_op[reason]
-            cost = costs[priced()]
-            add_row((block, at_epoch, at_round, user, "claim", granted, share,
-                     pool.capacity, cost, cost > budget, summary))
+            add_amount(granted)
+            add_share(share)
+            add_capacity(pool.capacity)
+            add_cost(cost_of[priced()])
+            add_summary(summary)
+        self.record(base + 1, at, "claim", users, amounts, shares, capacities,
+                    costs, summaries)
         return self.n
-
-    def noop(self):
-        return AUTHORITY, "noop", 0, self.pool.unit_share, ""
 
 
 class _Central(_Adapter):
@@ -496,24 +597,24 @@ class _Central(_Adapter):
     def balances(self) -> dict:
         return {u: self.pool.balances.get(u, 0) for u in range(1, self.n + 1)}
 
-    def demand(self, amounts, base, at):
-        at_epoch, at_round = at
+    def idle_share(self):
+        return 0
+
+    def demands(self, users, plan, base, at):
         pool, submit, accepted = (self.pool, self.pool.submit_demand,
                                   self.accepted)
-        priced, costs, budget, add_row = (self.meter.total, self.costs,
-                                          self.budget, self.add_row)
-        for user in range(1, self.n + 1):
-            amount = amounts[user - 1]
-            if amount is None:
-                actor, action, amount, share, summary = self.noop()
-            else:
-                submit(user, amount)
-                actor, action, share, summary = (user, "demand", 0,
-                                                 accepted[amount])
-            cost = costs[priced()]
-            add_row((base + user, at_epoch, at_round, actor, action, amount,
-                     share, pool.capacity, cost, cost > budget, summary))
-        return self.n
+        priced, cost_of = self.meter.total, self.costs
+        amounts = plan[users.start - 1:users.stop - 1]
+        capacities, costs, summaries = [], [], []
+        add_capacity, add_cost, add_summary = (
+            capacities.append, costs.append, summaries.append)
+        for user, amount in zip(users, amounts):
+            submit(user, amount)
+            add_capacity(pool.capacity)
+            add_cost(cost_of[priced()])
+            add_summary(accepted[amount])
+        self.record(base + users.start, at, "demand", users, amounts,
+                    [0] * len(users), capacities, costs, summaries)
 
     def claim_round(self, base, at):
         epoch, rnd = at
@@ -523,26 +624,21 @@ class _Central(_Adapter):
         self.reports.append(report)
         self.grants[epoch] = report.allocations  # uncopied
         total = report.total_granted()
-        cost = self.costs[self.meter.total()]
-        self.add_row((base + 1, *at, AUTHORITY, "distribute", total, 0,
-                      self.pool.capacity, cost, cost > self.budget,
-                      self.distributed[total, report.iterations]))
+        self.record(base + 1, at, "distribute", (AUTHORITY,), (total,), (0,),
+                    (self.pool.capacity,), (self.costs[self.meter.total()],),
+                    (self.distributed[total, report.iterations],))
         return 1
-
-    def noop(self):
-        return AUTHORITY, "noop", 0, 0, ""
 
 
 def run_scenario(sc: Scenario) -> RunResult:
-    """Execute a scenario round by round.  Returns one record per block,
-    the final balances and per-epoch summaries suitable for oracle
+    """Execute a scenario round by round.  Returns the records of every
+    block, the final balances and per-epoch summaries suitable for oracle
     verification."""
     clock = sc.clock
     adapter = (_Central if sc.variant == "CMF" else _Autonomous)(sc)
     pool, grants = adapter.pool, adapter.grants
     plan = _demand_plan(sc)
     rounds = clock.rounds_per_epoch
-    tx_base = adapter.tx_base
     summaries = []
     injections = capacity_end = 0
 
@@ -550,7 +646,6 @@ def run_scenario(sc: Scenario) -> RunResult:
         for rnd in range(rounds):
             round_start = epoch * sc.epoch_span + rnd * sc.round_span
             at = locate(clock, round_start)
-            pos_epoch, pos_round = at
             base = round_start - 1
             # the round's transaction runs in its first ``busy`` blocks
             if epoch == 0 and rnd == 0:
@@ -561,14 +656,8 @@ def run_scenario(sc: Scenario) -> RunResult:
                 busy = adapter.claim_round(base, at)
             else:  # nothing was demanded before epoch 0
                 busy = 0
-            # the idle rest of the round leaves the pool as it was; the
-            # model keeps tx_base below the block budget
-            idle = range(round_start + busy, round_start + sc.round_span)
-            actor, action, amount, share, summary = adapter.noop()
-            capacity = pool.capacity
-            adapter.rows.extend([(b, pos_epoch, pos_round, actor, action,
-                                  amount, share, capacity, tx_base, False,
-                                  summary) for b in idle])
+            if busy < sc.round_span:
+                adapter.idle(round_start + busy, at, sc.round_span - busy)
         # an epoch with a top-up is a claim epoch: CMF tops up in its
         # distribute block even without users, AMF only on a transaction
         if pool.injections > injections:
@@ -582,7 +671,7 @@ def run_scenario(sc: Scenario) -> RunResult:
         injections = pool.injections
         capacity_end = pool.capacity
 
-    return RunResult(scenario=sc, rows=adapter.rows,
+    return RunResult(scenario=sc, records=adapter.records,
                      balances=adapter.balances(), reports=adapter.reports,
                      epoch_summaries=summaries, final_capacity=pool.capacity,
                      injected=injections * sc.epoch_capacity)
@@ -594,52 +683,69 @@ def run_scenario(sc: Scenario) -> RunResult:
 # a time, each chunk one string.  ``fairfaucet run`` writes the chunks of
 # ``trace_chunks`` and its siblings as they come; ``trace_csv`` and its
 # siblings join them, and peak at about twice the text's length.  A run is
-# a stretch of a chunk's rows that share fields: epoch, round, action and
-# over_budget for a round's records, iteration and share for a CMF
-# report's grant rows.  Those go into the run's row format as text, once
-# per run, so each row formats only its own fields.  %s writes an int as
-# %d does, only faster.
+# a stretch of rows that share fields: a record's busy blocks on one side
+# of the block budget, or its idle blocks, or a CMF report's grant rows
+# of one iteration and share.  Those go into the run's row format as
+# text, once per run, so each row formats only its own fields: a busy
+# block's from the record's columns, an idle block's block number alone.
+# %s writes an int as %d does, only faster.
 
 CHUNK = 1024  # rows per chunk
-# rows per %, so that a piece's objects stay under the 512-byte small-object
-# limit and leave no holes in the heap
-PIECE = 8
 
-_ROUND = itemgetter(1, 2, 4, 9)  # epoch, round, action, over_budget
-# a layout takes a run's shared fields, over_budget as 0 or 1; %%s stays %s
-_TRACE_OWN = itemgetter(0, 3, 5, 6, 7, 8)  # block, actor, amount .. cost
-_TRACE_LAYOUT = "%%s,%s,%s,%%s,%s,%%s,%%s,%%s,%%s,%d\n"
-_RECEIPT_OWN = itemgetter(0, 3, 8, 10)  # block, actor, cost, summary
-_RECEIPT_LAYOUT = "%%s,%s,%s,%s,%%s,%%s,%d,%%s\n"
+# a layout takes a run's epoch, round, action and over_budget (as 0 or
+# 1); %%s stays %s, for a row's own fields: its block, then the columns
+_TRACE = ("%%s,%s,%s,%%s,%s,%%s,%%s,%%s,%%s,%d\n",
+          attrgetter("actors", "amounts", "shares", "capacities", "costs"))
+_RECEIPT = ("%%s,%s,%s,%s,%%s,%%s,%d,%%s\n",
+            attrgetter("actors", "costs", "summaries"))
 
 
-def _runs(rows, key, own, layout):
-    """Yield ``rows`` as text, a string per CHUNK rows, each run's ``key``
-    fields written by ``layout`` and each row's ``own`` fields after."""
-    for i in range(0, len(rows), CHUNK):
-        text = []
-        for shared, run in groupby(rows[i:i + CHUNK], key):
-            line = layout % tuple(f.replace("%", "%%") if type(f) is str
-                                  else f for f in shared)
-            run = list(run)
-            cut = len(run) - len(run) % PIECE
-            fields = chain.from_iterable(map(own, run[:cut]))
-            width = PIECE * len(own(run[0]))
-            # zip takes the fields of PIECE rows at a time
-            text.extend(map((line * PIECE).__mod__, zip(*[fields] * width)))
-            rest = tuple(chain.from_iterable(map(own, run[cut:])))
-            text.append(line * (len(run) - cut) % rest)
+def _chunks(runs):
+    """Join the rows of ``runs``, each a row format and an iterator of its
+    rows' arguments to it, into chunks of at most CHUNK rows."""
+    text = []
+    for line, rows in runs:
+        row, rows = line.__mod__, iter(rows)
+        text.extend(map(row, islice(rows, CHUNK - len(text))))
+        while len(text) == CHUNK:
+            yield "".join(text)
+            text = list(map(row, islice(rows, CHUNK)))
+    if text:
         yield "".join(text)
+
+
+def _record_runs(result, layout, own):
+    """The runs of a result's records, in block order, for a file whose
+    row format is ``layout`` and whose own fields are the block and the
+    ``own`` columns."""
+    budget = result.scenario.cost_model.block_budget
+    for rec in result.records:
+        first, columns = rec.first, own(rec)
+        shared = rec.epoch, rec.round, rec.action.replace("%", "%%")
+        for start, stop, over in rec.over_budget(budget):
+            part = (columns if stop - start == len(rec.costs)
+                    else [column[start:stop] for column in columns])
+            yield (layout % (*shared, over),
+                   zip(range(first + start, first + stop), *part))
+        if rec.idle:
+            # the idle row's fields under the columns' names
+            row = rec._replace(actors=AUTHORITY, amounts=0,
+                               shares=rec.idle_share,
+                               capacities=rec.idle_capacity,
+                               costs=rec.idle_cost, summaries="")
+            line = layout % (rec.epoch, rec.round, "noop", False)
+            start = first + len(rec.costs)
+            yield line % ("%s", *own(row)), range(start, start + rec.idle)
 
 
 def trace_chunks(result: RunResult):
     yield "block,epoch,round,actor,action,amount,share,capacity,cost,over_budget\n"
-    yield from _runs(result.rows, _ROUND, _TRACE_OWN, _TRACE_LAYOUT)
+    yield from _chunks(_record_runs(result, *_TRACE))
 
 
 def receipts_chunks(result: RunResult):
     yield "block,epoch,round,action,actor,cost,over_budget,summary\n"
-    yield from _runs(result.rows, _ROUND, _RECEIPT_OWN, _RECEIPT_LAYOUT)
+    yield from _chunks(_record_runs(result, *_RECEIPT))
 
 
 def balances_chunks(result: RunResult):
@@ -653,8 +759,11 @@ def distributions_chunks(result: RunResult):
     yield "epoch,iteration,user,allocated,share,remaining_capacity\n"
     for report in result.reports:
         # grant rows are (iteration, user, allocated, share, remaining)
-        yield from _runs(report.rows, itemgetter(0, 3), itemgetter(1, 2, 4),
-                         f"{report.epoch},%s,%%s,%%s,%s,%%s\n")
+        yield from _chunks(
+            (f"{report.epoch},{iteration},%s,%s,{share},%s\n",
+             map(itemgetter(1, 2, 4), rows))
+            for (iteration, share), rows in groupby(report.rows,
+                                                    itemgetter(0, 3)))
 
 
 def trace_csv(result: RunResult) -> str:

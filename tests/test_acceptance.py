@@ -182,7 +182,7 @@ def test_criterion_6_cost_scaling():
     claim_means = {}
     for n in (10, 50, 100, 500):
         sc = Scenario("AMF", n, seed=42, epochs=4)
-        summary = cost_report(run_scenario(sc).receipts)
+        summary = cost_report(run_scenario(sc))
         claim_means[n] = summary.mean("claim")
         rounds = summary.claim_by_round
         assert rounds[0].mean > rounds[1].mean > rounds[2].mean, (
@@ -192,7 +192,7 @@ def test_criterion_6_cost_scaling():
     distribute_means = {}
     for n in (20, 200):
         sc = Scenario("CMF", n, seed=42, epochs=4)
-        summary = cost_report(run_scenario(sc).receipts)
+        summary = cost_report(run_scenario(sc))
         distribute_means[n] = summary.mean("distribute")
     growth = distribute_means[200] / distribute_means[20]
     assert growth > 10.0, distribute_means

@@ -6,7 +6,8 @@ from fairfaucet import costs
 from fairfaucet.costs import (PATH_CHARGES, ActionStats, CostMeter, CostModel,
                              cost_report)
 from fairfaucet.heap import MinHeap
-from fairfaucet.sim import Scenario, TraceRow, load_scenario, run_scenario
+from fairfaucet.sim import Scenario, load_scenario, run_scenario
+from round_records import run_result
 
 
 def test_model_validation():
@@ -65,31 +66,30 @@ def test_readme_cost_table_is_path_charges():
     assert dict(rows) == PATH_CHARGES
 
 
-# a record is read by position, so TraceRows and the plain tuples that
-# RunResult.rows stores report alike
-@pytest.mark.parametrize("make", [TraceRow._make, tuple],
-                         ids=["TraceRow", "tuple"])
-def test_report_aggregates_by_action_and_round(make):
-    receipts = list(map(make, [
-        (0, 1, 0, 1, "claim", 3, 3, 27, 100, False, "granted=3"),
-        (1, 1, 0, 2, "claim", 3, 3, 24, 200, False, "granted=3"),
+def test_report_aggregates_by_action_and_round():
+    # a budget of 60 units puts the demand, at 70, over it
+    result = run_result(Scenario("AMF", 2, cost_model=CostModel(
+        tx_base=20, block_budget=60)), [
+        (0, 1, 0, 1, "claim", 3, 3, 27, 100, True, "granted=3"),
+        (1, 1, 0, 2, "claim", 3, 3, 24, 200, True, "granted=3"),
         (2, 1, 1, 1, "claim", 0, 0, 24, 50, False, "no-op"),
         (3, 1, 3, 1, "demand", 9, 0, 24, 70, True, "amount=9"),
-    ]))
-    summary = cost_report(receipts)
+    ])
+    summary = cost_report(result)
     assert summary.by_action["claim"].count == 3
     assert summary.by_action["claim"].total == 350
     assert summary.claim_by_round[0].mean == 150
     assert summary.claim_by_round[1].count == 1
     assert summary.by_action["demand"].total == 70
-    assert summary.over_budget == 1
-    assert "over-budget transactions: 1" in summary.render()
+    assert summary.over_budget == 3
+    assert "over-budget transactions: 3" in summary.render()
 
 
 def test_report_builds_one_stats_object_per_key(monkeypatch):
     # the summary of a run is its records summed per kind and claim round;
     # a stats object is built the first time its key is seen, not per record
-    receipts = run_scenario(Scenario("AMF", 12, seed=4, epochs=3)).receipts
+    result = run_scenario(Scenario("AMF", 12, seed=4, epochs=3))
+    receipts = list(result.receipts)
     by_action, by_round = {}, {}
     for r in receipts:
         count, total = by_action.get(r.kind, (0, 0))
@@ -107,7 +107,7 @@ def test_report_builds_one_stats_object_per_key(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(costs, "ActionStats", Counted)
-    summary = cost_report(receipts)
+    summary = cost_report(result)
     assert {k: (s.count, s.total)
             for k, s in summary.by_action.items()} == by_action
     assert {k: (s.count, s.total)
@@ -116,8 +116,8 @@ def test_report_builds_one_stats_object_per_key(monkeypatch):
     assert len(built) == len(by_action) + len(by_round) < len(receipts)
 
 
-def test_empty_receipts_make_an_empty_summary():
-    summary = cost_report([])
+def test_a_run_of_no_blocks_makes_an_empty_summary():
+    summary = cost_report(run_scenario(Scenario("AMF", 4, epochs=0)))
     assert summary.by_action == {}
     assert summary.claim_by_round == {}
     assert summary.mean("claim") == 0.0
@@ -127,10 +127,10 @@ def test_over_budget_flag_reflects_budget():
     tight = CostModel(block_budget=22000)  # barely above tx_base
     sc = Scenario("AMF", 4, seed=5, epochs=2, cost_model=tight)
     result = run_scenario(sc)
-    # over_budget and cost: fields 9 and 8 of a stored record
-    assert any(row[9] for row in result.rows), "claims must exceed it"
-    for row in result.rows:
-        assert row[9] == (row[8] > tight.block_budget)
+    assert any(row.over_budget for row in result.trace), (
+        "claims must exceed it")
+    for row in result.trace:
+        assert row.over_budget == (row.cost > tight.block_budget)
     noops = [r for r in result.receipts if r.kind == "noop"]
     assert all(not r.over_budget for r in noops)
 
@@ -139,7 +139,7 @@ def test_claim_means_nearly_constant_in_user_count():
     means = {}
     for n in (10, 500):
         sc = Scenario("AMF", n, seed=42, epochs=4)
-        means[n] = cost_report(run_scenario(sc).receipts).mean("claim")
+        means[n] = cost_report(run_scenario(sc)).mean("claim")
     assert max(means.values()) <= 1.10 * min(means.values()), means
 
 
@@ -180,6 +180,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # benchmark geometry with 200 users, so heap charges are pinned at a size
 # where sift paths run several levels deep
 METERING = {
+    "amf_budget_split": ({"claim": (480, 19968430), "demand": (200, 10405050),
+                          "noop": (80, 1680000),
+                          "register": (40, 1240000)}, 166),
     "amf_n10": ({"claim": (90, 3708890), "demand": (40, 2128440),
                  "noop": (20, 420000), "register": (10, 310000)}, 0),
     "amf_worked_example": ({"claim": (36, 1705390), "demand": (12, 682800),
@@ -209,7 +212,7 @@ def test_metering_is_pinned(name):
         sc = Scenario("CMF", 200, seed=5)
     else:
         sc = load_scenario(SCENARIOS / f"{name}.json")
-    summary = cost_report(run_scenario(sc).receipts)
+    summary = cost_report(run_scenario(sc))
     by_action = {kind: (st.count, st.total)
                  for kind, st in summary.by_action.items()}
     assert (by_action, summary.over_budget) == METERING[name]

@@ -320,13 +320,12 @@ def test_unweighted_share_floor_under_starvation():
 @pytest.mark.parametrize("variant", ["AMF", "WAMF"])
 def test_each_floored_claim_is_marked_in_its_receipt(variant):
     # ten units an epoch for six users floor some shares and not others;
-    # a record carries both its receipt's summary and its trace share
+    # a row carries both its receipt's summary and its trace share
     sc = Scenario(variant=variant, n=6, epoch_capacity=10, epoch_span=24,
                   round_span=6, demand_lo=5, demand_hi=20, epochs=4, seed=2)
     result = run_scenario(sc)
-    # summary and share: fields 10 and 6 of a stored record
-    granted = [(row[10], row[6]) for row in result.rows
-               if row[10].startswith("granted")]
+    granted = [(row.summary, row.share) for row in result.trace
+               if row.summary.startswith("granted")]
     floored = [share for summary, share in granted
                if summary.endswith(" floor1")]
     assert 0 < len(floored) < len(granted)

@@ -53,6 +53,12 @@ RUNS = {
 # name -> sha256 of trace.csv, receipts.csv, balances.csv,
 # distributions.csv and epochs_text(result)
 DIGESTS = {
+    "amf_budget_split": (
+        "35e78238bba3a2880497b156235c33671d19cc900d84ebb5827742db4072542c",
+        "be060e57926483fd46524867f4cba997c95023326ee66dba9cf4e5385d101074",
+        "39d7d340644f15e2c91e3d685eebf2389cf89182e471ccf9bf4efacc4ae040ee",
+        "977d15eaccb31ac35b29a96c72873a9227369b49fab662fe98657051dbe442e2",
+        "f730f9adf6e6a7119ed4512ee6f652a96b55d82a176d61f1af3969ec91077664"),
     "amf_n10": (
         "223c9dc931fd53c1545039e655618ccb51413ba5c814fb88994cc61ec5d779db",
         "128a7a3b7f85a351821386a5bb45b9ae0cfaa3cbe3b606f4b84d10e31272eb85",

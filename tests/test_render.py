@@ -22,9 +22,11 @@ import pytest
 
 from fairfaucet.cli import main
 from fairfaucet.cmf import DistributionReport
+from fairfaucet.costs import CostModel
 from fairfaucet.sim import (CHUNK, RunResult, Scenario, TraceRow,
                             balances_csv, distributions_csv, receipts_csv,
                             run_scenario, trace_csv)
+from round_records import run_result
 
 # -- reference: the renderers before chunking ---------------------------------
 
@@ -73,17 +75,25 @@ PAIRS = [(trace_csv, reference_trace_csv),
 ACTIONS = ("register", "demand", "claim", "distribute", "noop")
 
 
+def budgeted(budget: int) -> Scenario:
+    """A scenario whose block budget is ``budget``, for hand-made rows."""
+    return Scenario("AMF", 1, cost_model=CostModel(block_budget=budget))
+
+
+# about one synthetic row in nine costs more than this
+BUDGET = 110000
+
+
 def synthetic(rows: int) -> RunResult:
-    """A result with ``rows`` records, balances and grant rows (the grants
-    split over an empty report and two others), with values that vary by
-    row."""
+    """A result with ``rows`` block rows, balances and grant rows (the
+    grants split over an empty report and two others), with values that
+    vary by row."""
     trace, grants = [], []
     for k in range(rows):
         action = ACTIONS[k % len(ACTIONS)]
         cost = 21000 + (k * 7919) % 100003
-        over = k % 11 == 0
         trace.append(TraceRow(k, k // 40, k % 4, k % 13, action, k % 29,
-                              k % 5, 10 ** 6 - k, cost, over,
+                              k % 5, 10 ** 6 - k, cost, cost > BUDGET,
                               f"granted={k % 29}" if k % 3 else ""))
         grants.append((1 + k // 50, k % 97 + 1, k % 17, k % 23,
                        10 ** 5 - k))
@@ -92,9 +102,7 @@ def synthetic(rows: int) -> RunResult:
                DistributionReport(epoch=3, rows=grants[rows // 3:])]
     # balances inserted in descending order, so rendering must sort them
     balances = {u: (u * 31) % 1000 for u in range(rows, 0, -1)}
-    return RunResult(scenario=None, rows=trace, balances=balances,
-                     reports=reports, epoch_summaries=[], final_capacity=0,
-                     injected=0)
+    return run_result(budgeted(BUDGET), trace, balances, reports)
 
 
 @pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
@@ -120,13 +128,13 @@ def test_renderers_match_reference_on_a_run_longer_than_two_chunks():
     are a run of 2 * CHUNK + 4 rows and one of 9."""
     size = 2 * CHUNK + 5
     trace = [TraceRow(k, 3, 1, k + 1, "claim", 20, 20, 10 ** 6 - 20 * k,
-                      21000 + k % 3, k > size, "granted=20")
+                      21000 + k % 3 + 40000 * (k > size), k > size,
+                      "granted=20")
              for k in range(size + 40)]
     grants = [(1, k, 20, 20, 10 ** 6 - 20 * k) for k in range(1, size)]
     grants += [(2, k, 3, 3, 5) for k in range(size, size + 9)]
-    result = RunResult(scenario=None, rows=trace, balances={1: 20},
-                       reports=[DistributionReport(epoch=4, rows=grants)],
-                       epoch_summaries=[], final_capacity=0, injected=0)
+    result = run_result(budgeted(60000), trace, {1: 20},
+                        [DistributionReport(epoch=4, rows=grants)])
     assert longest_run(trace) > 2 * CHUNK
     for render, reference in PAIRS:
         assert render(result) == reference(result), render.__name__

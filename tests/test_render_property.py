@@ -15,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from fairfaucet.cmf import DistributionReport
 from fairfaucet.sim import CHUNK, RunResult, TraceRow
-from test_render import PAIRS
+from round_records import run_result
+from test_render import PAIRS, budgeted
 
 ACTIONS = ("register", "demand", "claim", "distribute", "noop", "50%",
            "%", "%%", "%s", "%d%%", "%(x)s")
@@ -23,10 +24,12 @@ SUMMARIES = st.sampled_from(["", "granted=3", "100%", "%%", "%s", "%d %%"])
 POSITION = st.integers(0, 10 ** 6)
 
 
+# a row over it costs BUDGET + 1 or more, a row within it 21000 or more
+BUDGET = 500_000
+
+
 def result(trace=(), reports=(), balances=None) -> RunResult:
-    return RunResult(scenario=None, rows=list(trace),
-                     balances=balances or {}, reports=list(reports),
-                     epoch_summaries=[], final_capacity=0, injected=0)
+    return run_result(budgeted(BUDGET), trace, balances, reports)
 
 
 @st.composite
@@ -46,9 +49,10 @@ def traces(draw) -> list:
         for _ in range(draw(st.integers(1, 3 * CHUNK))):
             k = len(rows)
             mix = (k * 2654435761 + salt) % 1000003
+            cost = BUDGET + 1 + mix if over else 21000 + mix % 479001
             rows.append(TraceRow(k, epoch, rnd, mix % 2001, action, mix % 31,
-                                 mix % 7, 10 ** 6 - k, 21000 + mix,
-                                 over, summaries[mix % len(summaries)]))
+                                 mix % 7, 10 ** 6 - k, cost, over,
+                                 summaries[mix % len(summaries)]))
     return rows
 
 
@@ -69,7 +73,7 @@ def reports(draw) -> list:
 
 
 def one_row() -> RunResult:
-    row = TraceRow(0, 300, 257, 1, "50%", 0, 0, 10, 21000, True, "%s")
+    row = TraceRow(0, 300, 257, 1, "50%", 0, 0, 10, BUDGET + 1, True, "%s")
     return result([row], [DistributionReport(1, rows=[(1, 1, 5, 5, 0)])],
                   {1: 5})
 

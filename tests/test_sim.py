@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import pickle
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -9,8 +10,8 @@ import pytest
 
 from fairfaucet.clock import locate
 from fairfaucet.costs import CostModel
-from fairfaucet.sim import (MASK64, MAX_BLOCKS, VARIANTS, Scenario,
-                            ScenarioError, TraceRow, balances_csv,
+from fairfaucet.sim import (MASK64, MAX_BLOCKS, VARIANTS, RoundRecord,
+                            Scenario, ScenarioError, TraceRow, balances_csv,
                             load_scenario, next_demand, run_scenario,
                             scenario_from_dict, trace_csv)
 from fairfaucet.verify import _weights, verify_run
@@ -282,7 +283,7 @@ def test_one_tx_per_block_and_consecutive_numbering():
 def test_each_block_is_one_record_that_is_also_its_receipt(variant):
     sc = Scenario(variant, 5, seed=8, epochs=3)
     result = run_scenario(sc)
-    assert list(result.receipts) == list(result.trace) == result.rows
+    assert list(result.receipts) == list(result.trace)
     assert ([r.block for r in result.trace]
             == list(range(sc.epochs * sc.epoch_span)))
     assert all(type(r) is TraceRow for r in result.trace)
@@ -291,22 +292,42 @@ def test_each_block_is_one_record_that_is_also_its_receipt(variant):
 
 
 @pytest.mark.parametrize("variant", ["AMF", "WAMF", "CMF"])
-def test_stored_records_are_exact_tuples_the_collector_untracks(variant):
-    # A stored record must be a plain tuple of ints, strs and bools: the
-    # garbage collector untracks such a tuple once it has seen it, never
-    # a NamedTuple, and a run keeps every record until it returns.
-    result = run_scenario(Scenario(variant, 50, seed=8, epochs=4))
-    assert len(result.rows) == 800
-    assert all(type(row) is tuple for row in result.rows)
+def test_a_run_holds_records_by_the_round_not_by_the_block(variant):
+    # A record is a stretch of one round: its busy blocks of one action,
+    # or its idle rest.  Ten times the users, and so the blocks, leave the
+    # count of records as it was: at most two a round.
+    counts = set()
+    for n in (50, 500):
+        sc = Scenario(variant, n, seed=8, epochs=4)
+        result = run_scenario(sc)
+        assert len(result.trace) == sc.epochs * sc.epoch_span
+        assert all(type(rec) is RoundRecord for rec in result.records)
+        counts.add(len(result.records))
+    rounds = sc.epochs * sc.clock.rounds_per_epoch
+    assert len(counts) == 1 and rounds <= counts.pop() <= 2 * rounds
+
+
+def test_a_run_at_the_benchmark_geometry_holds_under_3_mb():
+    # AMF, 2000 users, 4 epochs, 32,000 blocks: one record per block held
+    # 7.25 MB here (tracemalloc, after run_scenario); columns per round
+    # hold about 2.4 MB
+    sc = Scenario("AMF", 2000, epoch_capacity=44000, seed=3)
     gc.collect()
-    assert not any(gc.is_tracked(row) for row in result.rows)
+    tracemalloc.start()
+    try:
+        result = run_scenario(sc)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result.trace) == 32000
+    assert held < 3_000_000, held
 
 
 def test_the_trace_view_reads_the_stored_records_as_trace_rows():
     result = run_scenario(Scenario("CMF", 5, seed=8, epochs=3))
-    rows, view = result.rows, result.trace
-    assert len(view) == len(rows) == 60
-    assert list(view) == rows
+    view = result.trace
+    assert len(view) == 60
     for k, row in enumerate(view):
         assert type(row) is TraceRow and row.block == k
     # each read makes its own rows, and the view keeps none
@@ -339,7 +360,7 @@ def test_trace_positions_match_the_clock(variant):
 def test_zero_epochs_is_an_empty_run():
     sc = Scenario("AMF", 4, epochs=0)
     result = run_scenario(sc)
-    assert result.rows == []
+    assert result.records == []
     assert list(result.trace) == list(result.receipts) == []
     # nobody ever registers, so there are no balances to report
     assert all(v == 0 for v in result.balances.values())

@@ -11,9 +11,10 @@ separate receipt record it kept next to each trace row.  Both loops run
 the same contracts and must agree on every trace row, receipt, balance,
 distribution report and epoch summary, on a seeded grid of small
 geometries, scripted demands with gaps, and default and non-default
-prices.  The new loop's one record per block is compared field by field
-with the reference's trace row and, through its receipt columns, with
-the reference's receipt.  The reference keeps its own finding lines,
+prices.  The new loop's records, read through ``RunResult.trace`` one
+row per block, are compared field by field with the reference's trace
+rows and, through their receipt columns, with the reference's receipts;
+the reference's rows become records through the tests' ``run_result``.  The reference keeps its own finding lines,
 which must equal the ones ``fairfaucet run`` renders from the new loop's
 epoch summaries.
 """
@@ -29,8 +30,9 @@ from fairfaucet.clock import locate
 from fairfaucet.cmf import CmfDistributor
 from fairfaucet.costs import CostMeter, CostModel
 from fairfaucet.faucet import AutonomousFaucet
-from fairfaucet.sim import (AUTHORITY, EpochSummary, RunResult, Scenario,
+from fairfaucet.sim import (AUTHORITY, EpochSummary, RoundRecord, Scenario,
                             TraceRow, _demand_plan, run_scenario)
+from round_records import run_result
 
 
 class TxReceipt(NamedTuple):
@@ -221,10 +223,9 @@ def reference_run_scenario(sc: Scenario) -> tuple:
         injections = adapter.injections
         capacity_end = pool.capacity
 
-    result = RunResult(scenario=sc, rows=trace, balances=adapter.balances(),
-                       reports=adapter.reports, epoch_summaries=summaries,
-                       final_capacity=pool.capacity,
-                       injected=injections * sc.epoch_capacity)
+    result = run_result(sc, trace, adapter.balances(), adapter.reports,
+                        summaries, pool.capacity,
+                        injections * sc.epoch_capacity)
     return result, receipts, findings
 
 
@@ -278,7 +279,7 @@ def test_schedule_matches_the_block_by_block_loop(variant, n, priced):
     for sc in grid(variant, n, priced):
         got = run_scenario(sc)
         want, receipts, want_findings = reference_run_scenario(sc)
-        assert all(type(r) is tuple for r in got.rows), sc
+        assert all(type(r) is RoundRecord for r in got.records), sc
         assert (typed(r[:-1] for r in got.trace)
                 == typed(r[:-1] for r in want.trace)), sc
         assert (typed(map(RECEIPT_FIELDS, got.receipts))

@@ -224,7 +224,7 @@ def test_a_grant_of_nothing_matches_the_oracles_zero():
                            capacity_start=2, granted={1: 1, 2: 1},
                            capacity_end=0)
     result = RunResult(scenario=Scenario("AMF", 3, epoch_capacity=2),
-                       rows=[], balances={}, reports=[],
+                       records=[], balances={}, reports=[],
                        epoch_summaries=[summary], final_capacity=0,
                        injected=0)
     want = waterfill(AllocationProblem(demands={1: 5, 2: 5, 3: 5},
