@@ -36,9 +36,9 @@ object each.  Identical scenarios produce bit-identical records.
 """
 
 import json
-from itertools import groupby, islice
+from itertools import groupby
 from operator import attrgetter, itemgetter
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .clock import ClockParams, _Record, locate
 from .cmf import CmfDistributor
@@ -258,7 +258,7 @@ class TraceRow(NamedTuple):
     kind = property(itemgetter(4))
 
 
-class RoundRecord(NamedTuple):
+class RoundRecord(_Record):
     """A stretch of one round's blocks, from block ``first``: one busy
     block per entry of the columns, each a transaction of ``action``,
     then ``idle`` no-op blocks.  A busy block's over_budget is its cost
@@ -266,22 +266,19 @@ class RoundRecord(NamedTuple):
     of amount 0 with the idle share, capacity and cost; the model keeps
     that cost below the budget."""
 
-    first: int
-    epoch: int
-    round: int
-    action: str
-    # columns of ints but the summaries' strs; unsubscripted, as a
-    # subscripted type costs import time
-    actors: Sequence  # range(1, n + 1) when every user acts
-    amounts: Sequence
-    shares: Sequence
-    capacities: Sequence
-    costs: Sequence
-    summaries: Sequence
-    idle: int = 0
-    idle_share: int = 0
-    idle_capacity: int = 0
-    idle_cost: int = 0
+    # the columns hold ints but the summaries' strs; ``actors`` is
+    # range(1, n + 1) when every user acts
+    __slots__ = ("first", "epoch", "round", "action", "actors", "amounts",
+                 "shares", "capacities", "costs", "summaries", "idle",
+                 "idle_share", "idle_capacity", "idle_cost")
+
+    def __init__(self, first: int, epoch: int, round: int, action: str,
+                 actors, amounts, shares, capacities, costs, summaries,
+                 idle: int = 0, idle_share: int = 0, idle_capacity: int = 0,
+                 idle_cost: int = 0):
+        super().__init__(first, epoch, round, action, actors, amounts,
+                         shares, capacities, costs, summaries, idle,
+                         idle_share, idle_capacity, idle_cost)
 
     def over_budget(self, budget: int):
         """The busy blocks in stretches on one side of ``budget``, as
@@ -682,15 +679,23 @@ def run_scenario(sc: Scenario) -> RunResult:
 # Each CSV is a stream of chunks: the header line, then its rows CHUNK at
 # a time, each chunk one string.  ``fairfaucet run`` writes the chunks of
 # ``trace_chunks`` and its siblings as they come; ``trace_csv`` and its
-# siblings join them, and peak at about twice the text's length.  A run is
-# a stretch of rows that share fields: a record's busy blocks on one side
-# of the block budget, or its idle blocks, or a CMF report's grant rows
-# of one iteration and share.  Those go into the run's row format as
-# text, once per run, so each row formats only its own fields: a busy
-# block's from the record's columns, an idle block's block number alone.
+# siblings join them, and peak at about twice the text's length.
+#
+# trace.csv and receipts.csv render run by run.  A run is a stretch of
+# rows that share fields: a record's busy blocks on one side of the block
+# budget, or its idle blocks.  Those go into the run's row format as
+# text, once per run, so each row formats only its own fields, which the
+# run holds as columns: the blocks as a range, then for busy blocks the
+# record's columns, sliced to the run.  ``_chunks`` cuts the runs into
+# chunks and formats GROUP rows per % call, from GROUP copies of the row
+# format and every GROUP-th entry of each column; a piece's last rows,
+# fewer than GROUP, take one call each.  balances.csv and
+# distributions.csv format each row whole: a CMF report's grant rows
+# already hold the file's fields after the epoch, in order.
 # %s writes an int as %d does, only faster.
 
 CHUNK = 1024  # rows per chunk
+GROUP = 8  # rows per % call
 
 # a layout takes a run's epoch, round, action and over_budget (as 0 or
 # 1); %%s stays %s, for a row's own fields: its block, then the columns
@@ -701,15 +706,26 @@ _RECEIPT = ("%%s,%s,%s,%s,%%s,%%s,%d,%%s\n",
 
 
 def _chunks(runs):
-    """Join the rows of ``runs``, each a row format and an iterator of its
-    rows' arguments to it, into chunks of at most CHUNK rows."""
-    text = []
-    for line, rows in runs:
-        row, rows = line.__mod__, iter(rows)
-        text.extend(map(row, islice(rows, CHUNK - len(text))))
-        while len(text) == CHUNK:
-            yield "".join(text)
-            text = list(map(row, islice(rows, CHUNK)))
+    """Join the rows of ``runs``, each a row format and the columns of its
+    rows' arguments to it, into chunks of CHUNK rows, the last chunk
+    fewer."""
+    text, room = [], CHUNK  # room: the rows the chunk has yet to take
+    for line, columns in runs:
+        group = (line * GROUP).__mod__
+        start, size = 0, len(columns[0])
+        while start < size:
+            stop = min(start + room, size)
+            full = stop - (stop - start) % GROUP
+            text.extend(map(group, zip(*[
+                column[start + j:full:GROUP]
+                for j in range(GROUP) for column in columns])))
+            text.extend(map(line.__mod__,
+                            zip(*[column[full:stop] for column in columns])))
+            room -= stop - start
+            start = stop
+            if not room:
+                yield "".join(text)
+                text, room = [], CHUNK
     if text:
         yield "".join(text)
 
@@ -726,7 +742,7 @@ def _record_runs(result, layout, own):
             part = (columns if stop - start == len(rec.costs)
                     else [column[start:stop] for column in columns])
             yield (layout % (*shared, over),
-                   zip(range(first + start, first + stop), *part))
+                   (range(first + start, first + stop), *part))
         if rec.idle:
             # the idle row's fields under the columns' names
             row = rec._replace(actors=AUTHORITY, amounts=0,
@@ -735,7 +751,14 @@ def _record_runs(result, layout, own):
                                costs=rec.idle_cost, summaries="")
             line = layout % (rec.epoch, rec.round, "noop", False)
             start = first + len(rec.costs)
-            yield line % ("%s", *own(row)), range(start, start + rec.idle)
+            yield line % ("%s", *own(row)), (range(start, start + rec.idle),)
+
+
+def _row_chunks(line, rows):
+    """``rows``, each formatted whole by ``line``, CHUNK at a time."""
+    row = line.__mod__
+    for i in range(0, len(rows), CHUNK):
+        yield "".join(map(row, rows[i:i + CHUNK]))
 
 
 def trace_chunks(result: RunResult):
@@ -750,20 +773,15 @@ def receipts_chunks(result: RunResult):
 
 def balances_chunks(result: RunResult):
     yield "user,balance\n"
-    rows = sorted(result.balances.items())
-    for i in range(0, len(rows), CHUNK):
-        yield "".join(map("%s,%s\n".__mod__, rows[i:i + CHUNK]))
+    yield from _row_chunks("%s,%s\n", sorted(result.balances.items()))
 
 
 def distributions_chunks(result: RunResult):
     yield "epoch,iteration,user,allocated,share,remaining_capacity\n"
     for report in result.reports:
         # grant rows are (iteration, user, allocated, share, remaining)
-        yield from _chunks(
-            (f"{report.epoch},{iteration},%s,%s,{share},%s\n",
-             map(itemgetter(1, 2, 4), rows))
-            for (iteration, share), rows in groupby(report.rows,
-                                                    itemgetter(0, 3)))
+        yield from _row_chunks(f"{report.epoch},%s,%s,%s,%s,%s\n",
+                               report.rows)
 
 
 def trace_csv(result: RunResult) -> str:

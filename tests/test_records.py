@@ -19,7 +19,8 @@ from fairfaucet.cmf import DistributionReport
 from fairfaucet.costs import ActionStats, CostModel, CostSummary
 from fairfaucet.faucet import UserAccount
 from fairfaucet.oracle import AllocationProblem
-from fairfaucet.sim import EpochSummary, RunResult, Scenario, ScenarioError
+from fairfaucet.sim import (EpochSummary, RoundRecord, RunResult, Scenario,
+                            ScenarioError)
 from fairfaucet.verify import EpochCheck, VerifyReport
 from maxmin_reference import leximin_brute_force, sorted_levels, weight_of
 
@@ -39,6 +40,8 @@ SIGNATURES = {
     Scenario: "variant n epoch_capacity epoch_span round_span demand_lo "
               "demand_hi epochs seed precision cost_model scripted_demands",
     EpochSummary: "epoch demands capacity_start granted capacity_end",
+    RoundRecord: "first epoch round action actors amounts shares capacities "
+                 "costs summaries idle idle_share idle_capacity idle_cost",
     RunResult: "scenario records balances reports epoch_summaries "
                "final_capacity injected",
     EpochCheck: "epoch ok note first_diff",
@@ -62,6 +65,10 @@ def test_scalar_defaults():
             acct.last_claim_epoch, acct.last_claim_round,
             acct.cumulative_demand) == (0, [0, 0], [-2, -2], [0, 0], -1, -1, 0)
     assert EpochCheck(2, True) == EpochCheck(2, True, "", None)
+    busy = RoundRecord(5, 1, 0, "claim", range(1, 3), [4, 0], [4, 4], [9, 9],
+                       [21000, 21000], ["granted=4", "no-op: empty"])
+    assert (busy.idle, busy.idle_share, busy.idle_capacity,
+            busy.idle_cost) == (0, 0, 0, 0)
 
 
 # two builds of equal values each, with one field to assign to

@@ -6,8 +6,10 @@ chunked ones replaced.  They are kept as they were, except that the trace
 and receipt lines name each field they write, since one record per block
 now feeds both CSVs.  Every renderer must return exactly their text on
 synthetic results around the chunk boundaries, on runs of rows with the
-same shared fields longer than two chunks, and on runs of every variant
-that span several chunks (``test_render_property`` adds random traces).
+same shared fields longer than two chunks, on runs around GROUP and
+CHUNK rows long that start at and between chunk boundaries, and on runs
+of every variant that span several chunks (``test_render_property`` adds
+random traces).
 A ``tracemalloc`` bound pins the memory the change saves, the identity
 tests pin the sharing, and the CLI test checks that ``fairfaucet run``
 writes the renderers' bytes.
@@ -23,9 +25,10 @@ import pytest
 from fairfaucet.cli import main
 from fairfaucet.cmf import DistributionReport
 from fairfaucet.costs import CostModel
-from fairfaucet.sim import (CHUNK, RunResult, Scenario, TraceRow,
-                            balances_csv, distributions_csv, receipts_csv,
-                            run_scenario, trace_csv)
+from fairfaucet.sim import (CHUNK, GROUP, RoundRecord, RunResult, Scenario,
+                            TraceRow, balances_csv, distributions_csv,
+                            receipts_chunks, receipts_csv, run_scenario,
+                            trace_chunks, trace_csv)
 from round_records import run_result
 
 # -- reference: the renderers before chunking ---------------------------------
@@ -148,6 +151,65 @@ def test_renderers_match_reference_on_a_long_idle_round():
     assert longest_run(result.trace) > 2 * CHUNK
     for render, reference in PAIRS:
         assert render(result) == reference(result), render.__name__
+
+
+def busy_record(first: int, rnd: int, action: str, costs: list):
+    """A record of one busy block per cost, from block ``first``, whose
+    other columns vary by row."""
+    k = len(costs)
+    return RoundRecord(first, 2, rnd, action, range(first, first + k),
+                       [i % 29 for i in range(k)], [i % 5 for i in range(k)],
+                       [10 ** 6 - i for i in range(k)], costs,
+                       [f"granted={i % 29}" for i in range(k)])
+
+
+def kernel_result(lead: int, length: int, kind: str) -> RunResult:
+    """``lead`` busy rows, then runs of ``length`` rows of ``kind``, then
+    two busy rows.  A "busy" kind is one run within the block budget, a
+    "split" one a record of three runs that the over_budget flag parts
+    (within, over, within) and an "idle" one a record's idle blocks."""
+    records = []
+    if lead:
+        records.append(busy_record(0, 0, "register",
+                                   [21000 + i % 7 for i in range(lead)]))
+    if kind == "idle":
+        records.append(RoundRecord(lead, 2, 1, "noop", (), (), (), (), (),
+                                   (), length, 3, 10 ** 5, 21000))
+        size = length
+    else:
+        size = length if kind == "busy" else 3 * length
+        records.append(busy_record(lead, 1, "claim", [
+            21000 + i % 7 + BUDGET * (length <= i < 2 * length)
+            for i in range(size)]))
+    records.append(busy_record(lead + size, 3, "demand", [21000, 21001]))
+    return RunResult(budgeted(BUDGET), records, {}, [], [], 0, 0)
+
+
+@pytest.mark.parametrize("lead", [0, CHUNK, 3, CHUNK - 3],
+                         ids=["first", "at-boundary", "mid-chunk",
+                              "across-boundary"])
+@pytest.mark.parametrize("kind", ["busy", "split", "idle"])
+@pytest.mark.parametrize("length", [1, GROUP - 1, GROUP, GROUP + 1,
+                                    2 * GROUP + 1, CHUNK - 1,
+                                    CHUNK + GROUP - 1])
+def test_kernel_matches_reference_at_group_and_chunk_edges(lead, kind,
+                                                          length):
+    """Runs around GROUP and CHUNK rows long, starting at a chunk boundary
+    and within a chunk, render as the reference does, and every chunk but
+    the last holds exactly CHUNK rows, so ``fairfaucet run`` writes the
+    same pieces."""
+    result = kernel_result(lead, length, kind)
+    if kind == "split":
+        assert [(stop - start, over) for start, stop, over in result.records[
+            -2].over_budget(BUDGET)] == [(length, False), (length, True),
+                                         (length, False)]
+    for chunks, reference in [(trace_chunks, reference_trace_csv),
+                              (receipts_chunks, reference_receipts_csv)]:
+        header, *body = chunks(result)
+        assert header + "".join(body) == reference(result), chunks.__name__
+        rows = [chunk.count("\n") for chunk in body]
+        assert rows[:-1] == [CHUNK] * (len(rows) - 1), chunks.__name__
+        assert 0 < rows[-1] <= CHUNK, chunks.__name__
 
 
 # one run per variant, from keys that a scenario file takes as they are;
